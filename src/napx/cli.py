@@ -116,8 +116,7 @@ def _solution_doc(solver: str, instance: Instance, name: str | None,
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance, meta = load_instance(args.instance)
     t0 = perf_counter()
-    sol = solve(instance, epsilon=args.epsilon,
-                force_general=args.force_general_path)
+    sol = solve(instance, epsilon=args.epsilon)
     wall = perf_counter() - t0
 
     params: dict = {"epsilon": float(sol.epsilon)}
@@ -328,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="solution file (default stdout)")
     p.add_argument("--oracle", action="store_true",
                    help="also run exhaustive search and report the ratio")
-    p.add_argument("--force-general-path", action="store_true",
-                   help="disable the pendant-child fast paths")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("exact", help="run exhaustive search")

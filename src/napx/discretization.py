@@ -23,8 +23,10 @@ geometric steps needed to reach the floor.
 Everything here is pure arithmetic on the grid: rounding (:meth:`pi`),
 index lookups, and the interval algebra that answers "which grid rows of a
 right-hand probability combine with a given left-hand row to land on a
-given output row" (:meth:`k_range`), which is what lets the solver replace
-a quadratic scan with range-maximum queries.
+given output row" (:meth:`k_range`). For each left row those answers are
+contiguous windows that tile the right rows in ascending order, which is
+what lets the solver find the output row of any pair of finite table
+cells with one binary search.
 
 Boundary comparisons snap to the nearest knife edge before rounding
 (absolute 1e-9 on log scale, relative 1e-9 on probabilities) so that
@@ -47,10 +49,6 @@ __all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT"]
 # Refuse grids deeper than this: the tables would not fit in memory and the
 # run would not finish. Reached only for extreme epsilon/height combinations.
 T_LIMIT = 2_000_000
-
-# cap on (t+2)**2 entries for the precomputed combination-row matrix;
-# past this, combination rows are derived per query instead
-_ROW_MATRIX_LIMIT = 32_000_000
 
 _SNAP = 1e-9
 
@@ -83,7 +81,9 @@ def derive_k(n: int, min_b: float) -> int:
         raise ParameterError(f"min_b must be in (0, 1], got {min_b!r}")
     if n == 1:
         return 1
-    need = math.log(1.0 / min_b) / math.log(n)
+    # -log(min_b) rather than log(1 / min_b): 1 / min_b overflows to
+    # infinity for subnormal min_b
+    need = -math.log(min_b) / math.log(n)
     return max(1, math.ceil(_snap(need)))
 
 
@@ -104,8 +104,9 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
     Raises
     ------
     ParameterError
-        For out-of-range arguments, or when the implied grid depth t
-        exceeds ``T_LIMIT``.
+        For out-of-range arguments, when ``n**(k + 1)`` overflows a float
+        (a taxon's conserved survival is far too small to resolve), or
+        when the implied grid depth t exceeds ``T_LIMIT``.
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
@@ -116,7 +117,12 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
     alpha = (1.0 - epsilon) ** (1.0 / (2.0 * height))
-    p_min = (1.0 - math.sqrt(1.0 - epsilon)) / float(n) ** (k + 1)
+    try:
+        p_min = (1.0 - math.sqrt(1.0 - epsilon)) / float(n) ** (k + 1)
+    except OverflowError:
+        raise ParameterError(
+            f"grid floor n**-(k+1) underflows for n={n}, k={k}; some taxon's "
+            "conserved survival b is too small to resolve") from None
     return Discretization.from_alpha_pmin(alpha, p_min, k=k, epsilon=epsilon)
 
 
@@ -208,10 +214,6 @@ class Discretization:
     def _k_cache(self) -> dict:
         return {}
 
-    @cached_property
-    def _partition_cache(self) -> dict:
-        return {}
-
     # -- the rounding map ---------------------------------------------------
 
     def _below_floor(self, p: float) -> bool:
@@ -231,10 +233,6 @@ class Discretization:
     def pi(self, p: float) -> float:
         """Round a probability down onto the grid."""
         return float(self.grid[self.pi_index(p)])
-
-    def index_value(self, m: int) -> float:
-        """Value of row m."""
-        return float(self.grid[m])
 
     def grid_index(self, q: float) -> int:
         """Row whose value is q, for q already on the grid.
@@ -263,6 +261,10 @@ class Discretization:
         row p's interval [L, U) exactly when k lies in
         [(L-j)/(1-j), (U-j)/(1-j)); intersecting that real interval with
         the grid values is a floor/ceil computation on the log scale.
+
+        The feasible windows must tile [0, t+1] exactly once, moving right
+        as p grows; the solver's binary search over their lower ends relies
+        on it, so anything else raises :class:`InternalError`.
         """
         hit = self._k_cache.get(j_idx)
         if hit is not None:
@@ -297,6 +299,12 @@ class Discretization:
             feasible = hi_k > 0.0
             lo = np.where(feasible, m_lo, 1).astype(np.int32)
             hi = np.where(feasible, m_hi, 0).astype(np.int32)
+        feas = lo <= hi
+        lo_f, hi_f = lo[feas], hi[feas]
+        if (lo_f.size == 0 or lo_f[0] != 0 or hi_f[-1] != rows - 1
+                or np.any(lo_f[1:] != hi_f[:-1] + 1)):
+            raise InternalError(
+                f"grid windows for row {j_idx} do not partition the grid")
         out = (lo, hi)
         self._k_cache[j_idx] = out
         return out
@@ -311,61 +319,3 @@ class Discretization:
         j_idx = self.grid_index(j)
         lo, hi = self._k_row(j_idx)
         return range(int(lo[p_idx]), int(hi[p_idx]) + 1)
-
-    @cached_property
-    def _row_matrix(self) -> "np.ndarray | None":
-        """(t+2, t+2) table of output rows: entry [j, k] is the row of
-        ``pi(j + k - j*k)`` for left row j and right row k.
-
-        Built straight from the ``_k_row`` windows, so lookups through it
-        agree with the row-by-row scan bit for bit. Each j's feasible
-        windows must tile the k axis exactly once, moving right as the
-        output row grows; anything else is a partition bug.
-
-        Returns None above a size cap; callers then fall back to probing
-        the windows per query.
-        """
-        rows = self.t + 2
-        if rows * rows > _ROW_MATRIX_LIMIT:
-            return None
-        mat = np.empty((rows, rows), dtype=np.int32)
-        p_all = np.arange(rows, dtype=np.int32)
-        for j_idx in range(rows):
-            lo, hi = self._k_row(j_idx)
-            counts = hi - lo + 1
-            feas = counts > 0
-            lo_f, hi_f = lo[feas], hi[feas]
-            if (lo_f.size == 0 or lo_f[0] != 0 or hi_f[-1] != rows - 1
-                    or np.any(lo_f[1:] != hi_f[:-1] + 1)):
-                raise InternalError(
-                    f"grid windows for row {j_idx} do not partition the grid")
-            mat[j_idx] = np.repeat(p_all[feas], counts[feas])
-        mat.setflags(write=False)
-        return mat
-
-    def _p_rows_for_k(self, k_idx: int) -> np.ndarray:
-        """Output row produced by each left row j when combined with the
-        fixed right row k: the unique p with k in the window of
-        ``_k_row(j)``. Evaluates the same windows the row-by-row scan
-        uses, so both agree even on knife-edge grids.
-        """
-        hit = self._partition_cache.get(k_idx)
-        if hit is not None:
-            return hit
-        rows = self.t + 2
-        mat = self._row_matrix
-        if mat is not None:
-            out = np.ascontiguousarray(mat[:, k_idx])
-        else:
-            out = np.empty(rows, dtype=np.int32)
-            for j_idx in range(rows):
-                lo, hi = self._k_row(j_idx)
-                hits = np.nonzero((lo <= k_idx) & (k_idx <= hi))[0]
-                if hits.size != 1:
-                    raise InternalError(
-                        f"grid windows for row {j_idx} do not partition "
-                        f"row {k_idx}")
-                out[j_idx] = hits[0]
-        out.setflags(write=False)
-        self._partition_cache[k_idx] = out
-        return out

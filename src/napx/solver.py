@@ -17,19 +17,16 @@ collects its own survival term:
                 + max { T_l[i, j] + T_r[b - i, k] :
                         i + beta = b,  pi(v_j + v_k - v_j v_k) = row p }.
 
-The key to speed is that for a fixed left row j, the right rows k that
-land on output row p form a contiguous index window (see
-:meth:`napx.discretization.Discretization.k_range`), and those windows
-partition the k axis as p varies. So the inner maximum over k is a range
-maximum query on the right child's budget column, batched here across all
-(budget, output row) pairs at once with one flat sparse table per combine.
-
-When one child is a pendant edge, its table carries at most two distinct
-(row, value) configurations over the whole budget axis, and the combine
-collapses to sliding-window maxima over the budget dimension instead of a
-sweep over left rows. Both fast variants enumerate exactly the candidate
-set of the general sweep in the same order, so the resulting tables,
-backpointers included, are identical; only the arithmetic route differs.
+Almost every cell of a table is unreachable (-inf), so
+:func:`combine_tables` enumerates only pairs of finite cells. For a fixed
+left row j, the right rows k that land on output row p form a contiguous
+index window (see :meth:`napx.discretization.Discretization.k_range`),
+and those windows tile the k axis in ascending order as p grows. So the
+output row of every finite right cell follows from one ``searchsorted``
+over the windows' lower ends, once per finite left row. The candidates
+of one left budget at a time are then reduced to the best per output
+cell with a single sort, which keeps memory at one budget row's worth of
+pairs rather than all of them.
 
 Ties everywhere resolve lexicographically: the smallest left budget i
 first, then the smallest left row index j, then the smallest right row
@@ -49,7 +46,6 @@ from .discretization import Discretization, derive_k, select_params
 from .errors import (DegenerateInstanceError, InternalError, ParameterError)
 from .model import (ConservationSet, Instance, Taxon, make_conservation_set,
                     min_conserved_survival, normalize)
-from .rmq import RangeMaxIndex
 
 __all__ = [
     "CladeTable",
@@ -70,8 +66,8 @@ class CladeTable:
     unreachable cells hold -inf. Interior tables carry backpointers: the
     left child's budget share and row. The right child's row is not
     stored; it is recomputed during backtracking by replaying the
-    range-maximum query for the winning cell, which is cheaper than
-    carrying a third full array. Pendant tables instead record their two
+    window maximum for the winning cell, which is cheaper than carrying
+    a third full array. Pendant tables instead record their two
     possible (row, value) configurations and the conservation cost.
     """
 
@@ -107,200 +103,50 @@ def build_pendant_table(eid: int, taxon: Taxon, lam: float, budget: int,
                       val_uncons=va, val_cons=vb)
 
 
-def _batched_window_max(rmq: RangeMaxIndex, disc: Discretization, j_row: int,
-                        n_budgets: int) -> np.ndarray:
-    """Max of the right table over the k-window of (j_row, p), for every
-    (right budget, output row p) pair, via one vectorized query."""
-    rows = disc.t + 2
-    lo, hi = disc._k_row(j_row)
-    offs = (np.arange(n_budgets, dtype=np.int64) * rows)[:, None]
-    vals, _ = rmq.query_many((offs + lo[None, :]).ravel(),
-                             (offs + hi[None, :]).ravel())
-    return vals.reshape(n_budgets, rows)
+def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
+                   budget: int, disc: Discretization) -> CladeTable:
+    """Combine two child tables over their finite cells only.
 
-
-def _combine_general(eid: int, left: CladeTable, right: CladeTable, lam: float,
-                     budget: int, disc: Discretization) -> CladeTable:
-    """Reference combine: sweep every finite left (budget, row) cell."""
+    Left budgets i are walked in ascending order. For each i, every
+    candidate ``left[i, j] + right[beta, k]`` with beta <= budget - i is
+    built at once, the best per output cell is kept (smallest j on ties),
+    and it replaces the cell only when strictly greater than what a
+    smaller i already put there.
+    """
     rows = disc.t + 2
     nb = budget + 1
     out = np.full((nb, rows), -np.inf)
     bp_i = np.full((nb, rows), -1, dtype=np.int32)
     bp_j = np.full((nb, rows), -1, dtype=np.int32)
-    rmq = RangeMaxIndex(right.scores.ravel())
+    out_flat, bpi_flat, bpj_flat = out.ravel(), bp_i.ravel(), bp_j.ravel()
+    # row-major order: right budgets ascend, so each i takes a prefix
+    r_beta, r_k = np.nonzero(np.isfinite(right.scores))
+    r_val = right.scores[r_beta, r_k]
+    r_cell = r_beta.astype(np.int64) * rows
     finite_j = np.nonzero(np.isfinite(left.scores).any(axis=0))[0]
-    for j in finite_j:
-        j = int(j)
-        m_j = _batched_window_max(rmq, disc, j, nb)
-        col = left.scores[:, j]
-        for i in np.nonzero(np.isfinite(col))[0]:
-            i = int(i)
-            cand = col[i] + m_j[:nb - i]
-            seg = out[i:]
-            bpi_seg = bp_i[i:]
-            # lexicographic tie rule: a later candidate with an equal value
-            # wins only with a strictly smaller left budget
-            upd = (cand > seg) | ((cand == seg) & np.isfinite(cand)
-                                  & (i < bpi_seg))
-            if upd.any():
-                seg[upd] = cand[upd]
-                bpi_seg[upd] = i
-                bp_j[i:][upd] = j
-    out += lam * disc.grid[None, :]
-    return CladeTable(edge_id=eid, kind="internal", scores=out,
-                      bp_budget=bp_i, bp_left=bp_j)
-
-
-def _combine_left_pendant(eid: int, pend: CladeTable, right: CladeTable,
-                          lam: float, budget: int,
-                          disc: Discretization) -> CladeTable:
-    """Fast combine when the left child is a pendant edge.
-
-    The pendant contributes one of two (row, value) configurations
-    depending on its budget share i: unconserved for i < c, conserved for
-    i >= c. Grouping by configuration turns the sweep over i into two
-    window maxima over the right child's budget axis: a sliding window of
-    width c for the unconserved block, a growing prefix for the conserved
-    one.
-    """
-    rows = disc.t + 2
-    nb = budget + 1
-    grid = disc.grid
-    c = pend.cost
-    out = np.full((nb, rows), -np.inf)
-    bp_i = np.full((nb, rows), -1, dtype=np.int32)
-    bp_j = np.full((nb, rows), -1, dtype=np.int32)
-    rmq = RangeMaxIndex(right.scores.ravel())
-
-    window_max: dict[int, np.ndarray] = {}
-
-    def wmax(row: int) -> np.ndarray:
-        if row not in window_max:
-            window_max[row] = _batched_window_max(rmq, disc, row, nb)
-        return window_max[row]
-
-    a_vals = pend.val_uncons + wmax(pend.row_uncons) if c > 0 else None
-    b_vals = pend.val_cons + wmax(pend.row_cons) if c <= budget else None
-
-    run_val = np.full(rows, -np.inf)
-    run_beta = np.full(rows, -1, dtype=np.int64)
-    cols = np.arange(rows)
-    for b in range(nb):
-        # unconserved block: i in [0, min(c, b+1)-1], i.e. beta in
-        # [b-c+1, b]; reversing makes the argmax index equal i, so the
-        # first maximum is the smallest i, matching the general sweep
-        if c > 0:
-            blo = max(b - c + 1, 0)
-            block = a_vals[blo:b + 1][::-1]
-            am = np.argmax(block, axis=0)
-            vals = block[am, cols]
-            fin = np.isfinite(vals)
-            out[b][fin] = vals[fin]
-            bp_i[b][fin] = am[fin]
-            bp_j[b][fin] = pend.row_uncons
-        # conserved block: i in [c, b], beta in [0, b-c]. The newest beta
-        # carries the smallest i (= c), so it wins ties in the running max.
-        if c <= b and b_vals is not None:
-            nv = b_vals[b - c]
-            newer = nv >= run_val
-            run_val = np.where(newer, nv, run_val)
-            run_beta = np.where(newer, b - c, run_beta)
-            better = run_val > out[b]
-            if better.any():
-                out[b][better] = run_val[better]
-                bp_i[b][better] = (b - run_beta[better]).astype(np.int32)
-                bp_j[b][better] = pend.row_cons
-    out += lam * grid[None, :]
-    return CladeTable(edge_id=eid, kind="internal", scores=out,
-                      bp_budget=bp_i, bp_left=bp_j)
-
-
-def _grouped_left_max(left: CladeTable, disc: Discretization, k_row: int,
-                      k_val: float, n_budgets: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a fixed right row k of value ``k_val``: per (left budget,
-    output row p), the max of ``left + k_val`` over left rows j that
-    combine with k onto p, and the smallest such argmax j. Groups come
-    from the same windows the general sweep uses, and ``k_val`` is folded
-    in before the maximum so candidate values, and therefore ties, are
-    bit-identical to the general sweep's ``left[i, j] + right[beta, k]``."""
-    rows = disc.t + 2
-    p_of_j = disc._p_rows_for_k(k_row)
-    order = np.argsort(p_of_j, kind="stable")
-    sorted_p = p_of_j[order]
-    # distinct output rows hit, each owning one contiguous segment
-    groups, seg_starts = np.unique(sorted_p, return_index=True)
-    perm = left.scores[:, order] + k_val
-    seg_max = np.maximum.reduceat(perm, seg_starts, axis=1)
-    # first in-segment position achieving the max = smallest original j,
-    # because the stable sort keeps equal-group columns in j order
-    counts = np.diff(np.append(seg_starts, rows))
-    seg_of_pos = np.repeat(np.arange(groups.size), counts)
-    at_max = perm == seg_max[:, seg_of_pos]
-    pos = np.where(at_max, np.arange(rows)[None, :], rows)
-    first = np.minimum.reduceat(pos, seg_starts, axis=1)
-    vals = np.full((n_budgets, rows), -np.inf)
-    jarg = np.full((n_budgets, rows), -1, dtype=np.int32)
-    vals[:, groups] = seg_max
-    jarg[:, groups] = order[first]
-    return vals, jarg
-
-
-def _combine_right_pendant(eid: int, left: CladeTable, pend: CladeTable,
-                           lam: float, budget: int,
-                           disc: Discretization) -> CladeTable:
-    """Fast combine when the right child is a pendant edge.
-
-    Here the pendant's configuration is fixed by the residual budget
-    b - i, so left rows are grouped by the output row they reach with the
-    pendant's row, and the sweep over i becomes a growing-prefix maximum
-    (pendant conserved, small i) plus a short sliding window (pendant
-    unconserved, large i).
-    """
-    rows = disc.t + 2
-    nb = budget + 1
-    c = pend.cost
-    out = np.full((nb, rows), -np.inf)
-    bp_i = np.full((nb, rows), -1, dtype=np.int32)
-    bp_j = np.full((nb, rows), -1, dtype=np.int32)
-
-    best_a = best_a_j = None
-    if c > 0:
-        best_a, best_a_j = _grouped_left_max(left, disc, pend.row_uncons,
-                                             pend.val_uncons, nb)
-    best_b = best_b_j = None
-    if c <= budget:
-        best_b, best_b_j = _grouped_left_max(left, disc, pend.row_cons,
-                                             pend.val_cons, nb)
-
-    run_val = np.full(rows, -np.inf)
-    run_i = np.full(rows, -1, dtype=np.int32)
-    run_j = np.full(rows, -1, dtype=np.int32)
-    cols = np.arange(rows)
-    for b in range(nb):
-        # conserved block first: i in [0, b-c]. New entries carry the
-        # largest i so far, so ties keep the old (smaller) i.
-        if c <= b and best_b is not None:
-            nv = best_b[b - c]
-            newer = nv > run_val
-            run_val = np.where(newer, nv, run_val)
-            run_i = np.where(newer, b - c, run_i).astype(np.int32)
-            run_j = np.where(newer, best_b_j[b - c], run_j)
-            fin = np.isfinite(run_val)
-            out[b][fin] = run_val[fin]
-            bp_i[b][fin] = run_i[fin]
-            bp_j[b][fin] = run_j[fin]
-        # unconserved block: i in [max(0, b-c+1), b], forward argmax keeps
-        # the smallest i; it may only strictly beat the conserved block
-        if c > 0:
-            ilo = max(0, b - c + 1)
-            block = best_a[ilo:b + 1]
-            am = np.argmax(block, axis=0)
-            vals = block[am, cols]
-            better = vals > out[b]
-            if better.any():
-                out[b][better] = vals[better]
-                bp_i[b][better] = (ilo + am[better]).astype(np.int32)
-                bp_j[b][better] = best_a_j[ilo + am, cols][better]
+    # output row of every finite right cell, per finite left row j: the
+    # feasible windows of j tile the k axis in ascending order
+    p_of = np.empty((finite_j.size, r_k.size), dtype=np.int64)
+    for n, j in enumerate(finite_j):
+        lo, hi = disc._k_row(int(j))
+        feas = np.nonzero(lo <= hi)[0]
+        p_of[n] = feas[np.searchsorted(lo[feas], r_k, side="right") - 1]
+    for i in range(nb):
+        sel = np.nonzero(np.isfinite(left.scores[i, finite_j]))[0]
+        m = int(np.searchsorted(r_beta, budget - i, side="right"))
+        if sel.size == 0 or m == 0:
+            continue
+        js = finite_j[sel]
+        vals = (left.scores[i, js][:, None] + r_val[None, :m]).ravel()
+        cells = (i * rows + r_cell[None, :m] + p_of[sel, :m]).ravel()
+        jcol = np.repeat(js, m)
+        order = np.lexsort((jcol, -vals, cells))
+        sorted_cells = cells[order]
+        win = order[np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]]
+        win = win[vals[win] > out_flat[cells[win]]]
+        out_flat[cells[win]] = vals[win]
+        bpi_flat[cells[win]] = i
+        bpj_flat[cells[win]] = jcol[win]
     out += lam * disc.grid[None, :]
     return CladeTable(edge_id=eid, kind="internal", scores=out,
                       bp_budget=bp_i, bp_left=bp_j)
@@ -313,29 +159,15 @@ def _combine_unary(eid: int, child: CladeTable, lam: float,
     return CladeTable(edge_id=eid, kind="unary", scores=scores)
 
 
-def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
-                   budget: int, disc: Discretization, *,
-                   force_general: bool = False) -> tuple[CladeTable, str]:
-    """Combine two child tables, picking the fastest exact route.
-
-    Returns the table and which route ran ("fast" or "general"). All
-    routes produce identical tables; ``force_general`` pins the reference
-    sweep for benchmarking and for differential tests.
-    """
-    if not force_general and left.kind == "pendant":
-        return _combine_left_pendant(eid, left, right, lam, budget, disc), "fast"
-    if not force_general and right.kind == "pendant":
-        return _combine_right_pendant(eid, left, right, lam, budget, disc), "fast"
-    return _combine_general(eid, left, right, lam, budget, disc), "general"
-
-
-def build_tables(instance: Instance, disc: Discretization, *,
-                 force_general: bool = False) -> tuple[dict[int, CladeTable], dict]:
+def build_tables(instance: Instance,
+                 disc: Discretization) -> tuple[dict[int, CladeTable], dict]:
     """Build every edge's table in postorder.
 
     The instance must be normalized (binary tree, costs within budget).
-    Returns the tables keyed by edge id and counters for how many combines
-    took each route.
+    Returns the tables keyed by edge id and combine counters. There is a
+    single combine route: every binary combine counts in
+    ``fast_combines`` and ``general_combines`` stays 0; both keys are kept
+    for readers of solution ``stats`` and the bench CSV.
     """
     tree = instance.tree
     budget = int(instance.budget)
@@ -350,11 +182,9 @@ def build_tables(instance: Instance, disc: Discretization, *,
                 e.eid, tables[e.children[0]], e.length, disc)
         elif len(e.children) == 2:
             left, right = e.children
-            tab, route = combine_tables(e.eid, tables[left], tables[right],
-                                        e.length, budget, disc,
-                                        force_general=force_general)
-            tables[e.eid] = tab
-            stats[route + "_combines"] += 1
+            tables[e.eid] = combine_tables(e.eid, tables[left], tables[right],
+                                           e.length, budget, disc)
+            stats["fast_combines"] += 1
         else:
             raise InternalError(
                 f"edge {e.eid} has {len(e.children)} children; "
@@ -425,8 +255,7 @@ class NapxSolution:
     stats: dict
 
 
-def solve(instance: Instance, epsilon: float = 0.1, *,
-          force_general: bool = False) -> NapxSolution:
+def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     """Approximately maximize expected diversity under the budget.
 
     Guarantees a selection whose true expected diversity is at least
@@ -452,7 +281,7 @@ def solve(instance: Instance, epsilon: float = 0.1, *,
                             stats={"fast_combines": 0, "general_combines": 0})
     k = derive_k(n, min_b)
     disc = select_params(n, norm.tree.height, epsilon, k)
-    tables, stats = build_tables(norm, disc, force_general=force_general)
+    tables, stats = build_tables(norm, disc)
     root_scores = tables[norm.tree.root].scores[norm.budget]
     m = int(np.argmax(root_scores))
     reported = float(root_scores[m])

@@ -2,11 +2,13 @@
 
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, table combines by
-a literal scatter over every (row, row, split) triple, range maxima by
-linear scan. Slow and obviously correct is the point.
+a literal scatter over every (row, row, split) triple. Slow and obviously
+correct is the point.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,10 +76,23 @@ def exhaustive_best(instance: Instance) -> tuple[frozenset, float]:
 #  Scatter reference for the table combine
 # ------------------------------------------------------------------------- #
 
+@lru_cache(maxsize=8)
 def product_rows(disc) -> np.ndarray:
-    """Matrix of output rows: entry [j, k] for left row j, right row k."""
+    """Matrix of output rows: entry [j, k] for left row j, right row k.
+
+    Filled window by window from ``disc._k_row``, whose windows the tests
+    tie to direct evaluation of ``pi``; every entry must be written once.
+    """
     rows = disc.t + 2
-    return np.stack([disc._p_rows_for_k(k) for k in range(rows)], axis=1)
+    mat = np.full((rows, rows), -1, dtype=np.int64)
+    for j in range(rows):
+        lo, hi = disc._k_row(j)
+        for p in np.nonzero(lo <= hi)[0]:
+            assert (mat[j, lo[p]:hi[p] + 1] == -1).all()
+            mat[j, lo[p]:hi[p] + 1] = p
+    assert (mat >= 0).all()
+    mat.setflags(write=False)
+    return mat
 
 
 def combine_reference(left: CladeTable, right: CladeTable, lam: float,
@@ -111,8 +126,7 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
 
     bp_i = np.full((nb, rows), -1, dtype=np.int32)
     bp_j = np.full((nb, rows), -1, dtype=np.int32)
-    ks_of = [[np.nonzero(mat[j] == p)[0] for p in range(rows)]
-             for j in range(rows)]
+    ks_of: dict[tuple[int, int], np.ndarray] = {}
     for b in range(nb):
         for p in range(rows):
             if not np.isfinite(out[b, p]):
@@ -121,10 +135,10 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
             for i in range(b + 1):
                 if found:
                     break
-                for j in range(rows):
-                    if not np.isfinite(left.scores[i, j]):
-                        continue
-                    ks = ks_of[j][p]
+                for j in np.nonzero(np.isfinite(left.scores[i]))[0]:
+                    if (j, p) not in ks_of:
+                        ks_of[j, p] = np.nonzero(mat[j] == p)[0]
+                    ks = ks_of[j, p]
                     if ks.size == 0:
                         continue
                     vals = left.scores[i, j] + right.scores[b - i, ks]
@@ -152,26 +166,6 @@ def k_range_scan(disc, p_idx: int, j_idx: int) -> list[int]:
         if disc.pi_index(q) == p_idx:
             hits.append(k)
     return hits
-
-
-# ------------------------------------------------------------------------- #
-#  Range max by scan
-# ------------------------------------------------------------------------- #
-
-def range_max_scan(values: np.ndarray, lo: int, hi: int) -> tuple[float, int]:
-    """Max and smallest argmax of values[lo..hi], inclusive, by loop.
-
-    An all-minus-infinity window reports its first position, matching the
-    argmax convention of the package (such indices are never dereferenced
-    for infeasible cells).
-    """
-    best = float(values[lo])
-    arg = lo
-    for i in range(lo + 1, hi + 1):
-        if values[i] > best:
-            best = float(values[i])
-            arg = i
-    return best, arg
 
 
 # ------------------------------------------------------------------------- #

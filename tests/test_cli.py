@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from napx.cli import BENCH_COLUMNS, main
 from napx.io import load_instance, parse_solution
 
 from util import data_path
+
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -40,15 +46,6 @@ def test_solve_stdout_and_oracle(capsys):
     doc = json.loads(out)
     assert doc["stats"]["ratio"] >= 0.9
     assert doc["stats"]["oracle_score"] >= doc["evaluated_score"] - 1e-9
-
-
-def test_solve_force_general_same_answer(capsys):
-    _, out1, _ = run(capsys, "solve", data_path("hand.nap.json"))
-    _, out2, _ = run(capsys, "solve", data_path("hand.nap.json"),
-                     "--force-general-path")
-    a, b = json.loads(out1), json.loads(out2)
-    assert a["selected"] == b["selected"]
-    assert a["reported_score"] == b["reported_score"]
 
 
 def test_exact_and_pg(tmp_path, capsys):
@@ -190,6 +187,24 @@ def test_bad_epsilon_exits_2(capsys):
     code, _, _ = run(capsys, "solve", data_path("hand.nap.json"),
                      "--epsilon", "1.5")
     assert code == 2
+
+
+def test_subnormal_b_exits_2(capsys):
+    """A taxon with b = 5e-324 needs k = 537 and n**(k+1) overflows: the
+    run ends with a parameter error, not a traceback."""
+    code, out, err = run(capsys, "solve", data_path("tiny_b.nap.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "too small" in err
+
+
+def test_python_m_napx_runs_cli():
+    proc = subprocess.run([sys.executable, "-m", "napx", "solve",
+                           data_path("hand.nap.json"), "--epsilon", "0.3"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["solver"] == "napx"
 
 
 def test_usage_error_returns_argparse_code(capsys):

@@ -43,6 +43,7 @@ def test_derive_k_frozen_values():
     assert derive_k(10, 0.009) == 3
     assert derive_k(5, 1.0) == 1       # floor of 1: k never drops below 1
     assert derive_k(1, 0.3) == 1       # single leaf special case
+    assert derive_k(4, 5e-324) == 537  # 1 / 5e-324 would overflow
 
 
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0, float("nan")])
@@ -138,20 +139,28 @@ def test_k_range_matches_direct_scan():
             assert got == k_range_scan(d, p, j), (j, p)
 
 
-def test_row_matrix_matches_window_probe():
-    d = Discretization.from_alpha_pmin(0.5, 0.1)
-    mat = d._row_matrix
-    assert mat is not None
+@pytest.mark.parametrize("alpha,p_min", [(0.5, 0.1), (0.97, 1e-4)],
+                         ids=["small", "deep"])
+def test_k_row_windows_tile_grid(alpha, p_min):
+    """For every left row j the non-empty windows cover each right row k
+    exactly once and move right as the output row p grows: the solver
+    finds a pair's output row by binary search over their lower ends."""
+    d = Discretization.from_alpha_pmin(alpha, p_min)
     rows = d.t + 2
     for j in range(rows):
         lo, hi = d._k_row(j)
+        owner = []
         for k in range(rows):
             hits = np.nonzero((lo <= k) & (k <= hi))[0]
-            assert hits.size == 1
-            assert mat[j, k] == hits[0]
+            assert hits.size == 1, (j, k)
+            owner.append(int(hits[0]))
+        assert owner == sorted(owner)
+        feas = np.nonzero(lo <= hi)[0]
+        found = feas[np.searchsorted(lo[feas], np.arange(rows), side="right") - 1]
+        assert found.tolist() == owner
 
 
-def test_p_rows_for_k_consistent_with_matrix():
-    d = Discretization.from_alpha_pmin(0.5, 0.1)
-    for k in range(d.t + 2):
-        assert np.array_equal(d._p_rows_for_k(k), d._row_matrix[:, k])
+def test_select_params_overflow_is_parameter_error():
+    """The k of a subnormal b makes n**(k+1) overflow a float."""
+    with pytest.raises(ParameterError, match="too small"):
+        select_params(4, 3, 0.1, 537)

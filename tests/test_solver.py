@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from napx.discretization import Discretization, derive_k, select_params
 from napx.errors import ParameterError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
                         min_conserved_survival, normalize)
-from napx.solver import (build_pendant_table, build_tables, combine_tables,
-                         solve)
+from napx.solver import (CladeTable, build_pendant_table, build_tables,
+                         combine_tables, solve)
 
 from oracles import combine_reference, exhaustive_best
 from util import cherry, fig1_instance, make_instance, tie_cherry
@@ -60,42 +62,95 @@ def _tables_for(instance, epsilon=0.5):
     return norm, disc
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_general_combine_matches_scatter(seed):
-    """The window-batched maximum equals scattering every (j, i, k, beta)
-    candidate, bit for bit, backpointers included."""
-    inst = gen_yule(6, seed)
-    norm, disc = _tables_for(inst)
-    budget = norm.budget
-    tables, _ = build_tables(norm, disc, force_general=True)
+def _assert_combines_match_scatter(norm, disc) -> int:
+    """Every binary combine of the instance equals the scatter reference,
+    scores and both backpointer arrays; returns how many had a pendant
+    child."""
+    tables, stats = build_tables(norm, disc)
+    assert stats["general_combines"] == 0
+    pendant = 0
     for e in norm.tree.edges:
         if len(e.children) != 2:
             continue
         l, r = (tables[c] for c in e.children)
-        got, _ = combine_tables(e.eid, l, r, e.length, budget, disc,
-                                force_general=True)
-        want, bp_i, bp_j = combine_reference(l, r, e.length, budget, disc,
-                                             with_backpointers=True)
-        assert np.array_equal(got.scores, want, equal_nan=True)
+        want, bp_i, bp_j = combine_reference(l, r, e.length, norm.budget,
+                                             disc, with_backpointers=True)
+        got = combine_tables(e.eid, l, r, e.length, norm.budget, disc)
+        assert np.array_equal(got.scores, want)
         assert np.array_equal(got.bp_budget, bp_i)
         assert np.array_equal(got.bp_left, bp_j)
+        pendant += "pendant" in (l.kind, r.kind)
+    return pendant
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_general_combine_matches_scatter(seed):
+    """The finite-cell combine equals scattering every (j, i, k, beta)
+    candidate, bit for bit, backpointers included."""
+    _assert_combines_match_scatter(*_tables_for(gen_yule(6, seed)))
 
 
 @pytest.mark.parametrize("topo,n", [("caterpillar", 9), ("yule", 9)])
-def test_fast_paths_match_general(topo, n):
+def test_pendant_child_combines_match_scatter(topo, n):
+    """Combines with a pendant child on either side, the bulk of every
+    caterpillar, follow the same tie rule as the scatter reference."""
     gen = gen_caterpillar if topo == "caterpillar" else gen_yule
-    for seed in range(5):
-        norm, disc = _tables_for(gen(n, seed), epsilon=0.4)
-        tf, sf = build_tables(norm, disc, force_general=False)
-        tg, sg = build_tables(norm, disc, force_general=True)
-        assert sg["fast_combines"] == 0
-        assert sf["fast_combines"] > 0
-        for eid in tf:
-            assert np.array_equal(tf[eid].scores, tg[eid].scores,
-                                  equal_nan=True), (topo, seed, eid)
-            if tf[eid].bp_budget is not None:
-                assert np.array_equal(tf[eid].bp_budget, tg[eid].bp_budget)
-                assert np.array_equal(tf[eid].bp_left, tg[eid].bp_left)
+    pendant = sum(_assert_combines_match_scatter(
+        *_tables_for(gen(n, seed), epsilon=0.4)) for seed in range(5))
+    assert pendant > 0
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(topo=st.sampled_from(["yule", "caterpillar"]),
+       n=st.integers(2, 8), seed=st.integers(0, 10_000),
+       epsilon=st.floats(0.3, 0.6), budget=st.integers(0, 8))
+def test_combine_matches_scatter_property(topo, n, seed, epsilon, budget):
+    gen = gen_caterpillar if topo == "caterpillar" else gen_yule
+    _assert_combines_match_scatter(
+        *_tables_for(gen(n, seed, budget=budget), epsilon=epsilon))
+
+
+def test_combine_ties_pick_smallest_budget_then_row():
+    """A right cell at row 0 (probability 1) sends every left row to output
+    row 0, so equal left values tie there: first on the left row at one
+    budget, then across left budgets."""
+    d = small_disc()
+    left = np.full((2, d.t + 2), -np.inf)
+    left[0, [2, 3]] = 1.0
+    left[1, 1] = 1.0
+    right = np.full((2, d.t + 2), -np.inf)
+    right[:, 0] = 0.5
+    got = combine_tables(2, CladeTable(0, "internal", left),
+                         CladeTable(1, "internal", right), 0.0, 1, d)
+    assert got.scores[:, 0].tolist() == [1.5, 1.5]
+    assert got.bp_budget[:, 0].tolist() == [0, 0]
+    assert got.bp_left[:, 0].tolist() == [2, 2]
+
+
+@st.composite
+def _tie_heavy_tables(draw):
+    """Two child tables whose cells take one of three values or -inf."""
+    budget = draw(st.integers(0, 4))
+    cells = st.sampled_from([-np.inf, 0.0, 0.5, 1.0])
+    shape = (budget + 1, small_disc().t + 2)
+    return budget, draw(arrays(np.float64, shape, elements=cells)), \
+        draw(arrays(np.float64, shape, elements=cells))
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(_tie_heavy_tables())
+def test_combine_tie_heavy_tables_match_scatter(case):
+    """With so few distinct values nearly every output cell is a tie, so
+    this exercises each level of the tie rule against the reference."""
+    budget, left, right = case
+    d = small_disc()
+    l, r = CladeTable(0, "internal", left), CladeTable(1, "internal", right)
+    got = combine_tables(2, l, r, 1.0, budget, d)
+    want, bp_i, bp_j = combine_reference(l, r, 1.0, budget, d,
+                                         with_backpointers=True)
+    assert np.array_equal(got.scores, want)
+    assert np.array_equal(got.bp_budget, bp_i)
+    assert np.array_equal(got.bp_left, bp_j)
 
 
 # ------------------------------------------------------------------------- #
