@@ -6,10 +6,11 @@ a set of taxa within a budget to maximize the expected total branch length
 of the surviving part of the tree.
 
 The central solver, :func:`solve`, runs a discretized dynamic program over
-rounded survival probabilities and guarantees a ``1 - epsilon`` fraction of
-the optimum. Exact baselines (:func:`brute_force`, :func:`pardi_goldman`)
-cover small or restricted instances, and :mod:`napx.generators` produces
-seeded random test instances.
+rounded survival probabilities; its answer is within a ``1 - epsilon``
+fraction of the optimum whenever every unconserved survival ``a`` is at
+most the grid floor ``p_min``. Exact baselines (:func:`brute_force`,
+:func:`pardi_goldman`) cover small or restricted instances, and
+:mod:`napx.generators` produces seeded random test instances.
 """
 
 from .baselines import brute_force, pardi_goldman

@@ -44,11 +44,14 @@ import numpy as np
 
 from .errors import InputError, InternalError, ParameterError
 
-__all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT"]
+__all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT",
+           "CELL_LIMIT"]
 
-# Refuse grids deeper than this: the tables would not fit in memory and the
-# run would not finish. Reached only for extreme epsilon/height combinations.
+# Refuse grids deeper than T_LIMIT rows and tables spanning more than
+# CELL_LIMIT (budget, row) cells, (B + 1) * (t + 2): the run would not finish.
+# Only extreme epsilon/height combinations or huge budgets reach them.
 T_LIMIT = 2_000_000
+CELL_LIMIT = 10**8
 
 _SNAP = 1e-9
 

@@ -47,7 +47,7 @@ class RestrictionError(NapError):
 
 
 class SizeLimitError(NapError):
-    """The instance is too large for an exhaustive method (exit code 3)."""
+    """The instance is too large for the method asked for (exit code 3)."""
 
 
 class DegenerateInstanceError(NapError):

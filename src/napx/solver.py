@@ -17,16 +17,16 @@ collects its own survival term:
                 + max { T_l[i, j] + T_r[b - i, k] :
                         i + beta = b,  pi(v_j + v_k - v_j v_k) = row p }.
 
-Almost every cell of a table is unreachable (-inf), so
-:func:`combine_tables` enumerates only pairs of finite cells. For a fixed
-left row j, the right rows k that land on output row p form a contiguous
-index window (see :meth:`napx.discretization.Discretization.k_range`),
-and those windows tile the k axis in ascending order as p grows. So the
-output row of every finite right cell follows from one ``searchsorted``
-over the windows' lower ends, once per finite left row. The candidates
-of one left budget at a time are then reduced to the best per output
-cell with a single sort, which keeps memory at one budget row's worth of
-pairs rather than all of them.
+Almost every cell of a table is unreachable (-inf), so a table stores
+only its finite cells, keyed by ``b * (t + 2) + p`` in ascending order,
+and :func:`combine_tables` enumerates only pairs of them. For a fixed
+left row j, the right rows k that land on each output row form a
+contiguous window (see :meth:`napx.discretization.Discretization.k_range`),
+and the windows tile the k axis in ascending order, so one
+``searchsorted`` per distinct left row gives every right cell's output
+row. Each left budget's candidates are reduced to the best per output
+cell with one sort. Every stored cell keeps all three backpointers (left
+budget, left row, right row), which :func:`backtrace` follows.
 
 Ties everywhere resolve lexicographically: the smallest left budget i
 first, then the smallest left row index j, then the smallest right row
@@ -42,10 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Discretization, derive_k, select_params
-from .errors import (DegenerateInstanceError, InternalError, ParameterError)
+from .discretization import CELL_LIMIT, Discretization, derive_k, select_params
+from .errors import (DegenerateInstanceError, InternalError, ParameterError,
+                     SizeLimitError)
 from .model import (ConservationSet, Instance, Taxon, make_conservation_set,
-                    min_conserved_survival, normalize)
+                    min_conserved_survival, normalize, total_pd)
 
 __all__ = [
     "CladeTable",
@@ -60,47 +61,38 @@ __all__ = [
 
 @dataclass
 class CladeTable:
-    """Dynamic-program table for one edge.
+    """Dynamic-program table for one edge, finite cells only.
 
-    ``scores`` has one row per budget 0..B and one column per grid row;
-    unreachable cells hold -inf. Interior tables carry backpointers: the
-    left child's budget share and row. The right child's row is not
-    stored; it is recomputed during backtracking by replaying the
-    window maximum for the winning cell, which is cheaper than carrying
-    a third full array. Pendant tables instead record their two
-    possible (row, value) configurations and the conservation cost.
+    ``cells`` holds the sorted keys ``budget * (t + 2) + row`` of the
+    reachable cells and ``scores`` their values; every other cell is
+    unreachable (-inf). Interior tables carry, per cell, the left child's
+    budget share and row and the right child's row. Pendant tables record
+    the taxon, its conservation cost and its conserved row.
     """
 
     edge_id: int
     kind: str  # "pendant", "internal" or "unary"
+    cells: np.ndarray
     scores: np.ndarray
     bp_budget: np.ndarray | None = None
     bp_left: np.ndarray | None = None
+    bp_right: np.ndarray | None = None
     taxon: str | None = None
     cost: int = 0
-    row_uncons: int = -1
     row_cons: int = -1
-    val_uncons: float = 0.0
-    val_cons: float = 0.0
 
 
 def build_pendant_table(eid: int, taxon: Taxon, lam: float, budget: int,
                         disc: Discretization) -> CladeTable:
     """Table for a pendant edge: conserve exactly when the budget allows."""
-    rows = disc.t + 2
-    scores = np.full((budget + 1, rows), -np.inf)
-    ra = disc.pi_index(taxon.a)
+    b = np.arange(budget + 1, dtype=np.int64)
+    conserved = b >= taxon.c
     rb = disc.pi_index(taxon.b)
-    va = taxon.a * lam
-    vb = taxon.b * lam
-    cut = min(int(taxon.c), budget + 1)
-    scores[:cut, ra] = va
-    if taxon.c <= budget:
-        scores[taxon.c:, rb] = vb
-    return CladeTable(edge_id=eid, kind="pendant", scores=scores,
-                      taxon=taxon.id, cost=int(taxon.c),
-                      row_uncons=ra, row_cons=rb,
-                      val_uncons=va, val_cons=vb)
+    rows = np.where(conserved, rb, disc.pi_index(taxon.a))
+    return CladeTable(edge_id=eid, kind="pendant",
+                      cells=b * (disc.t + 2) + rows,
+                      scores=np.where(conserved, taxon.b * lam, taxon.a * lam),
+                      taxon=taxon.id, cost=int(taxon.c), row_cons=rb)
 
 
 def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
@@ -109,54 +101,61 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
 
     Left budgets i are walked in ascending order. For each i, every
     candidate ``left[i, j] + right[beta, k]`` with beta <= budget - i is
-    built at once, the best per output cell is kept (smallest j on ties),
-    and it replaces the cell only when strictly greater than what a
-    smaller i already put there.
+    built at once, the best per output cell is kept (smallest j, then
+    smallest k, on ties), and it replaces the cell only when strictly
+    greater than what a smaller i already put there.
     """
     rows = disc.t + 2
     nb = budget + 1
-    out = np.full((nb, rows), -np.inf)
-    bp_i = np.full((nb, rows), -1, dtype=np.int32)
-    bp_j = np.full((nb, rows), -1, dtype=np.int32)
-    out_flat, bpi_flat, bpj_flat = out.ravel(), bp_i.ravel(), bp_j.ravel()
-    # row-major order: right budgets ascend, so each i takes a prefix
-    r_beta, r_k = np.nonzero(np.isfinite(right.scores))
-    r_val = right.scores[r_beta, r_k]
-    r_cell = r_beta.astype(np.int64) * rows
-    finite_j = np.nonzero(np.isfinite(left.scores).any(axis=0))[0]
-    # output row of every finite right cell, per finite left row j: the
+    l_i, l_j = np.divmod(left.cells, rows)
+    r_beta, r_k = np.divmod(right.cells, rows)
+    finite_j, l_n = np.unique(l_j, return_inverse=True)
+    # output row of every right cell, per distinct left row j: the
     # feasible windows of j tile the k axis in ascending order
     p_of = np.empty((finite_j.size, r_k.size), dtype=np.int64)
     for n, j in enumerate(finite_j):
         lo, hi = disc._k_row(int(j))
         feas = np.nonzero(lo <= hi)[0]
         p_of[n] = feas[np.searchsorted(lo[feas], r_k, side="right") - 1]
+    # the accumulator spans only the output rows some pair reaches
+    out_rows = np.unique(p_of)
+    p_of = np.searchsorted(out_rows, p_of)
+    width = out_rows.size
+    out = np.full(nb * width, -np.inf)
+    bp_i, bp_j, bp_k = np.full((3, nb * width), -1, dtype=np.int32)
+    l_start = np.searchsorted(l_i, np.arange(nb + 1))
     for i in range(nb):
-        sel = np.nonzero(np.isfinite(left.scores[i, finite_j]))[0]
+        a, z = l_start[i], l_start[i + 1]
         m = int(np.searchsorted(r_beta, budget - i, side="right"))
-        if sel.size == 0 or m == 0:
+        if a == z or m == 0:
             continue
-        js = finite_j[sel]
-        vals = (left.scores[i, js][:, None] + r_val[None, :m]).ravel()
-        cells = (i * rows + r_cell[None, :m] + p_of[sel, :m]).ravel()
-        jcol = np.repeat(js, m)
+        vals = (left.scores[a:z, None] + right.scores[None, :m]).ravel()
+        cells = ((i + r_beta[None, :m]) * width + p_of[l_n[a:z], :m]).ravel()
+        jcol = np.repeat(l_j[a:z], m)
+        # stable sort: among equal (cell, value, j) the smallest k comes first
         order = np.lexsort((jcol, -vals, cells))
         sorted_cells = cells[order]
         win = order[np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]]
-        win = win[vals[win] > out_flat[cells[win]]]
-        out_flat[cells[win]] = vals[win]
-        bpi_flat[cells[win]] = i
-        bpj_flat[cells[win]] = jcol[win]
-    out += lam * disc.grid[None, :]
-    return CladeTable(edge_id=eid, kind="internal", scores=out,
-                      bp_budget=bp_i, bp_left=bp_j)
+        win = win[vals[win] > out[cells[win]]]
+        out[cells[win]] = vals[win]
+        bp_i[cells[win]] = i
+        bp_j[cells[win]] = jcol[win]
+        bp_k[cells[win]] = r_k[win % m]
+    keep = np.flatnonzero(np.isfinite(out))
+    row = out_rows[keep % width]
+    return CladeTable(edge_id=eid, kind="internal",
+                      cells=keep // width * rows + row,
+                      scores=out[keep] + lam * disc.grid[row],
+                      bp_budget=bp_i[keep], bp_left=bp_j[keep],
+                      bp_right=bp_k[keep])
 
 
 def _combine_unary(eid: int, child: CladeTable, lam: float,
                    disc: Discretization) -> CladeTable:
     """Root edge over a single pendant: rows pass through unchanged."""
-    scores = child.scores + lam * disc.grid[None, :]
-    return CladeTable(edge_id=eid, kind="unary", scores=scores)
+    row = child.cells % (disc.t + 2)
+    return CladeTable(edge_id=eid, kind="unary", cells=child.cells,
+                      scores=child.scores + lam * disc.grid[row])
 
 
 def build_tables(instance: Instance,
@@ -194,19 +193,17 @@ def build_tables(instance: Instance,
 
 def backtrace(instance: Instance, tables: dict[int, CladeTable],
               disc: Discretization, budget: int, row: int) -> frozenset[str]:
-    """Recover the selection behind a root table cell.
-
-    The right child's row is reconstructed by replaying the winning
-    cell's window maximum, with the same smallest-index tie rule the
-    table build used.
-    """
+    """Recover the selection behind a root table cell by following the
+    stored backpointers down to the pendant tables."""
     tree = instance.tree
+    rows = disc.t + 2
     selected: list[str] = []
     stack: list[tuple[int, int, int]] = [(tree.root, int(budget), int(row))]
     while stack:
         eid, b, p = stack.pop()
         tab = tables[eid]
-        if not np.isfinite(tab.scores[b, p]):
+        n = int(np.searchsorted(tab.cells, b * rows + p))
+        if n == tab.cells.size or tab.cells[n] != b * rows + p:
             raise InternalError(
                 f"backtrace hit an unreachable cell (edge {eid}, budget {b}, row {p})")
         if tab.kind == "pendant":
@@ -215,25 +212,14 @@ def backtrace(instance: Instance, tables: dict[int, CladeTable],
         elif tab.kind == "unary":
             stack.append((tree.edges[eid].children[0], b, p))
         else:
-            i = int(tab.bp_budget[b, p])
-            j = int(tab.bp_left[b, p])
-            if i < 0 or j < 0:
+            i, j, k = (int(bp[n]) for bp in
+                       (tab.bp_budget, tab.bp_left, tab.bp_right))
+            if min(i, j, k) < 0:
                 raise InternalError(
                     f"missing backpointer (edge {eid}, budget {b}, row {p})")
             left, right = tree.edges[eid].children
-            beta = b - i
-            lo, hi = disc._k_row(j)
-            lw, hw = int(lo[p]), int(hi[p])
-            if lw > hw:
-                raise InternalError(
-                    f"empty window during backtrace (edge {eid}, row {p})")
-            seg = tables[right].scores[beta, lw:hw + 1]
-            k = lw + int(np.argmax(seg))
-            if not np.isfinite(tables[right].scores[beta, k]):
-                raise InternalError(
-                    f"non-finite window maximum during backtrace (edge {eid})")
             stack.append((left, i, j))
-            stack.append((right, beta, k))
+            stack.append((right, b - i, k))
     return frozenset(selected)
 
 
@@ -258,9 +244,12 @@ class NapxSolution:
 def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     """Approximately maximize expected diversity under the budget.
 
-    Guarantees a selection whose true expected diversity is at least
-    (1 - epsilon) times the optimum, in time polynomial in the instance
-    size and 1/epsilon.
+    The selection's true expected diversity is at least the reported
+    lower bound. When every unconserved survival ``a`` is at most the grid
+    floor ``p_min`` (in the returned ``params``), it is also at least
+    (1 - epsilon) times the optimum. Work is polynomial in the instance
+    size and 1/epsilon; tables of more than ``CELL_LIMIT`` (budget, row)
+    cells are refused with :class:`SizeLimitError` before any is built.
 
     The instance is normalized internally; the returned selection refers
     to the original taxa, is always affordable, and taxa whose cost
@@ -281,20 +270,27 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
                             stats={"fast_combines": 0, "general_combines": 0})
     k = derive_k(n, min_b)
     disc = select_params(n, norm.tree.height, epsilon, k)
+    rows = disc.t + 2
+    if (norm.budget + 1) * rows > CELL_LIMIT:
+        raise SizeLimitError(
+            f"tables would span {(norm.budget + 1) * rows} (budget, row) cells, "
+            f"above the limit of {CELL_LIMIT}; lower the budget or raise epsilon")
     tables, stats = build_tables(norm, disc)
-    root_scores = tables[norm.tree.root].scores[norm.budget]
-    m = int(np.argmax(root_scores))
-    reported = float(root_scores[m])
-    if not np.isfinite(reported):
+    root = tables[norm.tree.root]
+    # budget B is the largest, so its cells end the root table
+    lo = int(np.searchsorted(root.cells, norm.budget * rows))
+    if lo == root.cells.size:
         raise InternalError("no feasible root table entry; this cannot happen "
                             "on a validated instance")
-    ids = backtrace(norm, tables, disc, norm.budget, m)
+    m = lo + int(np.argmax(root.scores[lo:]))
+    reported = float(root.scores[m])
+    ids = backtrace(norm, tables, disc, norm.budget, root.cells[m] % rows)
     kept = frozenset(t for t in ids if instance.taxa[t].c <= instance.budget)
     selection = make_conservation_set(instance, kept)
     if selection.total_cost > instance.budget:
         raise InternalError(
             f"selection cost {selection.total_cost} exceeds budget {instance.budget}")
-    if selection.score < reported - 1e-6:
+    if selection.score < reported - 1e-9 * total_pd(norm):
         raise InternalError(
             f"evaluated score {selection.score!r} fell below the reported "
             f"bound {reported!r}")

@@ -95,6 +95,32 @@ def product_rows(disc) -> np.ndarray:
     return mat
 
 
+def dense(tab: CladeTable, budget: int, disc):
+    """Dense view of a clade table over (budget, row).
+
+    Returns scores (-inf where no cell is stored) and the three
+    backpointer arrays bp_budget, bp_left and bp_right (-1 where the table
+    has no cell or carries no backpointers).
+    """
+    size = (budget + 1) * (disc.t + 2)
+    scores = np.full(size, -np.inf)
+    scores[tab.cells] = tab.scores
+    views = [scores.reshape(budget + 1, -1)]
+    for bp in (tab.bp_budget, tab.bp_left, tab.bp_right):
+        arr = np.full(size, -1, dtype=np.int32)
+        if bp is not None:
+            arr[tab.cells] = bp
+        views.append(arr.reshape(budget + 1, -1))
+    return tuple(views)
+
+
+def from_dense(eid: int, kind: str, scores: np.ndarray) -> CladeTable:
+    """Clade table holding the finite cells of a dense score array."""
+    cells = np.flatnonzero(np.isfinite(scores))
+    return CladeTable(edge_id=eid, kind=kind, cells=cells,
+                      scores=scores.ravel()[cells])
+
+
 def combine_reference(left: CladeTable, right: CladeTable, lam: float,
                       budget: int, disc, with_backpointers: bool = False):
     """Combine two clade tables by scattering every candidate.
@@ -104,21 +130,24 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
     in the output row that the grid's window algebra assigns to (j, k).
     Values take an unordered scatter max (max is order-free on floats).
     With ``with_backpointers``, a second pass finds, per finite cell, the
-    lexicographically smallest (i, j) whose best k reaches the cell value.
-    Returns scores, or (scores, bp_budget, bp_left).
+    lexicographically smallest (i, j) whose best k reaches the cell value,
+    and the smallest such k.
+    Returns scores, or (scores, bp_budget, bp_left, bp_right).
     """
     rows = disc.t + 2
     nb = budget + 1
     out = np.full((nb, rows), -np.inf)
     mat = product_rows(disc)
+    lsc = dense(left, budget, disc)[0]
+    rsc = dense(right, budget, disc)[0]
 
     for j in range(rows):
         pv = mat[j]
-        fin_i = np.nonzero(np.isfinite(left.scores[:, j]))[0]
+        fin_i = np.nonzero(np.isfinite(lsc[:, j]))[0]
         for i in fin_i:
-            base = float(left.scores[i, j])
+            base = float(lsc[i, j])
             for beta in range(nb - i):
-                np.maximum.at(out[i + beta], pv, base + right.scores[beta])
+                np.maximum.at(out[i + beta], pv, base + rsc[beta])
 
     if not with_backpointers:
         out += lam * disc.grid[None, :]
@@ -126,6 +155,7 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
 
     bp_i = np.full((nb, rows), -1, dtype=np.int32)
     bp_j = np.full((nb, rows), -1, dtype=np.int32)
+    bp_k = np.full((nb, rows), -1, dtype=np.int32)
     ks_of: dict[tuple[int, int], np.ndarray] = {}
     for b in range(nb):
         for p in range(rows):
@@ -135,21 +165,22 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
             for i in range(b + 1):
                 if found:
                     break
-                for j in np.nonzero(np.isfinite(left.scores[i]))[0]:
+                for j in np.nonzero(np.isfinite(lsc[i]))[0]:
                     if (j, p) not in ks_of:
                         ks_of[j, p] = np.nonzero(mat[j] == p)[0]
                     ks = ks_of[j, p]
                     if ks.size == 0:
                         continue
-                    vals = left.scores[i, j] + right.scores[b - i, ks]
+                    vals = lsc[i, j] + rsc[b - i, ks]
                     hits = np.nonzero(vals == out[b, p])[0]
                     if hits.size:
                         bp_i[b, p] = i
                         bp_j[b, p] = j
+                        bp_k[b, p] = ks[hits[0]]
                         found = True
                         break
     out += lam * disc.grid[None, :]
-    return out, bp_i, bp_j
+    return out, bp_i, bp_j, bp_k
 
 
 # ------------------------------------------------------------------------- #

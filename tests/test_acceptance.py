@@ -22,7 +22,7 @@ from napx.model import (Instance, Taxon, expected_pd, min_conserved_survival,
                         normalize)
 from napx.solver import build_tables, combine_tables, solve
 
-from oracles import combine_reference, k_range_scan, per_clade_greedy
+from oracles import combine_reference, dense, k_range_scan, per_clade_greedy
 from util import fig1_instance
 
 
@@ -95,9 +95,11 @@ def test_acceptance_02_pg_equals_brute(capsys):
 
 
 def test_acceptance_03_combine_matches_scatter(capsys):
-    """Criterion 3: the finite-cell combine produces exactly (==) the table of the literal scatter over all (j, i, k, beta)
+    """Criterion 3: the dense view of the finite-cell combine is exactly
+    (==) the table of the literal scatter over all (j, i, k, beta)
     candidates, on every internal edge of 50 instances with n <= 8 at
-    eps = 0.5; backpointers are compared on the first 8 instances."""
+    eps = 0.5; the three backpointer arrays (left budget, left row, right
+    row) are compared on the first 8 instances."""
     cells = 0
     edges = 0
     for i in range(50):
@@ -112,16 +114,17 @@ def test_acceptance_03_combine_matches_scatter(capsys):
             if len(e.children) != 2:
                 continue
             l, r = (tables[c] for c in e.children)
-            got = combine_tables(e.eid, l, r, e.length, norm.budget, disc)
+            got = dense(combine_tables(e.eid, l, r, e.length, norm.budget,
+                                       disc), norm.budget, disc)
             ref = combine_reference(l, r, e.length, norm.budget, disc,
                                     with_backpointers=check_bp)
             if check_bp:
-                want, bp_i, bp_j = ref
-                assert np.array_equal(got.bp_budget, bp_i)
-                assert np.array_equal(got.bp_left, bp_j)
+                want = ref[0]
+                for g, w in zip(got[1:], ref[1:], strict=True):
+                    assert np.array_equal(g, w)
             else:
                 want = ref
-            assert np.array_equal(got.scores, want, equal_nan=True)
+            assert np.array_equal(got[0], want, equal_nan=True)
             edges += 1
             cells += want.size
     report(capsys, 3, True, f"50 instances, {edges} combines, {cells} table cells "
@@ -198,8 +201,8 @@ def test_acceptance_06_reported_is_lower_bound(capsys, corpus):
 
 def test_acceptance_07_pendant_combine_identity(capsys):
     """Criterion 7: on 20 caterpillars, where every combine has a pendant
-    child, each combine's scores and both backpointer arrays equal (==)
-    the literal scatter reference."""
+    child, the dense view of each combine's scores and of its three
+    backpointer arrays equals (==) the literal scatter reference."""
     combines = 0
     for seed in range(20):
         inst = gen_caterpillar(12, seed)
@@ -212,12 +215,11 @@ def test_acceptance_07_pendant_combine_identity(capsys):
                 continue
             l, r = (tables[c] for c in e.children)
             assert "pendant" in (l.kind, r.kind)
-            want, bp_i, bp_j = combine_reference(l, r, e.length, norm.budget,
-                                                 disc, with_backpointers=True)
-            got = tables[e.eid]
-            assert np.array_equal(got.scores, want)
-            assert np.array_equal(got.bp_budget, bp_i)
-            assert np.array_equal(got.bp_left, bp_j)
+            want = combine_reference(l, r, e.length, norm.budget, disc,
+                                     with_backpointers=True)
+            got = dense(tables[e.eid], norm.budget, disc)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
             combines += 1
     report(capsys, 7, True, f"20 caterpillars, {combines} pendant-child "
                      "combines identical to the scatter reference, "

@@ -198,6 +198,15 @@ def test_subnormal_b_exits_2(capsys):
     assert err.startswith("error:") and "too small" in err
 
 
+def test_huge_budget_exits_3(capsys):
+    """A budget of 10**18 would need (B + 1) * (t + 2) table cells far
+    above the cell limit: the run is refused before any table exists."""
+    code, out, err = run(capsys, "solve", data_path("huge_budget.nap.json"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "cells" in err
+
+
 def test_python_m_napx_runs_cli():
     proc = subprocess.run([sys.executable, "-m", "napx", "solve",
                            data_path("hand.nap.json"), "--epsilon", "0.3"],

@@ -1,19 +1,22 @@
 """Tests for the table-building dynamic program and the full solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from napx import solver
 from napx.discretization import Discretization, derive_k, select_params
-from napx.errors import ParameterError
+from napx.errors import InternalError, ParameterError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
                         min_conserved_survival, normalize)
-from napx.solver import (CladeTable, build_pendant_table, build_tables,
-                         combine_tables, solve)
+from napx.solver import (build_pendant_table, build_tables, combine_tables,
+                         solve)
 
-from oracles import combine_reference, exhaustive_best
+from oracles import combine_reference, dense, exhaustive_best, from_dense
 from util import cherry, fig1_instance, make_instance, tie_cherry
 
 
@@ -31,24 +34,19 @@ def test_pendant_table_by_hand():
     d = small_disc()
     tx = Taxon(id="x", a=0.2, b=0.9, c=3)
     tab = build_pendant_table(0, tx, 2.0, 4, d)
-    assert tab.scores.shape == (5, d.t + 2)
     # pi(0.2): [0.125, 0.25) is row 3; pi(0.9): [0.5, 1) is row 1
-    assert tab.row_uncons == 3 and tab.row_cons == 1
-    for b in range(5):
-        finite = np.nonzero(np.isfinite(tab.scores[b]))[0]
-        assert list(finite) == ([3] if b < 3 else [1])
-        if b < 3:
-            assert tab.scores[b, 3] == pytest.approx(0.4)
-        else:
-            assert tab.scores[b, 1] == pytest.approx(1.8)
+    assert tab.row_cons == 1
+    budgets, rows = np.divmod(tab.cells, d.t + 2)
+    assert budgets.tolist() == [0, 1, 2, 3, 4]
+    assert rows.tolist() == [3, 3, 3, 1, 1]
+    assert tab.scores.tolist() == pytest.approx([0.4, 0.4, 0.4, 1.8, 1.8])
 
 
 def test_pendant_unaffordable_has_no_conserved_row():
     d = small_disc()
     tx = Taxon(id="x", a=0.2, b=0.9, c=9)
     tab = build_pendant_table(0, tx, 2.0, 4, d)
-    assert np.isfinite(tab.scores[:, 3]).all()
-    assert not np.isfinite(tab.scores[:, 1]).any()
+    assert (tab.cells % (d.t + 2)).tolist() == [3] * 5
 
 
 # ------------------------------------------------------------------------- #
@@ -62,10 +60,19 @@ def _tables_for(instance, epsilon=0.5):
     return norm, disc
 
 
+def _assert_matches_reference(got, left, right, lam, budget, disc):
+    """The dense view of a combine equals the scatter reference: scores,
+    left budget, left row and right row backpointers."""
+    want = combine_reference(left, right, lam, budget, disc,
+                             with_backpointers=True)
+    for g, w in zip(dense(got, budget, disc), want, strict=True):
+        assert np.array_equal(g, w)
+
+
 def _assert_combines_match_scatter(norm, disc) -> int:
     """Every binary combine of the instance equals the scatter reference,
-    scores and both backpointer arrays; returns how many had a pendant
-    child."""
+    scores and all three backpointer arrays; returns how many had a
+    pendant child."""
     tables, stats = build_tables(norm, disc)
     assert stats["general_combines"] == 0
     pendant = 0
@@ -73,12 +80,8 @@ def _assert_combines_match_scatter(norm, disc) -> int:
         if len(e.children) != 2:
             continue
         l, r = (tables[c] for c in e.children)
-        want, bp_i, bp_j = combine_reference(l, r, e.length, norm.budget,
-                                             disc, with_backpointers=True)
         got = combine_tables(e.eid, l, r, e.length, norm.budget, disc)
-        assert np.array_equal(got.scores, want)
-        assert np.array_equal(got.bp_budget, bp_i)
-        assert np.array_equal(got.bp_left, bp_j)
+        _assert_matches_reference(got, l, r, e.length, norm.budget, disc)
         pendant += "pendant" in (l.kind, r.kind)
     return pendant
 
@@ -120,11 +123,30 @@ def test_combine_ties_pick_smallest_budget_then_row():
     left[1, 1] = 1.0
     right = np.full((2, d.t + 2), -np.inf)
     right[:, 0] = 0.5
-    got = combine_tables(2, CladeTable(0, "internal", left),
-                         CladeTable(1, "internal", right), 0.0, 1, d)
-    assert got.scores[:, 0].tolist() == [1.5, 1.5]
-    assert got.bp_budget[:, 0].tolist() == [0, 0]
-    assert got.bp_left[:, 0].tolist() == [2, 2]
+    got = combine_tables(2, from_dense(0, "internal", left),
+                         from_dense(1, "internal", right), 0.0, 1, d)
+    scores, bp_i, bp_j, bp_k = dense(got, 1, d)
+    assert scores[:, 0].tolist() == [1.5, 1.5]
+    assert bp_i[:, 0].tolist() == [0, 0]
+    assert bp_j[:, 0].tolist() == [2, 2]
+    assert bp_k[:, 0].tolist() == [0, 0]
+
+
+def test_combine_right_row_ties_pick_smallest_k():
+    """Left row 1 (0.5) sends right rows 1..5 to output row 1, since
+    0.5 + 0.5 k rounds to 0.5 for every k < 1. Right rows 2 and 4 carry
+    equal values in that window; the stored right row is the smaller."""
+    d = small_disc()
+    left = np.full((1, d.t + 2), -np.inf)
+    left[0, 1] = 1.0
+    right = np.full((1, d.t + 2), -np.inf)
+    right[0, [2, 4]] = 0.5
+    got = combine_tables(2, from_dense(0, "internal", left),
+                         from_dense(1, "internal", right), 0.0, 0, d)
+    assert got.cells.tolist() == [1]
+    assert got.scores.tolist() == [1.5]
+    assert (got.bp_budget.tolist(), got.bp_left.tolist(),
+            got.bp_right.tolist()) == ([0], [1], [2])
 
 
 @st.composite
@@ -144,13 +166,9 @@ def test_combine_tie_heavy_tables_match_scatter(case):
     this exercises each level of the tie rule against the reference."""
     budget, left, right = case
     d = small_disc()
-    l, r = CladeTable(0, "internal", left), CladeTable(1, "internal", right)
+    l, r = from_dense(0, "internal", left), from_dense(1, "internal", right)
     got = combine_tables(2, l, r, 1.0, budget, d)
-    want, bp_i, bp_j = combine_reference(l, r, 1.0, budget, d,
-                                         with_backpointers=True)
-    assert np.array_equal(got.scores, want)
-    assert np.array_equal(got.bp_budget, bp_i)
-    assert np.array_equal(got.bp_left, bp_j)
+    _assert_matches_reference(got, l, r, 1.0, budget, d)
 
 
 # ------------------------------------------------------------------------- #
@@ -230,6 +248,27 @@ def test_solve_single_leaf():
 def test_solve_rejects_bad_epsilon(eps):
     with pytest.raises(ParameterError):
         solve(cherry(), epsilon=eps)
+
+
+def test_lower_bound_check_is_relative(monkeypatch):
+    """On a tree whose lengths are of order 1e-7, an evaluated score that
+    falls short of the reported bound by a relative 1e-4 is far below any
+    fixed absolute slack; the check scales with the total branch length.
+    With a = 0 and b = 1 rounding is exact, so the bound is tight."""
+    inst = make_instance(
+        inner(0.0, leaf("x", 1e-7), leaf("y", 2e-7)),
+        [("x", 0.0, 1.0, 1), ("y", 0.0, 1.0, 1)],
+        budget=1,
+    )
+    evaluate = solver.make_conservation_set
+
+    def short(instance, selected):
+        sel = evaluate(instance, selected)
+        return dataclasses.replace(sel, score=sel.score * (1 - 1e-4))
+
+    monkeypatch.setattr(solver, "make_conservation_set", short)
+    with pytest.raises(InternalError, match="fell below the reported bound"):
+        solve(inst, epsilon=0.3)
 
 
 def test_solution_score_is_reevaluated_exactly():
