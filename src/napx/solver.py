@@ -24,9 +24,11 @@ left row j, the right rows k that land on each output row form a
 contiguous window (see :meth:`napx.discretization.Discretization.k_range`),
 and the windows tile the k axis in ascending order, so one
 ``searchsorted`` per distinct left row gives every right cell's output
-row. Each left budget's candidates are reduced to the best per output
-cell with one sort. Every stored cell keeps all three backpointers (left
-budget, left row, right row), which :func:`backtrace` follows.
+row. Candidate pairs are built in blocks and reduced without sorting:
+the best value per output cell, then the first pair that reaches it,
+which is the tie rule below. Every stored cell keeps all three
+backpointers (left budget, left row, right row), which :func:`backtrace`
+follows.
 
 Ties everywhere resolve lexicographically: the smallest left budget i
 first, then the smallest left row index j, then the smallest right row
@@ -57,6 +59,10 @@ __all__ = [
     "backtrace",
     "solve",
 ]
+
+# Candidate pairs per block of the combine: large enough that numpy does
+# the work, small enough that a block's arrays stay a few hundred KB.
+BLOCK_PAIRS = 1 << 13
 
 
 @dataclass
@@ -96,14 +102,25 @@ def build_pendant_table(eid: int, taxon: Taxon, lam: float, budget: int,
 
 
 def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
-                   budget: int, disc: Discretization) -> CladeTable:
+                   budget: int, disc: Discretization,
+                   stats: dict | None = None) -> CladeTable:
     """Combine two child tables over their finite cells only.
 
-    Left budgets i are walked in ascending order. For each i, every
-    candidate ``left[i, j] + right[beta, k]`` with beta <= budget - i is
-    built at once, the best per output cell is kept (smallest j, then
-    smallest k, on ties), and it replaces the cell only when strictly
-    greater than what a smaller i already put there.
+    Left cells are walked in key order, in blocks of consecutive cells.
+    A block pairs each of its left cells with the first M right cells,
+    M being how many its first cell can afford; a pair that overspends
+    (i + beta > budget) is padding and lands in a dump cell. A block
+    grows while its cells still afford at least M/2 right cells and it
+    holds at most ``BLOCK_PAIRS`` pairs, so at most half of it is padding.
+
+    No sort runs on values. ``np.maximum.at`` gives each output cell the
+    block's best value, and the first pair in ravel order that reaches it
+    wins. Pairs ravel in (left key, right key) order, and an output cell
+    fixes beta = b - i, so that first pair has the smallest (i, j, k):
+    the tie rule. Blocks run in ascending left key, so a later block
+    replaces a cell only with a strictly greater value.
+
+    With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
     rows = disc.t + 2
     nb = budget + 1
@@ -121,27 +138,36 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
     out_rows = np.unique(p_of)
     p_of = np.searchsorted(out_rows, p_of)
     width = out_rows.size
-    out = np.full(nb * width, -np.inf)
-    bp_i, bp_j, bp_k = np.full((3, nb * width), -1, dtype=np.int32)
-    l_start = np.searchsorted(l_i, np.arange(nb + 1))
-    for i in range(nb):
-        a, z = l_start[i], l_start[i + 1]
-        m = int(np.searchsorted(r_beta, budget - i, side="right"))
-        if a == z or m == 0:
-            continue
+    dump = nb * width
+    out = np.full(dump + 1, -np.inf)
+    bp_i, bp_j, bp_k = np.full((3, dump + 1), -1, dtype=np.int32)
+    # right cells each left cell can afford; non-increasing in key order
+    m_of = np.searchsorted(r_beta, budget - l_i, side="right")
+    if stats is not None:
+        stats["candidate_pairs"] += int(m_of.sum())
+    neg_m = -m_of
+    a, n_left = 0, int(np.count_nonzero(m_of))
+    while a < n_left:
+        m = int(m_of[a])
+        z = min(a + max(1, BLOCK_PAIRS // m), n_left,
+                int(np.searchsorted(neg_m, -((m + 1) // 2), side="right")))
+        b = l_i[a:z, None] + r_beta[None, :m]
+        cells = b * width + p_of[l_n[a:z], :m]
+        cells[b > budget] = dump
+        cells = cells.ravel()
         vals = (left.scores[a:z, None] + right.scores[None, :m]).ravel()
-        cells = ((i + r_beta[None, :m]) * width + p_of[l_n[a:z], :m]).ravel()
-        jcol = np.repeat(l_j[a:z], m)
-        # stable sort: among equal (cell, value, j) the smallest k comes first
-        order = np.lexsort((jcol, -vals, cells))
-        sorted_cells = cells[order]
-        win = order[np.r_[True, sorted_cells[1:] != sorted_cells[:-1]]]
-        win = win[vals[win] > out[cells[win]]]
-        out[cells[win]] = vals[win]
-        bp_i[cells[win]] = i
-        bp_j[cells[win]] = jcol[win]
-        bp_k[cells[win]] = r_k[win % m]
-    keep = np.flatnonzero(np.isfinite(out))
+        old = out[cells]
+        np.maximum.at(out, cells, vals)
+        # winners beat what earlier blocks stored and reach the new best
+        hit = np.flatnonzero(vals > old)
+        hit = hit[vals[hit] == out[cells[hit]]]
+        hit_cells, first = np.unique(cells[hit], return_index=True)
+        win = hit[first]
+        bp_i[hit_cells] = l_i[a + win // m]
+        bp_j[hit_cells] = l_j[a + win // m]
+        bp_k[hit_cells] = r_k[win % m]
+        a = z
+    keep = np.flatnonzero(np.isfinite(out[:dump]))
     row = out_rows[keep % width]
     return CladeTable(edge_id=eid, kind="internal",
                       cells=keep // width * rows + row,
@@ -163,15 +189,18 @@ def build_tables(instance: Instance,
     """Build every edge's table in postorder.
 
     The instance must be normalized (binary tree, costs within budget).
-    Returns the tables keyed by edge id and combine counters. There is a
-    single combine route: every binary combine counts in
-    ``fast_combines`` and ``general_combines`` stays 0; both keys are kept
-    for readers of solution ``stats`` and the bench CSV.
+    Returns the tables keyed by edge id and work counters:
+    ``fast_combines`` counts the binary combines (``general_combines``
+    stays 0; both keys are kept for readers of solution ``stats`` and the
+    bench CSV), ``candidate_pairs`` the affordable (left cell, right cell)
+    pairs they enumerate and ``table_cells`` the finite cells stored over
+    all tables.
     """
     tree = instance.tree
     budget = int(instance.budget)
     tables: dict[int, CladeTable] = {}
-    stats = {"fast_combines": 0, "general_combines": 0}
+    stats = {"fast_combines": 0, "general_combines": 0,
+             "candidate_pairs": 0, "table_cells": 0}
     for e in tree.edges:
         if e.taxon is not None:
             tables[e.eid] = build_pendant_table(
@@ -182,12 +211,13 @@ def build_tables(instance: Instance,
         elif len(e.children) == 2:
             left, right = e.children
             tables[e.eid] = combine_tables(e.eid, tables[left], tables[right],
-                                           e.length, budget, disc)
+                                           e.length, budget, disc, stats)
             stats["fast_combines"] += 1
         else:
             raise InternalError(
                 f"edge {e.eid} has {len(e.children)} children; "
                 "tables need a normalized binary tree")
+        stats["table_cells"] += int(tables[e.eid].cells.size)
     return tables, stats
 
 
@@ -267,15 +297,19 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
         sel = make_conservation_set(instance, frozenset())
         return NapxSolution(selection=sel, reported_score=sel.score,
                             epsilon=epsilon, params=None,
-                            stats={"fast_combines": 0, "general_combines": 0})
+                            stats={"fast_combines": 0, "general_combines": 0,
+                                   "candidate_pairs": 0, "table_cells": 0,
+                                   "dense_cells": 0})
     k = derive_k(n, min_b)
     disc = select_params(n, norm.tree.height, epsilon, k)
     rows = disc.t + 2
-    if (norm.budget + 1) * rows > CELL_LIMIT:
+    dense = (norm.budget + 1) * rows
+    if dense > CELL_LIMIT:
         raise SizeLimitError(
-            f"tables would span {(norm.budget + 1) * rows} (budget, row) cells, "
+            f"tables would span {dense} (budget, row) cells, "
             f"above the limit of {CELL_LIMIT}; lower the budget or raise epsilon")
     tables, stats = build_tables(norm, disc)
+    stats["dense_cells"] = dense
     root = tables[norm.tree.root]
     # budget B is the largest, so its cells end the root table
     lo = int(np.searchsorted(root.cells, norm.budget * rows))

@@ -11,13 +11,14 @@ from napx import solver
 from napx.discretization import Discretization, derive_k, select_params
 from napx.errors import InternalError, ParameterError
 from napx.generators import gen_caterpillar, gen_yule
+from napx.io import load_instance
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
-                        min_conserved_survival, normalize)
+                        min_conserved_survival, normalize, total_pd)
 from napx.solver import (build_pendant_table, build_tables, combine_tables,
                          solve)
 
 from oracles import combine_reference, dense, exhaustive_best, from_dense
-from util import cherry, fig1_instance, make_instance, tie_cherry
+from util import cherry, data_path, fig1_instance, make_instance, tie_cherry
 
 
 def small_disc() -> Discretization:
@@ -171,6 +172,29 @@ def test_combine_tie_heavy_tables_match_scatter(case):
     _assert_matches_reference(got, l, r, 1.0, budget, d)
 
 
+def _wide_cost_instance():
+    """Costs up to 40 under a budget of 60: a long budget axis, so left
+    budgets hold many cells and blocks span several of them."""
+    return _tables_for(gen_yule(12, 0, c_range=(1, 40), budget=60))
+
+
+def test_wide_cost_combines_match_scatter():
+    _assert_combines_match_scatter(*_wide_cost_instance())
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7])
+def test_combine_identity_under_small_blocks(cap, monkeypatch):
+    """With a block cap of a few pairs, blocks split the cells of one left
+    budget and also cross from one budget to the next; every identity test
+    must still hold, ties included."""
+    monkeypatch.setattr(solver, "BLOCK_PAIRS", cap)
+    test_combine_matches_scatter_property()
+    test_combine_tie_heavy_tables_match_scatter()
+    test_combine_ties_pick_smallest_budget_then_row()
+    test_combine_right_row_ties_pick_smallest_k()
+    test_wide_cost_combines_match_scatter()
+
+
 # ------------------------------------------------------------------------- #
 #  solve() end to end
 # ------------------------------------------------------------------------- #
@@ -206,6 +230,45 @@ def test_solve_respects_guarantee_on_small_instances():
             assert sol.selection.score >= sol.reported_score - 1e-6
 
 
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(topo=st.sampled_from(["yule", "caterpillar"]),
+       n=st.integers(2, 16), seed=st.integers(0, 10_000),
+       epsilon=st.floats(0.3, 0.6), c_hi=st.integers(1, 40),
+       budget=st.integers(0, 80))
+def test_solve_invariants_property(topo, n, seed, epsilon, c_hi, budget):
+    """The selection is affordable, its exact score is at least the
+    reported bound, and neither depends on how the combine is blocked."""
+    gen = gen_caterpillar if topo == "caterpillar" else gen_yule
+    inst = gen(n, seed, c_range=(1, c_hi), budget=budget)
+    sol = solve(inst, epsilon=epsilon)
+    assert sol.selection.total_cost <= inst.budget
+    assert sol.selection.score >= sol.reported_score - 1e-9 * total_pd(inst)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "BLOCK_PAIRS", 1)
+        one = solve(inst, epsilon=epsilon)
+    assert one.selection.selected == sol.selection.selected
+    assert repr(one.reported_score) == repr(sol.reported_score)
+
+
+def test_work_counters_on_hand_instance():
+    """``stats`` counts the affordable pairs, found here by checking every
+    (left cell, right cell) pair, the finite cells stored and the dense
+    cell count that the size limit checks."""
+    inst, _ = load_instance(data_path("hand.nap.json"))
+    sol = solve(inst, epsilon=0.3)
+    norm, rows = normalize(inst), sol.params.t + 2
+    tables, _ = build_tables(norm, sol.params)
+    pairs = 0
+    for e in norm.tree.edges:
+        if len(e.children) == 2:
+            l, r = (tables[c].cells // rows for c in e.children)
+            pairs += sum(int(i + beta <= norm.budget) for i in l for beta in r)
+    assert sol.stats["fast_combines"] == 2
+    assert sol.stats["candidate_pairs"] == pairs
+    assert sol.stats["table_cells"] == sum(t.cells.size for t in tables.values())
+    assert sol.stats["dense_cells"] == (inst.budget + 1) * rows
+
+
 def test_solve_degenerate_all_dead():
     inst = make_instance(
         inner(0.0, leaf("x", 1.0), leaf("y", 1.0)),
@@ -216,6 +279,7 @@ def test_solve_degenerate_all_dead():
     assert sol.selection.selected == frozenset()
     assert sol.params is None
     assert sol.reported_score == pytest.approx(0.0)
+    assert sol.stats == dict.fromkeys(solve(cherry(), 0.3).stats, 0)
 
 
 def test_solve_zero_budget():
