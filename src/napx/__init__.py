@@ -22,9 +22,9 @@ from .generators import GenSpec, gen_caterpillar, gen_yule, generate
 from .io import (SolutionDocument, load_instance, load_solution,
                  parse_instance, parse_solution, save_instance,
                  write_instance, write_solution)
-from .model import (ConservationSet, Instance, PhyloTree, Taxon,
-                    edge_survival, expected_pd, make_conservation_set,
-                    normalize, total_pd, validate_instance)
+from .model import (ConservationSet, Instance, PhyloTree, Taxon, expected_pd,
+                    make_conservation_set, normalize, total_pd,
+                    validate_instance)
 from .solver import NapxSolution, solve
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "solve", "NapxSolution", "brute_force", "pardi_goldman",
     # model
     "Instance", "Taxon", "PhyloTree", "ConservationSet",
-    "expected_pd", "total_pd", "edge_survival", "make_conservation_set",
+    "expected_pd", "total_pd", "make_conservation_set",
     "normalize", "validate_instance",
     # parameters
     "Discretization", "derive_k", "select_params",

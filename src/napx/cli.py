@@ -25,12 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from io import StringIO
 from pathlib import Path
 from time import perf_counter
 
 from .baselines import brute_force, pardi_goldman
-from .errors import (DegenerateInstanceError, InputError, InternalError,
-                     NapError, RestrictionError, SizeLimitError)
+from .errors import (DegenerateInstanceError, InputError, NapError,
+                     RestrictionError, SizeLimitError)
 from .generators import TOPOLOGIES, GenSpec, generate
 from .io import (SolutionDocument, instance_format_for, load_instance,
                  load_solution, save_instance, write_instance, write_solution)
@@ -193,7 +194,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         f"budget: {instance.budget}",
         f"evaluated_score: {fmt_float(chosen.score)}",
     ]
-    if abs(chosen.score - doc.evaluated_score) > 1e-9:
+    # solution files store scores at 12 significant digits
+    if fmt_float(chosen.score) != fmt_float(doc.evaluated_score):
         lines.append("note: solution file claimed evaluated_score "
                      f"{fmt_float(doc.evaluated_score)}")
     lines.append("feasible: " + ("yes" if feasible else "no"))
@@ -293,20 +295,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                             _ratio(float(row["evaluated_score"]), oracle))
                 rows.extend(batch)
 
-    if args.out is None:
-        writer = csv.DictWriter(sys.stdout, fieldnames=BENCH_COLUMNS,
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return 0
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=BENCH_COLUMNS,
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-    except OSError as exc:
-        raise InputError(f"cannot write {args.out}: {exc}") from exc
+    buf = StringIO()
+    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -388,9 +381,6 @@ def main(argv: list[str] | None = None) -> int:
     except (RestrictionError, SizeLimitError, DegenerateInstanceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
     except NapError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

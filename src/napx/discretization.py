@@ -20,18 +20,16 @@ gives
 and the grid depth ``t = ceil(log(p_min) / log(alpha))``, the number of
 geometric steps needed to reach the floor.
 
-Everything here is pure arithmetic on the grid: rounding (:meth:`pi`),
-index lookups, and the interval algebra that answers "which grid rows of a
-right-hand probability combine with a given left-hand row to land on a
-given output row" (:meth:`k_range`). For each left row those answers are
-contiguous windows that tile the right rows in ascending order, which is
-what lets the solver find the output row of any pair of finite table
-cells with one binary search.
+Everything here is pure arithmetic on the grid. The one rounding map is
+:meth:`Discretization.pi_index`, which takes a probability, or an array of
+them, to the row that owns it; the solver rounds every combined pair of
+child rows through it.
 
 Boundary comparisons snap to the nearest knife edge before rounding
-(absolute 1e-9 on log scale, relative 1e-9 on probabilities) so that
-closed-form interval bounds and direct evaluation of ``pi`` always agree
-on structured inputs, like grid values recombining with each other.
+(absolute 1e-9 on log scale, relative 1e-9 against ``p_min``), so that
+structured inputs, like grid values and grid values recombining with each
+other, land on the row they sit on rather than one row below through
+float error.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, InternalError, ParameterError
+from .errors import ParameterError
 
 __all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT",
            "CELL_LIMIT"]
@@ -193,132 +191,23 @@ class Discretization:
         v.setflags(write=False)
         return v
 
-    @cached_property
-    def _lower(self) -> np.ndarray:
-        """Inclusive lower end of each row's probability interval."""
-        lo = np.empty(self.t + 2, dtype=np.float64)
-        lo[:self.t] = self.grid[:self.t]
-        lo[self.t] = self.p_min
-        lo[self.t + 1] = 0.0
-        lo.setflags(write=False)
-        return lo
-
-    @cached_property
-    def _upper(self) -> np.ndarray:
-        """Exclusive upper end of each row's probability interval."""
-        up = np.empty(self.t + 2, dtype=np.float64)
-        up[0] = np.inf
-        up[1:self.t + 1] = self.grid[:self.t]
-        up[self.t + 1] = self.p_min
-        up.setflags(write=False)
-        return up
-
-    @cached_property
-    def _k_cache(self) -> dict:
-        return {}
-
     # -- the rounding map ---------------------------------------------------
 
-    def _below_floor(self, p: float) -> bool:
-        return p < self.p_min and not math.isclose(p, self.p_min, rel_tol=_SNAP)
+    def pi_index(self, p: float | np.ndarray) -> int | np.ndarray:
+        """Row index owning probability p, elementwise.
 
-    def pi_index(self, p: float) -> int:
-        """Row index owning probability p (p may be any float in [0, 1])."""
-        if p >= 1.0:
-            return 0
-        if p <= 0.0 or self._below_floor(p):
-            return self.t + 1
-        m = math.ceil(_snap(math.log(p) / self._log_alpha))
-        if m < 0:
-            return 0
-        return min(m, self.t)
+        p may be a float or an array of floats anywhere in [0, 1]; a float
+        gives a plain ``int``, an array an int64 array of its shape. A
+        probability within a relative 1e-9 of ``p_min`` still belongs to
+        row t rather than the zero row.
+        """
+        q = np.asarray(p, dtype=np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.ceil(_snap_arr(np.log(q) / self._log_alpha))
+        below = self.p_min - q > _SNAP * self.p_min
+        idx = np.where(below, self.t + 1, np.clip(m, 0, self.t)).astype(np.int64)
+        return int(idx) if idx.ndim == 0 else idx
 
     def pi(self, p: float) -> float:
         """Round a probability down onto the grid."""
         return float(self.grid[self.pi_index(p)])
-
-    def grid_index(self, q: float) -> int:
-        """Row whose value is q, for q already on the grid.
-
-        Unlike :meth:`pi_index` this inverts row values, so it resolves
-        ``alpha**t`` to row t even when that value lies below ``p_min``.
-        """
-        if abs(q - 1.0) <= _SNAP:
-            return 0
-        if abs(q) <= _SNAP * self.p_min:
-            return self.t + 1
-        if 0.0 < q < 1.0:
-            m = round(math.log(q) / self._log_alpha)
-            if 1 <= m <= self.t and abs(float(self.grid[m]) - q) <= _SNAP:
-                return int(m)
-        raise InputError(f"{q!r} is not a value of this grid")
-
-    # -- interval algebra for combining rows --------------------------------
-
-    def _k_row(self, j_idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """For a fixed left row j, per output row p: the inclusive index
-        window [lo[p], hi[p]] of right rows k whose value satisfies
-        pi(j + k - j*k) = row p. Empty windows have lo > hi.
-
-        Derivation: with j < 1 fixed and q = 1 - (1-j)(1-k), q lands in
-        row p's interval [L, U) exactly when k lies in
-        [(L-j)/(1-j), (U-j)/(1-j)); intersecting that real interval with
-        the grid values is a floor/ceil computation on the log scale.
-
-        The feasible windows must tile [0, t+1] exactly once, moving right
-        as p grows; the solver's binary search over their lower ends relies
-        on it, so anything else raises :class:`InternalError`.
-        """
-        hit = self._k_cache.get(j_idx)
-        if hit is not None:
-            return hit
-        t = self.t
-        rows = t + 2
-        lo = np.full(rows, 1, dtype=np.int32)
-        hi = np.zeros(rows, dtype=np.int32)
-        if j_idx == 0:
-            # j = 1: the combination is 1 whatever k is.
-            lo[0] = 0
-            hi[0] = t + 1
-        else:
-            j = float(self.grid[j_idx])
-            rest = 1.0 - j
-            lo_k = (self._lower - j) / rest
-            hi_k = (self._upper - j) / rest
-            log_a = self._log_alpha
-
-            with np.errstate(divide="ignore", invalid="ignore"):
-                safe_hi = np.where(np.isfinite(hi_k) & (hi_k > 0.0), hi_k, 1.0)
-                m_lo = np.floor(_snap_arr(np.log(safe_hi) / log_a)).astype(np.int64) + 1
-                m_lo = np.where(hi_k > 1.0, 0, m_lo)
-                m_lo = np.clip(m_lo, 0, t + 1)
-
-                safe_lo = np.where(lo_k > 0.0, lo_k, 1.0)
-                m_hi = np.minimum(t, np.floor(
-                    _snap_arr(np.log(safe_lo) / log_a)).astype(np.int64))
-                m_hi = np.where(lo_k <= 0.0, t + 1, m_hi)
-                m_hi = np.where(lo_k > 1.0, -1, m_hi)
-
-            feasible = hi_k > 0.0
-            lo = np.where(feasible, m_lo, 1).astype(np.int32)
-            hi = np.where(feasible, m_hi, 0).astype(np.int32)
-        feas = lo <= hi
-        lo_f, hi_f = lo[feas], hi[feas]
-        if (lo_f.size == 0 or lo_f[0] != 0 or hi_f[-1] != rows - 1
-                or np.any(lo_f[1:] != hi_f[:-1] + 1)):
-            raise InternalError(
-                f"grid windows for row {j_idx} do not partition the grid")
-        out = (lo, hi)
-        self._k_cache[j_idx] = out
-        return out
-
-    def k_range(self, p: float, j: float) -> range:
-        """Grid rows k with ``pi(j + k - j*k)`` equal to row value p.
-
-        Both arguments are grid values; the result is a (possibly empty)
-        contiguous ``range`` of row indices.
-        """
-        p_idx = self.grid_index(p)
-        j_idx = self.grid_index(j)
-        lo, hi = self._k_row(j_idx)
-        return range(int(lo[p_idx]), int(hi[p_idx]) + 1)

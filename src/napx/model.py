@@ -41,7 +41,6 @@ __all__ = [
     "validate_instance",
     "total_pd",
     "expected_pd",
-    "edge_survival",
     "make_conservation_set",
     "normalize",
     "min_conserved_survival",
@@ -403,17 +402,6 @@ def expected_pd(instance: Instance, selected: "ConservationSet | Iterable[str]")
     sel = _coerce_ids(selected)
     death = _death_products(instance, sel)
     return float(sum(e.length * (1.0 - death[e.eid]) for e in instance.tree.edges))
-
-
-def edge_survival(instance: Instance, selected: "ConservationSet | Iterable[str]",
-                  edge: "Edge | int") -> float:
-    """Probability that the clade below ``edge`` keeps at least one leaf."""
-    sel = _coerce_ids(selected)
-    eid = edge.eid if isinstance(edge, Edge) else int(edge)
-    if not (0 <= eid < len(instance.tree.edges)):
-        raise InputError(f"no edge with id {eid}")
-    death = _death_products(instance, sel)
-    return 1.0 - death[eid]
 
 
 def make_conservation_set(instance: Instance,

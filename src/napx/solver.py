@@ -19,16 +19,14 @@ collects its own survival term:
 
 Almost every cell of a table is unreachable (-inf), so a table stores
 only its finite cells, keyed by ``b * (t + 2) + p`` in ascending order,
-and :func:`combine_tables` enumerates only pairs of them. For a fixed
-left row j, the right rows k that land on each output row form a
-contiguous window (see :meth:`napx.discretization.Discretization.k_range`),
-and the windows tile the k axis in ascending order, so one
-``searchsorted`` per distinct left row gives every right cell's output
-row. Candidate pairs are built in blocks and reduced without sorting:
-the best value per output cell, then the first pair that reaches it,
-which is the tie rule below. Every stored cell keeps all three
-backpointers (left budget, left row, right row), which :func:`backtrace`
-follows.
+and :func:`combine_tables` enumerates only pairs of them. It rounds each
+pair of distinct finite child rows (j, k) once, through
+:meth:`napx.discretization.Discretization.pi_index`, and gathers the
+result to the right cells. Candidate pairs are built in blocks and
+reduced without sorting: the best value per output cell, then the first
+pair that reaches it, which is the tie rule below. Every stored cell
+keeps all three backpointers (left budget, left row, right row), which
+:func:`backtrace` follows.
 
 Ties everywhere resolve lexicographically: the smallest left budget i
 first, then the smallest left row index j, then the smallest right row
@@ -127,13 +125,10 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
     l_i, l_j = np.divmod(left.cells, rows)
     r_beta, r_k = np.divmod(right.cells, rows)
     finite_j, l_n = np.unique(l_j, return_inverse=True)
-    # output row of every right cell, per distinct left row j: the
-    # feasible windows of j tile the k axis in ascending order
-    p_of = np.empty((finite_j.size, r_k.size), dtype=np.int64)
-    for n, j in enumerate(finite_j):
-        lo, hi = disc._k_row(int(j))
-        feas = np.nonzero(lo <= hi)[0]
-        p_of[n] = feas[np.searchsorted(lo[feas], r_k, side="right") - 1]
+    finite_k, r_n = np.unique(r_k, return_inverse=True)
+    # output row of every right cell, per distinct left row j
+    vj = disc.grid[finite_j, None]
+    p_of = disc.pi_index(vj + (1.0 - vj) * disc.grid[finite_k])[:, r_n]
     # the accumulator spans only the output rows some pair reaches
     out_rows = np.unique(p_of)
     p_of = np.searchsorted(out_rows, p_of)

@@ -8,6 +8,7 @@ correct is the point.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +74,26 @@ def exhaustive_best(instance: Instance) -> tuple[frozenset, float]:
 
 
 # ------------------------------------------------------------------------- #
+#  Rounding one probability
+# ------------------------------------------------------------------------- #
+
+def pi_index_reference(disc, p: float) -> int:
+    """Row owning probability p, one float at a time with ``math``: the
+    zero row below p_min (unless within a relative 1e-9 of it), else
+    ceil(log(p) / log(alpha)), snapped to an integer within 1e-9 and
+    clamped to [0, t]."""
+    if p >= 1.0:
+        return 0
+    if p <= 0.0 or (p < disc.p_min
+                    and not math.isclose(p, disc.p_min, rel_tol=1e-9)):
+        return disc.t + 1
+    x = math.log(p) / math.log(disc.alpha)
+    if abs(x - round(x)) <= 1e-9:
+        x = round(x)
+    return min(max(math.ceil(x), 0), disc.t)
+
+
+# ------------------------------------------------------------------------- #
 #  Scatter reference for the table combine
 # ------------------------------------------------------------------------- #
 
@@ -80,17 +101,11 @@ def exhaustive_best(instance: Instance) -> tuple[frozenset, float]:
 def product_rows(disc) -> np.ndarray:
     """Matrix of output rows: entry [j, k] for left row j, right row k.
 
-    Filled window by window from ``disc._k_row``, whose windows the tests
-    tie to direct evaluation of ``pi``; every entry must be written once.
+    Rounds ``g_j + (1 - g_j) g_k`` for every pair of grid values at once
+    through ``disc.pi_index``.
     """
-    rows = disc.t + 2
-    mat = np.full((rows, rows), -1, dtype=np.int64)
-    for j in range(rows):
-        lo, hi = disc._k_row(j)
-        for p in np.nonzero(lo <= hi)[0]:
-            assert (mat[j, lo[p]:hi[p] + 1] == -1).all()
-            mat[j, lo[p]:hi[p] + 1] = p
-    assert (mat >= 0).all()
+    g = disc.grid
+    mat = disc.pi_index(g[:, None] + (1.0 - g[:, None]) * g[None, :])
     mat.setflags(write=False)
     return mat
 
@@ -127,7 +142,7 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
 
     For each left row j, left spend i, right row k and right spend beta,
     the candidate ``left[i, j] + right[beta, k]`` lands at budget i + beta
-    in the output row that the grid's window algebra assigns to (j, k).
+    in the output row that the grid's rounding map assigns to (j, k).
     Values take an unordered scatter max (max is order-free on floats).
     With ``with_backpointers``, a second pass finds, per finite cell, the
     lexicographically smallest (i, j) whose best k reaches the cell value,
@@ -181,22 +196,6 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
                         break
     out += lam * disc.grid[None, :]
     return out, bp_i, bp_j, bp_k
-
-
-# ------------------------------------------------------------------------- #
-#  Window scan
-# ------------------------------------------------------------------------- #
-
-def k_range_scan(disc, p_idx: int, j_idx: int) -> list[int]:
-    """Right rows k with pi(j + k - j*k) = p, by direct evaluation."""
-    j = float(disc.grid[j_idx])
-    hits = []
-    for k in range(disc.t + 2):
-        kv = float(disc.grid[k])
-        q = j + (1.0 - j) * kv
-        if disc.pi_index(q) == p_idx:
-            hits.append(k)
-    return hits
 
 
 # ------------------------------------------------------------------------- #

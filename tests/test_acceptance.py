@@ -22,7 +22,7 @@ from napx.model import (Instance, Taxon, expected_pd, min_conserved_survival,
                         normalize)
 from napx.solver import build_tables, combine_tables, solve
 
-from oracles import combine_reference, dense, k_range_scan, per_clade_greedy
+from oracles import combine_reference, dense, per_clade_greedy
 from util import fig1_instance
 
 
@@ -134,7 +134,9 @@ def test_acceptance_03_combine_matches_scatter(capsys):
 def test_acceptance_04_grid_laws(capsys):
     """Criterion 4: grid laws on a 10^4-point sweep of [p_min, 1]:
     alpha*p <= pi(p) <= p, the depth bound alpha^t <= p_min < alpha^(t-1),
-    and window ranges equal to a direct scan for every row pair."""
+    and the same sandwich for every combined pair of grid rows (j, k):
+    with q = g_j + (1 - g_j) g_k, grid[pi_index(q)] <= q, and
+    alpha*q <= grid[pi_index(q)] whenever q >= p_min."""
     disc = Discretization.from_alpha_pmin(0.9, 0.002)
     assert disc.t == 59
     ps = np.linspace(disc.p_min, 1.0, 10_000)
@@ -142,15 +144,20 @@ def test_acceptance_04_grid_laws(capsys):
         disc.alpha * p * (1 - 1e-12) <= disc.pi(float(p)) <= p * (1 + 1e-12)
         for p in ps)
     depth = disc.alpha ** disc.t <= disc.p_min < disc.alpha ** (disc.t - 1)
+    g = disc.grid
     rows = disc.t + 2
-    windows = all(
-        list(disc.k_range(float(disc.grid[p]), float(disc.grid[j])))
-        == k_range_scan(disc, p, j)
-        for j in range(rows) for p in range(rows))
-    ok = sandwich and depth and windows
+    pairs_ok = True
+    for j in range(rows):
+        for k in range(rows):
+            q = float(g[j] + (1.0 - g[j]) * g[k])
+            v = float(g[disc.pi_index(q)])
+            pairs_ok &= v <= q * (1 + 1e-12)
+            if q >= disc.p_min:
+                pairs_ok &= disc.alpha * q * (1 - 1e-12) <= v
+    ok = sandwich and depth and pairs_ok
     report(capsys, 4, ok, f"t={disc.t}: rounding sandwich on 10^4 points "
                   f"[{sandwich}], depth bracket [{depth}], "
-                  f"{rows * rows} window ranges == scan [{windows}]")
+                  f"{rows * rows} row pairs round into [alpha*q, q] [{pairs_ok}]")
 
 
 def test_acceptance_05_small_survival_bound(capsys):

@@ -1,6 +1,8 @@
 """Tests for the command line interface, run in process via main()."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -8,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from napx.cli import BENCH_COLUMNS, main
-from napx.io import load_instance, parse_solution
+from napx.generators import GenSpec, generate
+from napx.io import load_instance, parse_solution, write_instance
 
 from util import data_path
 
@@ -116,6 +120,31 @@ def test_eval_infeasible_exit_code(tmp_path, capsys):
     assert "feasible: no" in out
 
 
+@pytest.mark.parametrize("verb", ["solve", "exact"])
+def test_eval_untouched_solution_prints_no_note(verb, tmp_path, capsys):
+    """Branch lengths near 1e5 put the score past 12 significant digits of
+    absolute precision: the file's rounded score still matches."""
+    inst = data_path("long_lengths.nap.json")
+    sol = tmp_path / "sol.json"
+    assert run(capsys, verb, inst, "--out", str(sol))[0] == 0
+    assert json.loads(sol.read_text())["evaluated_score"] > 1e5
+    code, out, _ = run(capsys, "eval", inst, str(sol))
+    assert code == 0
+    assert "note:" not in out
+
+
+def test_eval_notes_a_changed_score(tmp_path, capsys):
+    inst = data_path("long_lengths.nap.json")
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", inst, "--out", str(sol))
+    doc = json.loads(sol.read_text())
+    doc["evaluated_score"] += 0.01
+    sol.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "eval", inst, str(sol))
+    assert code == 0
+    assert "note: solution file claimed evaluated_score" in out
+
+
 # ------------------------------------------------------------------------- #
 #  bench
 # ------------------------------------------------------------------------- #
@@ -219,3 +248,68 @@ def test_python_m_napx_runs_cli():
 def test_usage_error_returns_argparse_code(capsys):
     assert run(capsys, "unknown-verb")[0] == 2
     assert run(capsys)[0] == 2
+
+
+# ------------------------------------------------------------------------- #
+#  Property: every document solves or fails with an exit code
+# ------------------------------------------------------------------------- #
+
+_BAD_VALUES = [-1, -0.5, 1.5, 0, 1, "0.5", None, True, [], {}, 5e-324, 1e-300,
+               float("nan"), float("inf"), 10**18, 2**70]
+
+
+@st.composite
+def _instance_docs(draw):
+    """A generated .nap.json document, left valid or given one mutation."""
+    spec = GenSpec(n=draw(st.integers(1, 8)),
+                   topology=draw(st.sampled_from(["yule", "caterpillar"])),
+                   seed=draw(st.integers(0, 10_000)),
+                   budget=draw(st.none() | st.integers(0, 12)))
+    doc = json.loads(write_instance(generate(spec), "json", name=spec.name))
+    tid = draw(st.sampled_from(sorted(doc["taxa"])))
+    kind = draw(st.sampled_from(["valid", "drop_key", "extra_key", "budget",
+                                 "taxon_field", "drop_taxon", "extra_taxon",
+                                 "newick", "truncate"]))
+    if kind == "drop_key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "extra_key":
+        doc["extra"] = 1
+    elif kind == "budget":
+        doc["budget"] = draw(st.sampled_from(_BAD_VALUES))
+    elif kind == "taxon_field":
+        doc["taxa"][tid][draw(st.sampled_from("abc"))] = \
+            draw(st.sampled_from(_BAD_VALUES))
+    elif kind == "drop_taxon":
+        del doc["taxa"][tid]
+    elif kind == "extra_taxon":
+        doc["taxa"]["zz"] = {"a": 0.1, "b": 0.9, "c": 1}
+    elif kind == "newick":
+        nwk = doc["newick"]
+        cut = draw(st.integers(0, len(nwk)))
+        doc["newick"] = draw(st.sampled_from([
+            nwk[:cut], nwk[:cut] + nwk[cut + 1:], nwk.replace(":", ":-", 1),
+            nwk.replace(tid, "", 1), "(" + nwk, nwk + nwk]))
+    text = json.dumps(doc)
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(text=_instance_docs(), epsilon=st.sampled_from(["0.3", "0.5", "0.9", "1.5"]))
+def test_solve_any_document_exits_with_a_code(tmp_path_factory, text, epsilon):
+    """Valid and mutated documents either solve (0) or fail with an
+    ``error:`` line and exit 2, 3 or 4; no exception escapes main()."""
+    work = tmp_path_factory.mktemp("doc")
+    path = work / "inst.nap.json"
+    path.write_text(text)
+    out = work / "sol.json"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["solve", str(path), "--epsilon", epsilon, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        doc = parse_solution(out.read_text())
+        assert doc.total_cost <= doc.budget
+    else:
+        assert err.getvalue().startswith(("error:", "internal error:"))

@@ -18,9 +18,9 @@ import pytest
 
 from napx.discretization import (Discretization, derive_k, select_params,
                                  T_LIMIT)
-from napx.errors import InputError, ParameterError
+from napx.errors import ParameterError
 
-from oracles import k_range_scan
+from oracles import pi_index_reference
 
 
 # ------------------------------------------------------------------------- #
@@ -107,57 +107,36 @@ def test_alpha_t_brackets_p_min():
     assert d.alpha ** d.t <= d.p_min < d.alpha ** (d.t - 1)
 
 
-def test_grid_index_inverts_rows():
-    d = Discretization.from_alpha_pmin(0.9, 0.002)
-    for m in range(d.t + 2):
-        assert d.grid_index(float(d.grid[m])) == m
-    with pytest.raises(InputError):
-        d.grid_index(0.1234567)
-
-
-# ------------------------------------------------------------------------- #
-#  Window algebra
-# ------------------------------------------------------------------------- #
-
-def test_k_range_frozen_example():
-    d = Discretization.from_alpha_pmin(0.5, 0.1)
-    # j = 0.25: q = 0.25 + 0.75 k; q in [0.5, 1) exactly when k = 0.5
-    assert list(d.k_range(0.5, 0.25)) == [1]
-    # j = 1 combines to 1 with every k
-    assert list(d.k_range(1.0, 1.0)) == list(range(d.t + 2))
-
-
-def test_k_range_matches_direct_scan():
-    """Windows computed on the log scale agree with evaluating pi at every
-    grid pair, including the knife edges near p_min."""
-    d = Discretization.from_alpha_pmin(0.9, 0.002)
-    rows = d.t + 2
-    for j in range(rows):
-        jv = float(d.grid[j])
-        for p in range(rows):
-            got = list(d.k_range(float(d.grid[p]), jv))
-            assert got == k_range_scan(d, p, j), (j, p)
-
-
-@pytest.mark.parametrize("alpha,p_min", [(0.5, 0.1), (0.97, 1e-4)],
-                         ids=["small", "deep"])
-def test_k_row_windows_tile_grid(alpha, p_min):
-    """For every left row j the non-empty windows cover each right row k
-    exactly once and move right as the output row p grows: the solver
-    finds a pair's output row by binary search over their lower ends."""
+@pytest.mark.parametrize("alpha,p_min", [(0.9, 0.002), (0.97, 1e-4)],
+                         ids=["t59", "deep"])
+def test_pi_index_keeps_grid_values_on_their_rows(alpha, p_min):
+    """Every grid value except alpha**t rounds to its own row, although
+    alpha**m carries float error: the knife-edge snap absorbs it. Row t's
+    value may lie below p_min, so it is left out."""
     d = Discretization.from_alpha_pmin(alpha, p_min)
-    rows = d.t + 2
-    for j in range(rows):
-        lo, hi = d._k_row(j)
-        owner = []
-        for k in range(rows):
-            hits = np.nonzero((lo <= k) & (k <= hi))[0]
-            assert hits.size == 1, (j, k)
-            owner.append(int(hits[0]))
-        assert owner == sorted(owner)
-        feas = np.nonzero(lo <= hi)[0]
-        found = feas[np.searchsorted(lo[feas], np.arange(rows), side="right") - 1]
-        assert found.tolist() == owner
+    for m in list(range(d.t)) + [d.t + 1]:
+        assert d.pi_index(float(d.grid[m])) == m, m
+    assert d.pi_index(d.p_min * (1 - 1e-12)) == d.t
+
+
+def test_pi_index_array_matches_scalar():
+    """Arrays round elementwise, floats give plain ints, and both agree
+    with a one-float-at-a-time reference."""
+    d = Discretization.from_alpha_pmin(0.97, 1e-4)
+    rng = np.random.default_rng(5)
+    g = d.grid
+    pairs = g[:, None] + (1.0 - g[:, None]) * g[None, ::37]
+    ps = np.concatenate([
+        rng.uniform(0.0, 1.0, 2000), 10.0 ** rng.uniform(-6, 0, 2000), g,
+        [0.0, 1.0, 2.0, d.p_min, d.p_min * (1 - 1e-12), d.p_min * 0.99],
+    ])
+    for arr in (ps, pairs):
+        got = d.pi_index(arr)
+        assert got.dtype == np.int64 and got.shape == arr.shape
+        want = [d.pi_index(float(p)) for p in arr.ravel()]
+        assert all(type(w) is int for w in want)
+        assert got.ravel().tolist() == want
+        assert want == [pi_index_reference(d, float(p)) for p in arr.ravel()]
 
 
 def test_select_params_overflow_is_parameter_error():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from napx.errors import DegenerateInstanceError, InputError, ValidationError
-from napx.generators import gen_yule
+from napx.generators import GenSpec, gen_yule, generate
 from napx.model import (Instance, PhyloTree, Taxon, expected_pd, inner, leaf,
                         make_conservation_set, min_conserved_survival,
                         normalize, total_pd, validate_instance)
@@ -185,6 +185,23 @@ def test_normalize_idempotent():
     for inst in (polytomy_instance(), fig1_instance()):
         once = normalize(inst)
         assert normalize(once) == once
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(topo=st.sampled_from(["yule", "caterpillar"]), n=st.integers(1, 12),
+       seed=st.integers(0, 10_000), c_lo=st.integers(0, 6),
+       c_span=st.integers(0, 10), scale=st.integers(1, 4),
+       budget=st.integers(0, 40))
+def test_normalize_idempotent_property(topo, n, seed, c_lo, c_span, scale,
+                                       budget):
+    """Generated instances, with costs sharing a factor and some priced
+    above the budget, normalize to a fixed point."""
+    base = generate(GenSpec(n=n, topology=topo, seed=seed,
+                            c_range=(c_lo, c_lo + c_span)))
+    taxa = {tid: Taxon(id=tid, a=tx.a, b=tx.b, c=tx.c * scale)
+            for tid, tx in base.taxa.items()}
+    once = normalize(Instance(tree=base.tree, taxa=taxa, budget=budget))
+    assert normalize(once) == once
 
 
 def test_min_conserved_survival():
