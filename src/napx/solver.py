@@ -1,39 +1,40 @@
 """The budgeted-diversity dynamic program over discretized probabilities.
 
-Every edge e of the (normalized, binary) tree gets a clade table
-``T_e[b, p]``: the best expected diversity collectible strictly below the
-top of e, over selections that cost at most b within e's clade and give
-the clade a survival probability that rounds to grid row p. The table of
-a pendant edge has exactly one finite cell per budget row, since the only
-choice at a leaf is whether the allocated budget covers its cost:
+Every edge e of the (normalized, binary) tree gets a clade table, a list
+of cells ``(cost, row, score)``: a selection within e's clade that spends
+exactly ``cost``, leaves the clade a survival probability that rounds to
+grid row ``row``, and collects expected diversity ``score`` strictly below
+the top of e. A table keeps only its Pareto frontier. A cell is dropped
+when another cell costs no more, survives at least as well (its row is no
+larger) and scores at least as much. Rounding, addition and the budget
+test are all monotone, so a dominated cell only ever leads to dominated
+cells higher up, and the root optimum over the frontier is the same float
+as over every cell (the Pareto-list knapsack of Nemhauser and Ullmann).
 
-    T_s[b, pi(a)] = a * length(e)   for b < c,
-    T_s[b, pi(b)] = b * length(e)   for b >= c.
+A pendant edge has at most two cells, one per choice at its leaf:
 
-An interior edge e with children l and r combines child tables and then
-collects its own survival term:
+    (0, pi(a), a * length(e))   and   (c, pi(b), b * length(e)) if c <= B.
 
-    T_e[b, p] = p * length(e)
-                + max { T_l[i, j] + T_r[b - i, k] :
-                        i + beta = b,  pi(v_j + v_k - v_j v_k) = row p }.
+An interior edge e with children l and r pairs every left cell with every
+right cell it can afford (total cost at most B) and collects its own
+survival term:
 
-Almost every cell of a table is unreachable (-inf), so a table stores
-only its finite cells, keyed by ``b * (t + 2) + p`` in ascending order,
-and :func:`combine_tables` enumerates only pairs of them. It rounds each
-pair of distinct finite child rows (j, k) once, through
-:meth:`napx.discretization.Discretization.pi_index`, and gathers the
-result to the right cells. Candidate pairs are built in blocks and
-reduced without sorting: the best value per output cell, then the first
-pair that reaches it, which is the tie rule below. Every stored cell
-keeps all three backpointers (left budget, left row, right row), which
-:func:`backtrace` follows.
+    (c_l + c_r,  p = pi(v_j + v_k - v_j v_k),  (s_l + s_r) + v_p * length(e)).
 
-Ties everywhere resolve lexicographically: the smallest left budget i
-first, then the smallest left row index j, then the smallest right row
-index k. The table values are lower bounds on true expected diversity
-(rounding only ever shrinks probabilities), which is what makes the final
-re-evaluation check in :func:`solve` a real invariant rather than a
-tolerance guess.
+:func:`combine_tables` rounds each pair of distinct child rows (j, k) once,
+through :meth:`napx.discretization.Discretization.pi_index`, and the
+frontier filter :func:`_frontier`, shared with the pendant build, keeps the
+non-dominated cells. Each interior cell stores the index of the left and
+the right child cell it was built from, which :func:`backtrace` follows.
+
+Ties resolve deterministically. Among candidates for one (cost, row) the
+highest value wins, then the first pair in (left index, right index) order;
+a pendant lists conserving first, so a free taxon is conserved. The root
+takes the highest value, then the smallest cost, then the smallest row:
+between two equally good selections the cheaper one wins. The table values
+are lower bounds on true expected diversity (rounding only ever shrinks
+probabilities), which is what makes the final re-evaluation check in
+:func:`solve` a real invariant rather than a tolerance guess.
 """
 
 from __future__ import annotations
@@ -58,125 +59,126 @@ __all__ = [
     "solve",
 ]
 
-# Candidate pairs per block of the combine: large enough that numpy does
-# the work, small enough that a block's arrays stay a few hundred KB.
-BLOCK_PAIRS = 1 << 13
+# Largest number of candidate pairs one combine may build, and of cells in
+# the dominance matrix of one frontier filter. A pair holds its two child
+# indices, cost, row and score, five 8-byte arrays, and the filter's sort
+# keys, orders and inverses add a handful more: a 0.8 M-pair combine peaked
+# at 89 bytes a pair under tracemalloc, so one at the limit needs about
+# 370 MB.
+PAIR_LIMIT = 1 << 22
 
 
 @dataclass
 class CladeTable:
-    """Dynamic-program table for one edge, finite cells only.
+    """Dynamic-program table for one edge: its non-dominated cells.
 
-    ``cells`` holds the sorted keys ``budget * (t + 2) + row`` of the
-    reachable cells and ``scores`` their values; every other cell is
-    unreachable (-inf). Interior tables carry, per cell, the left child's
-    budget share and row and the right child's row. Pendant tables record
-    the taxon, its conservation cost and its conserved row.
+    Cell n spends ``costs[n]`` within the clade, leaves it at survival grid
+    row ``rows[n]`` and scores ``scores[n]``. Cells are in ascending (cost,
+    row) order, and no cell has another one of no greater cost and row and
+    no smaller score. ``left[n]`` and ``right[n]`` index the child cells an
+    interior cell was built from; a unary table has only ``left``. Pendant
+    tables record their taxon.
     """
 
     edge_id: int
     kind: str  # "pendant", "internal" or "unary"
-    cells: np.ndarray
+    costs: np.ndarray
+    rows: np.ndarray
     scores: np.ndarray
-    bp_budget: np.ndarray | None = None
-    bp_left: np.ndarray | None = None
-    bp_right: np.ndarray | None = None
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
     taxon: str | None = None
-    cost: int = 0
-    row_cons: int = -1
+
+
+def _check_size(what: str, n: int) -> None:
+    if n > PAIR_LIMIT:
+        raise SizeLimitError(
+            f"a table combine would hold {n} {what}, above the limit of "
+            f"{PAIR_LIMIT}; lower the budget or raise epsilon")
+
+
+def _frontier(costs: np.ndarray, rows: np.ndarray,
+              scores: np.ndarray) -> np.ndarray:
+    """Indices of the non-dominated candidates, in (cost, row) order.
+
+    Per (cost, row) the highest score survives, the first candidate on
+    ties. A survivor stays when its score is strictly above the best score
+    at any smaller cost and no larger row, and at its own cost and any
+    smaller row: the running maxima of a (distinct cost x distinct row)
+    matrix, one cost and one row back.
+    """
+    cost_set, ci = np.unique(costs, return_inverse=True)
+    row_set, ri = np.unique(rows, return_inverse=True)
+    _check_size("dominance-matrix cells", cost_set.size * row_set.size)
+    key = ci * row_set.size + ri
+    order = np.lexsort((-scores, key))
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = key[order[1:]] != key[order[:-1]]
+    first = order[starts]
+    ci, ri, best = ci[first] + 1, ri[first] + 1, scores[first]
+    # a border of -inf stands for "no smaller cost" and "no smaller row"
+    prefix = np.full((cost_set.size + 1, row_set.size + 1), -np.inf)
+    prefix[ci, ri] = best
+    np.maximum.accumulate(prefix, axis=0, out=prefix)
+    np.maximum.accumulate(prefix, axis=1, out=prefix)
+    return first[(best > prefix[ci - 1, ri]) & (best > prefix[ci, ri - 1])]
 
 
 def build_pendant_table(eid: int, taxon: Taxon, lam: float, budget: int,
                         disc: Discretization) -> CladeTable:
-    """Table for a pendant edge: conserve exactly when the budget allows."""
-    b = np.arange(budget + 1, dtype=np.int64)
-    conserved = b >= taxon.c
-    rb = disc.pi_index(taxon.b)
-    rows = np.where(conserved, rb, disc.pi_index(taxon.a))
-    return CladeTable(edge_id=eid, kind="pendant",
-                      cells=b * (disc.t + 2) + rows,
-                      scores=np.where(conserved, taxon.b * lam, taxon.a * lam),
-                      taxon=taxon.id, cost=int(taxon.c), row_cons=rb)
+    """Table for a pendant edge: conserve the taxon if it is affordable, or
+    leave it. Conserving is listed first, so it wins a tie at equal cost."""
+    affordable = taxon.c <= budget
+    probs = np.array([taxon.b, taxon.a] if affordable else [taxon.a])
+    costs = np.array([taxon.c, 0] if affordable else [0], dtype=np.int64)
+    rows = disc.pi_index(probs)
+    scores = probs * lam
+    keep = _frontier(costs, rows, scores)
+    return CladeTable(edge_id=eid, kind="pendant", costs=costs[keep],
+                      rows=rows[keep], scores=scores[keep], taxon=taxon.id)
 
 
 def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
                    budget: int, disc: Discretization,
                    stats: dict | None = None) -> CladeTable:
-    """Combine two child tables over their finite cells only.
+    """Combine two child tables into the frontier of their affordable pairs.
 
-    Left cells are walked in key order, in blocks of consecutive cells.
-    A block pairs each of its left cells with the first M right cells,
-    M being how many its first cell can afford; a pair that overspends
-    (i + beta > budget) is padding and lands in a dump cell. A block
-    grows while its cells still afford at least M/2 right cells and it
-    holds at most ``BLOCK_PAIRS`` pairs, so at most half of it is padding.
-
-    No sort runs on values. ``np.maximum.at`` gives each output cell the
-    block's best value, and the first pair in ravel order that reaches it
-    wins. Pairs ravel in (left key, right key) order, and an output cell
-    fixes beta = b - i, so that first pair has the smallest (i, j, k):
-    the tie rule. Blocks run in ascending left key, so a later block
-    replaces a cell only with a strictly greater value.
+    Right cells ascend in cost, so the cells a left cell can afford are a
+    prefix of them; the pairs are laid out left cell by left cell, each
+    followed by its prefix, which is the (left, right) index order of the
+    tie rule. Their count is checked against ``PAIR_LIMIT`` before any
+    pair array exists.
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
-    rows = disc.t + 2
-    nb = budget + 1
-    l_i, l_j = np.divmod(left.cells, rows)
-    r_beta, r_k = np.divmod(right.cells, rows)
-    finite_j, l_n = np.unique(l_j, return_inverse=True)
-    finite_k, r_n = np.unique(r_k, return_inverse=True)
-    # output row of every right cell, per distinct left row j
-    vj = disc.grid[finite_j, None]
-    p_of = disc.pi_index(vj + (1.0 - vj) * disc.grid[finite_k])[:, r_n]
-    # the accumulator spans only the output rows some pair reaches
-    out_rows = np.unique(p_of)
-    p_of = np.searchsorted(out_rows, p_of)
-    width = out_rows.size
-    dump = nb * width
-    out = np.full(dump + 1, -np.inf)
-    bp_i, bp_j, bp_k = np.full((3, dump + 1), -1, dtype=np.int32)
-    # right cells each left cell can afford; non-increasing in key order
-    m_of = np.searchsorted(r_beta, budget - l_i, side="right")
+    m = np.searchsorted(right.costs, budget - left.costs, side="right")
+    pairs = int(m.sum())
     if stats is not None:
-        stats["candidate_pairs"] += int(m_of.sum())
-    neg_m = -m_of
-    a, n_left = 0, int(np.count_nonzero(m_of))
-    while a < n_left:
-        m = int(m_of[a])
-        z = min(a + max(1, BLOCK_PAIRS // m), n_left,
-                int(np.searchsorted(neg_m, -((m + 1) // 2), side="right")))
-        b = l_i[a:z, None] + r_beta[None, :m]
-        cells = b * width + p_of[l_n[a:z], :m]
-        cells[b > budget] = dump
-        cells = cells.ravel()
-        vals = (left.scores[a:z, None] + right.scores[None, :m]).ravel()
-        old = out[cells]
-        np.maximum.at(out, cells, vals)
-        # winners beat what earlier blocks stored and reach the new best
-        hit = np.flatnonzero(vals > old)
-        hit = hit[vals[hit] == out[cells[hit]]]
-        hit_cells, first = np.unique(cells[hit], return_index=True)
-        win = hit[first]
-        bp_i[hit_cells] = l_i[a + win // m]
-        bp_j[hit_cells] = l_j[a + win // m]
-        bp_k[hit_cells] = r_k[win % m]
-        a = z
-    keep = np.flatnonzero(np.isfinite(out[:dump]))
-    row = out_rows[keep % width]
-    return CladeTable(edge_id=eid, kind="internal",
-                      cells=keep // width * rows + row,
-                      scores=out[keep] + lam * disc.grid[row],
-                      bp_budget=bp_i[keep], bp_left=bp_j[keep],
-                      bp_right=bp_k[keep])
+        stats["candidate_pairs"] += pairs
+    _check_size("candidate pairs", pairs)
+    li = np.repeat(np.arange(m.size), m)
+    ri = np.arange(pairs) - np.repeat(np.cumsum(m) - m, m)
+    # output row per pair of distinct child rows, gathered to the pairs
+    finite_j, l_n = np.unique(left.rows, return_inverse=True)
+    finite_k, r_n = np.unique(right.rows, return_inverse=True)
+    vj = disc.grid[finite_j, None]
+    p_of = disc.pi_index(vj + (1.0 - vj) * disc.grid[finite_k])
+    rows = p_of[l_n[li], r_n[ri]]
+    costs = left.costs[li] + right.costs[ri]
+    scores = (left.scores[li] + right.scores[ri]) + lam * disc.grid[rows]
+    keep = _frontier(costs, rows, scores)
+    return CladeTable(edge_id=eid, kind="internal", costs=costs[keep],
+                      rows=rows[keep], scores=scores[keep],
+                      left=li[keep], right=ri[keep])
 
 
 def _combine_unary(eid: int, child: CladeTable, lam: float,
                    disc: Discretization) -> CladeTable:
     """Root edge over a single pendant: rows pass through unchanged."""
-    row = child.cells % (disc.t + 2)
-    return CladeTable(edge_id=eid, kind="unary", cells=child.cells,
-                      scores=child.scores + lam * disc.grid[row])
+    scores = child.scores + lam * disc.grid[child.rows]
+    keep = _frontier(child.costs, child.rows, scores)
+    return CladeTable(edge_id=eid, kind="unary", costs=child.costs[keep],
+                      rows=child.rows[keep], scores=scores[keep], left=keep)
 
 
 def build_tables(instance: Instance,
@@ -188,8 +190,8 @@ def build_tables(instance: Instance,
     ``fast_combines`` counts the binary combines (``general_combines``
     stays 0; both keys are kept for readers of solution ``stats`` and the
     bench CSV), ``candidate_pairs`` the affordable (left cell, right cell)
-    pairs they enumerate and ``table_cells`` the finite cells stored over
-    all tables.
+    pairs they enumerate and ``table_cells`` the frontier cells stored
+    over all tables.
     """
     tree = instance.tree
     budget = int(instance.budget)
@@ -212,39 +214,27 @@ def build_tables(instance: Instance,
             raise InternalError(
                 f"edge {e.eid} has {len(e.children)} children; "
                 "tables need a normalized binary tree")
-        stats["table_cells"] += int(tables[e.eid].cells.size)
+        stats["table_cells"] += int(tables[e.eid].scores.size)
     return tables, stats
 
 
 def backtrace(instance: Instance, tables: dict[int, CladeTable],
-              disc: Discretization, budget: int, row: int) -> frozenset[str]:
-    """Recover the selection behind a root table cell by following the
-    stored backpointers down to the pendant tables."""
+              cell: int) -> frozenset[str]:
+    """Recover the selection behind root table cell ``cell`` by following
+    the stored child-cell indices down to the pendant tables; a pendant
+    cell that spends the taxon's cost conserves it."""
     tree = instance.tree
-    rows = disc.t + 2
     selected: list[str] = []
-    stack: list[tuple[int, int, int]] = [(tree.root, int(budget), int(row))]
+    stack: list[tuple[int, int]] = [(tree.root, int(cell))]
     while stack:
-        eid, b, p = stack.pop()
+        eid, n = stack.pop()
         tab = tables[eid]
-        n = int(np.searchsorted(tab.cells, b * rows + p))
-        if n == tab.cells.size or tab.cells[n] != b * rows + p:
-            raise InternalError(
-                f"backtrace hit an unreachable cell (edge {eid}, budget {b}, row {p})")
         if tab.kind == "pendant":
-            if b >= tab.cost and p == tab.row_cons:
+            if tab.costs[n] == instance.taxa[tab.taxon].c:
                 selected.append(tab.taxon)
-        elif tab.kind == "unary":
-            stack.append((tree.edges[eid].children[0], b, p))
-        else:
-            i, j, k = (int(bp[n]) for bp in
-                       (tab.bp_budget, tab.bp_left, tab.bp_right))
-            if min(i, j, k) < 0:
-                raise InternalError(
-                    f"missing backpointer (edge {eid}, budget {b}, row {p})")
-            left, right = tree.edges[eid].children
-            stack.append((left, i, j))
-            stack.append((right, b - i, k))
+            continue
+        for child, index in zip(tree.edges[eid].children, (tab.left, tab.right)):
+            stack.append((child, int(index[n])))
     return frozenset(selected)
 
 
@@ -273,8 +263,14 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     lower bound. When every unconserved survival ``a`` is at most the grid
     floor ``p_min`` (in the returned ``params``), it is also at least
     (1 - epsilon) times the optimum. Work is polynomial in the instance
-    size and 1/epsilon; tables of more than ``CELL_LIMIT`` (budget, row)
-    cells are refused with :class:`SizeLimitError` before any is built.
+    size and 1/epsilon. Grids whose (budget, row) span exceeds
+    ``CELL_LIMIT`` are refused with :class:`SizeLimitError` before any
+    table is built, and so is a combine of more than ``PAIR_LIMIT``
+    candidate pairs before its pairs are allocated.
+
+    The root cell with the highest score wins, the cheapest one on ties
+    (then the one with the smallest row), so of two equally good
+    selections the cheaper is returned.
 
     The instance is normalized internally; the returned selection refers
     to the original taxa, is always affordable, and taxa whose cost
@@ -297,8 +293,7 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
                                    "dense_cells": 0})
     k = derive_k(n, min_b)
     disc = select_params(n, norm.tree.height, epsilon, k)
-    rows = disc.t + 2
-    dense = (norm.budget + 1) * rows
+    dense = (norm.budget + 1) * (disc.t + 2)
     if dense > CELL_LIMIT:
         raise SizeLimitError(
             f"tables would span {dense} (budget, row) cells, "
@@ -306,14 +301,9 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     tables, stats = build_tables(norm, disc)
     stats["dense_cells"] = dense
     root = tables[norm.tree.root]
-    # budget B is the largest, so its cells end the root table
-    lo = int(np.searchsorted(root.cells, norm.budget * rows))
-    if lo == root.cells.size:
-        raise InternalError("no feasible root table entry; this cannot happen "
-                            "on a validated instance")
-    m = lo + int(np.argmax(root.scores[lo:]))
+    m = int(np.argmax(root.scores))
     reported = float(root.scores[m])
-    ids = backtrace(norm, tables, disc, norm.budget, root.cells[m] % rows)
+    ids = backtrace(norm, tables, m)
     kept = frozenset(t for t in ids if instance.taxa[t].c <= instance.budget)
     selection = make_conservation_set(instance, kept)
     if selection.total_cost > instance.budget:

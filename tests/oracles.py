@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, table combines by
-a literal scatter over every (row, row, split) triple. Slow and obviously
+a literal scatter over every (row, row, split) triple of dense tables,
+whose non-dominated cells a combine must reproduce. Slow and obviously
 correct is the point.
 """
 
@@ -110,51 +111,59 @@ def product_rows(disc) -> np.ndarray:
     return mat
 
 
-def dense(tab: CladeTable, budget: int, disc):
-    """Dense view of a clade table over (budget, row).
+def to_dense(tab: CladeTable, budget: int, disc) -> np.ndarray:
+    """Dense (budget, row) view of a clade table: entry [b, p] is the best
+    score of a cell with cost at most b and row p, -inf where none is."""
+    out = np.full((budget + 1, disc.t + 2), -np.inf)
+    for cost, row, score in zip(tab.costs.tolist(), tab.rows.tolist(),
+                                tab.scores.tolist()):
+        out[cost:, row] = np.maximum(out[cost:, row], score)
+    return out
 
-    Returns scores (-inf where no cell is stored) and the three
-    backpointer arrays bp_budget, bp_left and bp_right (-1 where the table
-    has no cell or carries no backpointers).
+
+def frontier(scores: np.ndarray) -> list[tuple[int, int, float]]:
+    """The non-dominated cells (b, p, v) of a dense table, in (b, p) order.
+
+    A finite cell is kept when its value is strictly above every other
+    value in the rectangle of budgets <= b and rows <= p, which is the
+    running maximum one budget back or one row back.
     """
-    size = (budget + 1) * (disc.t + 2)
-    scores = np.full(size, -np.inf)
-    scores[tab.cells] = tab.scores
-    views = [scores.reshape(budget + 1, -1)]
-    for bp in (tab.bp_budget, tab.bp_left, tab.bp_right):
-        arr = np.full(size, -1, dtype=np.int32)
-        if bp is not None:
-            arr[tab.cells] = bp
-        views.append(arr.reshape(budget + 1, -1))
-    return tuple(views)
+    best = np.maximum.accumulate(np.maximum.accumulate(scores, axis=0), axis=1)
+    out = []
+    for b, p in zip(*np.nonzero(np.isfinite(scores))):
+        v = scores[b, p]
+        if (b == 0 or v > best[b - 1, p]) and (p == 0 or v > best[b, p - 1]):
+            out.append((int(b), int(p), float(v)))
+    return out
+
+
+def cells(tab: CladeTable) -> list[tuple[int, int, float]]:
+    """A clade table's (cost, row, score) cells, in stored order."""
+    return list(zip(tab.costs.tolist(), tab.rows.tolist(), tab.scores.tolist()))
 
 
 def from_dense(eid: int, kind: str, scores: np.ndarray) -> CladeTable:
-    """Clade table holding the finite cells of a dense score array."""
-    cells = np.flatnonzero(np.isfinite(scores))
-    return CladeTable(edge_id=eid, kind=kind, cells=cells,
-                      scores=scores.ravel()[cells])
+    """Clade table with one cell of exact cost b per finite entry [b, p] of
+    a dense score array, in (b, p) order."""
+    b, p = np.nonzero(np.isfinite(scores))
+    return CladeTable(edge_id=eid, kind=kind, costs=b, rows=p,
+                      scores=scores[b, p])
 
 
-def combine_reference(left: CladeTable, right: CladeTable, lam: float,
-                      budget: int, disc, with_backpointers: bool = False):
-    """Combine two clade tables by scattering every candidate.
+def combine_reference(lsc: np.ndarray, rsc: np.ndarray, lam: float,
+                      budget: int, disc) -> np.ndarray:
+    """Combine two dense child tables by scattering every candidate.
 
     For each left row j, left spend i, right row k and right spend beta,
-    the candidate ``left[i, j] + right[beta, k]`` lands at budget i + beta
+    the candidate ``lsc[i, j] + rsc[beta, k]`` lands at budget i + beta
     in the output row that the grid's rounding map assigns to (j, k).
     Values take an unordered scatter max (max is order-free on floats).
-    With ``with_backpointers``, a second pass finds, per finite cell, the
-    lexicographically smallest (i, j) whose best k reaches the cell value,
-    and the smallest such k.
-    Returns scores, or (scores, bp_budget, bp_left, bp_right).
+    Returns the dense output scores.
     """
     rows = disc.t + 2
     nb = budget + 1
     out = np.full((nb, rows), -np.inf)
     mat = product_rows(disc)
-    lsc = dense(left, budget, disc)[0]
-    rsc = dense(right, budget, disc)[0]
 
     for j in range(rows):
         pv = mat[j]
@@ -164,38 +173,29 @@ def combine_reference(left: CladeTable, right: CladeTable, lam: float,
             for beta in range(nb - i):
                 np.maximum.at(out[i + beta], pv, base + rsc[beta])
 
-    if not with_backpointers:
-        out += lam * disc.grid[None, :]
-        return out
-
-    bp_i = np.full((nb, rows), -1, dtype=np.int32)
-    bp_j = np.full((nb, rows), -1, dtype=np.int32)
-    bp_k = np.full((nb, rows), -1, dtype=np.int32)
-    ks_of: dict[tuple[int, int], np.ndarray] = {}
-    for b in range(nb):
-        for p in range(rows):
-            if not np.isfinite(out[b, p]):
-                continue
-            found = False
-            for i in range(b + 1):
-                if found:
-                    break
-                for j in np.nonzero(np.isfinite(lsc[i]))[0]:
-                    if (j, p) not in ks_of:
-                        ks_of[j, p] = np.nonzero(mat[j] == p)[0]
-                    ks = ks_of[j, p]
-                    if ks.size == 0:
-                        continue
-                    vals = lsc[i, j] + rsc[b - i, ks]
-                    hits = np.nonzero(vals == out[b, p])[0]
-                    if hits.size:
-                        bp_i[b, p] = i
-                        bp_j[b, p] = j
-                        bp_k[b, p] = ks[hits[0]]
-                        found = True
-                        break
     out += lam * disc.grid[None, :]
-    return out, bp_i, bp_j, bp_k
+    return out
+
+
+def assert_frontier_of_scatter(tab: CladeTable, left: CladeTable,
+                               right: CladeTable, lam: float, budget: int,
+                               disc) -> int:
+    """Assert that a combine's cells are exactly (==) the non-dominated
+    cells of the scatter reference over its children's dense views, and
+    that each cell's (left, right) child cells rebuild its cost, row and
+    score bit for bit. Returns the number of cells."""
+    want = frontier(combine_reference(to_dense(left, budget, disc),
+                                      to_dense(right, budget, disc),
+                                      lam, budget, disc))
+    assert cells(tab) == want
+    li, ri = tab.left, tab.right
+    assert np.array_equal(left.costs[li] + right.costs[ri], tab.costs)
+    vj = disc.grid[left.rows[li]]
+    rows = disc.pi_index(vj + (1.0 - vj) * disc.grid[right.rows[ri]])
+    assert np.array_equal(rows, tab.rows)
+    assert np.array_equal((left.scores[li] + right.scores[ri])
+                          + lam * disc.grid[rows], tab.scores)
+    return len(want)
 
 
 # ------------------------------------------------------------------------- #

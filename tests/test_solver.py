@@ -9,15 +9,17 @@ from hypothesis.extra.numpy import arrays
 
 from napx import solver
 from napx.discretization import Discretization, derive_k, select_params
-from napx.errors import InternalError, ParameterError
+from napx.cli import main
+from napx.errors import InternalError, ParameterError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.io import load_instance
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
                         min_conserved_survival, normalize, total_pd)
-from napx.solver import (build_pendant_table, build_tables, combine_tables,
-                         solve)
+from napx.solver import (CladeTable, build_pendant_table, build_tables,
+                         combine_tables, solve)
 
-from oracles import combine_reference, dense, exhaustive_best, from_dense
+from oracles import (assert_frontier_of_scatter, cells, exhaustive_best,
+                     from_dense)
 from util import cherry, data_path, fig1_instance, make_instance, tie_cherry
 
 
@@ -30,24 +32,32 @@ def small_disc() -> Discretization:
 # ------------------------------------------------------------------------- #
 
 def test_pendant_table_by_hand():
-    """One finite cell per budget row: the unconserved value a*lam at
-    pi(a) while the cost is short, then b*lam at pi(b)."""
+    """Two cells: leave the taxon (cost 0, value a*lam at pi(a)) or
+    conserve it (cost c, value b*lam at pi(b))."""
     d = small_disc()
     tx = Taxon(id="x", a=0.2, b=0.9, c=3)
     tab = build_pendant_table(0, tx, 2.0, 4, d)
     # pi(0.2): [0.125, 0.25) is row 3; pi(0.9): [0.5, 1) is row 1
-    assert tab.row_cons == 1
-    budgets, rows = np.divmod(tab.cells, d.t + 2)
-    assert budgets.tolist() == [0, 1, 2, 3, 4]
-    assert rows.tolist() == [3, 3, 3, 1, 1]
-    assert tab.scores.tolist() == pytest.approx([0.4, 0.4, 0.4, 1.8, 1.8])
+    assert cells(tab) == [(0, 3, 0.2 * 2.0), (3, 1, 0.9 * 2.0)]
 
 
 def test_pendant_unaffordable_has_no_conserved_row():
     d = small_disc()
     tx = Taxon(id="x", a=0.2, b=0.9, c=9)
     tab = build_pendant_table(0, tx, 2.0, 4, d)
-    assert (tab.cells % (d.t + 2)).tolist() == [3] * 5
+    assert cells(tab) == [(0, 3, 0.2 * 2.0)]
+
+
+def test_pendant_drops_a_useless_conservation():
+    """With a = b conserving buys nothing, so the costlier cell is
+    dominated; at cost 0 the conserved cell is the one kept."""
+    d = small_disc()
+    tab = build_pendant_table(0, Taxon(id="x", a=0.3, b=0.3, c=2), 1.0, 4, d)
+    assert cells(tab) == [(0, 2, 0.3)]
+    free = build_pendant_table(0, Taxon(id="x", a=0.3, b=0.3, c=0), 1.0, 4, d)
+    assert cells(free) == [(0, 2, 0.3)]
+    assert solve(make_instance(leaf("x", 1.0), [("x", 0.3, 0.3, 0)], budget=1),
+                 0.5).selection.selected == frozenset({"x"})
 
 
 # ------------------------------------------------------------------------- #
@@ -61,19 +71,10 @@ def _tables_for(instance, epsilon=0.5):
     return norm, disc
 
 
-def _assert_matches_reference(got, left, right, lam, budget, disc):
-    """The dense view of a combine equals the scatter reference: scores,
-    left budget, left row and right row backpointers."""
-    want = combine_reference(left, right, lam, budget, disc,
-                             with_backpointers=True)
-    for g, w in zip(dense(got, budget, disc), want, strict=True):
-        assert np.array_equal(g, w)
-
-
 def _assert_combines_match_scatter(norm, disc) -> int:
-    """Every binary combine of the instance equals the scatter reference,
-    scores and all three backpointer arrays; returns how many had a
-    pendant child."""
+    """Every binary combine of the instance equals the frontier of the
+    scatter reference, with backpointers that rebuild each cell; returns
+    how many had a pendant child."""
     tables, stats = build_tables(norm, disc)
     assert stats["general_combines"] == 0
     pendant = 0
@@ -82,22 +83,22 @@ def _assert_combines_match_scatter(norm, disc) -> int:
             continue
         l, r = (tables[c] for c in e.children)
         got = combine_tables(e.eid, l, r, e.length, norm.budget, disc)
-        _assert_matches_reference(got, l, r, e.length, norm.budget, disc)
+        assert_frontier_of_scatter(got, l, r, e.length, norm.budget, disc)
         pendant += "pendant" in (l.kind, r.kind)
     return pendant
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_general_combine_matches_scatter(seed):
-    """The finite-cell combine equals scattering every (j, i, k, beta)
-    candidate, bit for bit, backpointers included."""
+    """The frontier combine equals the non-dominated cells of scattering
+    every (j, i, k, beta) candidate, bit for bit."""
     _assert_combines_match_scatter(*_tables_for(gen_yule(6, seed)))
 
 
 @pytest.mark.parametrize("topo,n", [("caterpillar", 9), ("yule", 9)])
 def test_pendant_child_combines_match_scatter(topo, n):
     """Combines with a pendant child on either side, the bulk of every
-    caterpillar, follow the same tie rule as the scatter reference."""
+    caterpillar, equal the frontier of the scatter reference."""
     gen = gen_caterpillar if topo == "caterpillar" else gen_yule
     pendant = sum(_assert_combines_match_scatter(
         *_tables_for(gen(n, seed), epsilon=0.4)) for seed in range(5))
@@ -114,29 +115,28 @@ def test_combine_matches_scatter_property(topo, n, seed, epsilon, budget):
         *_tables_for(gen(n, seed, budget=budget), epsilon=epsilon))
 
 
+def _table(kind, costs, rows, scores):
+    return CladeTable(edge_id=0, kind=kind, costs=np.array(costs),
+                      rows=np.array(rows), scores=np.array(scores))
+
+
 def test_combine_ties_pick_smallest_budget_then_row():
     """A right cell at row 0 (probability 1) sends every left row to output
-    row 0, so equal left values tie there: first on the left row at one
-    budget, then across left budgets."""
+    row 0, so equal left values tie there. The cost-0 cell is kept, built
+    from the first left cell (the smaller left row); the same value at
+    cost 1 is dominated."""
     d = small_disc()
-    left = np.full((2, d.t + 2), -np.inf)
-    left[0, [2, 3]] = 1.0
-    left[1, 1] = 1.0
-    right = np.full((2, d.t + 2), -np.inf)
-    right[:, 0] = 0.5
-    got = combine_tables(2, from_dense(0, "internal", left),
-                         from_dense(1, "internal", right), 0.0, 1, d)
-    scores, bp_i, bp_j, bp_k = dense(got, 1, d)
-    assert scores[:, 0].tolist() == [1.5, 1.5]
-    assert bp_i[:, 0].tolist() == [0, 0]
-    assert bp_j[:, 0].tolist() == [2, 2]
-    assert bp_k[:, 0].tolist() == [0, 0]
+    left = _table("internal", [0, 0, 1], [2, 3, 1], [1.0, 1.0, 1.0])
+    right = _table("internal", [0, 1], [0, 0], [0.5, 0.5])
+    got = combine_tables(2, left, right, 0.0, 1, d)
+    assert cells(got) == [(0, 0, 1.5)]
+    assert (got.left.tolist(), got.right.tolist()) == ([0], [0])
 
 
 def test_combine_right_row_ties_pick_smallest_k():
     """Left row 1 (0.5) sends right rows 1..5 to output row 1, since
     0.5 + 0.5 k rounds to 0.5 for every k < 1. Right rows 2 and 4 carry
-    equal values in that window; the stored right row is the smaller."""
+    equal values there; the stored right cell is the first, row 2."""
     d = small_disc()
     left = np.full((1, d.t + 2), -np.inf)
     left[0, 1] = 1.0
@@ -144,10 +144,30 @@ def test_combine_right_row_ties_pick_smallest_k():
     right[0, [2, 4]] = 0.5
     got = combine_tables(2, from_dense(0, "internal", left),
                          from_dense(1, "internal", right), 0.0, 0, d)
-    assert got.cells.tolist() == [1]
-    assert got.scores.tolist() == [1.5]
-    assert (got.bp_budget.tolist(), got.bp_left.tolist(),
-            got.bp_right.tolist()) == ([0], [1], [2])
+    assert cells(got) == [(0, 1, 1.5)]
+    assert (got.left.tolist(), got.right.tolist()) == ([0], [0])
+
+
+def test_tie_rule_by_hand():
+    """The tie rule, level by level: the highest value first, then the
+    smallest cost, then the smallest row, then the first pair in (left,
+    right) index order. A right cell at row 5 (probability 0) leaves every
+    left row where it is, and lam = 0 adds nothing."""
+    d = small_disc()
+    left = _table("internal", [0, 1, 1, 1, 3], [3, 2, 1, 1, 2],
+                  [1.0, 1.0, 1.0, 1.0, 1.5])
+    right = _table("internal", [0, 0], [5, 5], [0.0, 0.0])
+    got = combine_tables(2, left, right, 0.0, 3, d)
+    # (1, 2) is dominated by (1, 1) of equal value; (1, 1) is reached by
+    # left cells 2 and 3, each with both right cells: the first pair wins
+    assert cells(got) == [(0, 3, 1.0), (1, 1, 1.0), (3, 2, 1.5)]
+    assert got.left.tolist() == [0, 2, 4]
+    assert got.right.tolist() == [0, 0, 0]
+    assert int(np.argmax(got.scores)) == 2
+    # without the 1.5 cell the root's best is the cost-0 cell
+    tie = combine_tables(2, left, right, 0.0, 2, d)
+    assert cells(tie) == [(0, 3, 1.0), (1, 1, 1.0)]
+    assert int(np.argmax(tie.scores)) == 0
 
 
 @st.composite
@@ -169,30 +189,17 @@ def test_combine_tie_heavy_tables_match_scatter(case):
     d = small_disc()
     l, r = from_dense(0, "internal", left), from_dense(1, "internal", right)
     got = combine_tables(2, l, r, 1.0, budget, d)
-    _assert_matches_reference(got, l, r, 1.0, budget, d)
+    assert_frontier_of_scatter(got, l, r, 1.0, budget, d)
 
 
 def _wide_cost_instance():
-    """Costs up to 40 under a budget of 60: a long budget axis, so left
-    budgets hold many cells and blocks span several of them."""
+    """Costs up to 40 under a budget of 60: many distinct cell costs, so
+    the frontier spans a long cost axis."""
     return _tables_for(gen_yule(12, 0, c_range=(1, 40), budget=60))
 
 
 def test_wide_cost_combines_match_scatter():
     _assert_combines_match_scatter(*_wide_cost_instance())
-
-
-@pytest.mark.parametrize("cap", [1, 2, 7])
-def test_combine_identity_under_small_blocks(cap, monkeypatch):
-    """With a block cap of a few pairs, blocks split the cells of one left
-    budget and also cross from one budget to the next; every identity test
-    must still hold, ties included."""
-    monkeypatch.setattr(solver, "BLOCK_PAIRS", cap)
-    test_combine_matches_scatter_property()
-    test_combine_tie_heavy_tables_match_scatter()
-    test_combine_ties_pick_smallest_budget_then_row()
-    test_combine_right_row_ties_pick_smallest_k()
-    test_wide_cost_combines_match_scatter()
 
 
 # ------------------------------------------------------------------------- #
@@ -236,37 +243,77 @@ def test_solve_respects_guarantee_on_small_instances():
        epsilon=st.floats(0.3, 0.6), c_hi=st.integers(1, 40),
        budget=st.integers(0, 80))
 def test_solve_invariants_property(topo, n, seed, epsilon, c_hi, budget):
-    """The selection is affordable, its exact score is at least the
-    reported bound, and neither depends on how the combine is blocked."""
+    """The selection is affordable and its exact score is at least the
+    reported bound."""
     gen = gen_caterpillar if topo == "caterpillar" else gen_yule
     inst = gen(n, seed, c_range=(1, c_hi), budget=budget)
     sol = solve(inst, epsilon=epsilon)
     assert sol.selection.total_cost <= inst.budget
     assert sol.selection.score >= sol.reported_score - 1e-9 * total_pd(inst)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "BLOCK_PAIRS", 1)
-        one = solve(inst, epsilon=epsilon)
-    assert one.selection.selected == sol.selection.selected
-    assert repr(one.reported_score) == repr(sol.reported_score)
+
+
+def test_equal_survival_taxon_is_left_out():
+    """z has a = b, so conserving it adds nothing. Both {y, z} and {y}
+    fit the budget and score the same; the cheaper {y} is returned."""
+    inst = make_instance(
+        inner(0.0, leaf("y", 2.0), leaf("z", 1.0)),
+        [("y", 0.2, 0.9, 1), ("z", 0.5, 0.5, 1)],
+        budget=2,
+    )
+    sol = solve(inst, epsilon=0.3)
+    assert sol.selection.selected == frozenset({"y"})
+    assert sol.selection.total_cost == 1
+    assert sol.selection.score == expected_pd(inst, {"y", "z"})
+
+
+def test_root_tie_prefers_the_cheaper_cell():
+    """q sits on a zero-length edge under a zero-length root, so saving it
+    raises the root's survival row but adds no value. {p} and {p, q} are
+    both frontier cells of the root, equal in value; the cheaper wins."""
+    inst = make_instance(
+        inner(0.0, leaf("p", 1.0), leaf("q", 0.0)),
+        [("p", 0.0, 0.5, 1), ("q", 0.0, 1.0, 1)],
+        budget=2,
+    )
+    sol = solve(inst, epsilon=0.3)
+    assert sol.selection.selected == frozenset({"p"})
+    assert sol.selection.score == expected_pd(inst, {"p", "q"}) == 0.5
+
+
+def test_pair_limit_refuses_large_combines(monkeypatch, capsys):
+    """A combine with more candidate pairs than ``PAIR_LIMIT`` is refused
+    with SizeLimitError before its pairs are built; the CLI exits 3."""
+    inst, _ = load_instance(data_path("hand.nap.json"))
+    norm = normalize(inst)
+    disc = solve(inst, epsilon=0.3).params
+    tables, _ = build_tables(norm, disc)
+    root = norm.tree.edges[norm.tree.root]
+    l, r = (tables[c] for c in root.children)
+    pairs = sum(int(i + beta <= norm.budget) for i in l.costs for beta in r.costs)
+    monkeypatch.setattr(solver, "PAIR_LIMIT", pairs - 1)
+    with pytest.raises(SizeLimitError, match=f"{pairs} candidate pairs"):
+        combine_tables(root.eid, l, r, root.length, norm.budget, disc)
+    assert main(["solve", data_path("hand.nap.json"), "--epsilon", "0.3"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_work_counters_on_hand_instance():
-    """``stats`` counts the affordable pairs, found here by checking every
-    (left cell, right cell) pair, the finite cells stored and the dense
-    cell count that the size limit checks."""
+    """``stats`` counts the affordable pairs, found here by checking the
+    summed cost of every (left cell, right cell) pair, the frontier cells
+    stored and the dense cell count that the size limit checks."""
     inst, _ = load_instance(data_path("hand.nap.json"))
     sol = solve(inst, epsilon=0.3)
-    norm, rows = normalize(inst), sol.params.t + 2
+    norm = normalize(inst)
     tables, _ = build_tables(norm, sol.params)
     pairs = 0
     for e in norm.tree.edges:
         if len(e.children) == 2:
-            l, r = (tables[c].cells // rows for c in e.children)
+            l, r = (tables[c].costs for c in e.children)
             pairs += sum(int(i + beta <= norm.budget) for i in l for beta in r)
     assert sol.stats["fast_combines"] == 2
     assert sol.stats["candidate_pairs"] == pairs
-    assert sol.stats["table_cells"] == sum(t.cells.size for t in tables.values())
-    assert sol.stats["dense_cells"] == (inst.budget + 1) * rows
+    assert sol.stats["table_cells"] == sum(t.scores.size for t in tables.values())
+    assert sol.stats["dense_cells"] == (inst.budget + 1) * (sol.params.t + 2)
 
 
 def test_solve_degenerate_all_dead():
