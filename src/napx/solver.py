@@ -13,7 +13,11 @@ as over every cell (the Pareto-list knapsack of Nemhauser and Ullmann).
 
 A pendant edge has at most two cells, one per choice at its leaf:
 
-    (0, pi(a), a * length(e))   and   (c, pi(b), b * length(e)) if c <= B.
+    (0, pi(a), a * length(e))   and   (c, pi(b), b * length(e)).
+
+Normalizing makes every taxon affordable with a <= b, so which of the two
+are non-dominated has a closed form; :func:`build_pendant_tables` builds
+every pendant table at once, rounding all leaves in one array call.
 
 An interior edge e with children l and r pairs every left cell with every
 right cell it can afford (total cost at most B) and collects its own
@@ -21,15 +25,15 @@ survival term:
 
     (c_l + c_r,  p = pi(v_j + v_k - v_j v_k),  (s_l + s_r) + v_p * length(e)).
 
-:func:`combine_tables` rounds each pair of distinct child rows (j, k) once,
-through :meth:`napx.discretization.Discretization.pi_index`, and the
-frontier filter :func:`_frontier`, shared with the pendant build, keeps the
+:func:`combine_tables` rounds the survival of every affordable pair
+through :meth:`napx.discretization.Discretization.pi_index`, all pairs in
+one call, and the frontier filter :func:`_frontier` keeps the
 non-dominated cells. Each interior cell stores the index of the left and
 the right child cell it was built from, which :func:`backtrace` follows.
 
 Ties resolve deterministically. Among candidates for one (cost, row) the
 highest value wins, then the first pair in (left index, right index) order;
-a pendant lists conserving first, so a free taxon is conserved. The root
+a free taxon keeps only its conserved cell, so it is conserved. The root
 takes the highest value, then the smallest cost, then the smallest row:
 between two equally good selections the cheaper one wins. The table values
 are lower bounds on true expected diversity (rounding only ever shrinks
@@ -46,13 +50,13 @@ import numpy as np
 from .discretization import CELL_LIMIT, Discretization, derive_k, select_params
 from .errors import (DegenerateInstanceError, InternalError, ParameterError,
                      SizeLimitError)
-from .model import (ConservationSet, Instance, Taxon, make_conservation_set,
+from .model import (ConservationSet, Instance, make_conservation_set,
                     min_conserved_survival, normalize, total_pd)
 
 __all__ = [
     "CladeTable",
     "NapxSolution",
-    "build_pendant_table",
+    "build_pendant_tables",
     "combine_tables",
     "build_tables",
     "backtrace",
@@ -61,10 +65,11 @@ __all__ = [
 
 # Largest number of candidate pairs one combine may build, and of cells in
 # the dominance matrix of one frontier filter. A pair holds its two child
-# indices, cost, row and score, five 8-byte arrays, and the filter's sort
-# keys, orders and inverses add a handful more: a 0.8 M-pair combine peaked
-# at 89 bytes a pair under tracemalloc, so one at the limit needs about
-# 370 MB.
+# indices, cost, row and score, five 8-byte arrays, and the rounding
+# temporaries and the filter's sort keys and orders add a handful more: a
+# 0.9 M-pair combine (Yule n=256, costs 1-40, B=1684, epsilon 0.3) peaked
+# at 74 bytes a pair under tracemalloc, so one at the limit needs about
+# 310 MB.
 PAIR_LIMIT = 1 << 22
 
 
@@ -97,45 +102,90 @@ def _check_size(what: str, n: int) -> None:
             f"{PAIR_LIMIT}; lower the budget or raise epsilon")
 
 
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """True where sorted keys, compared together, take a new value."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """1-based dense ranks of the values of x, and how many are distinct."""
+    order = np.argsort(x, kind="stable")
+    new = _starts(x[order])
+    ranks = np.empty(x.size, dtype=np.int64)
+    ranks[order] = np.cumsum(new)
+    return ranks, int(np.count_nonzero(new))
+
+
 def _frontier(costs: np.ndarray, rows: np.ndarray,
               scores: np.ndarray) -> np.ndarray:
     """Indices of the non-dominated candidates, in (cost, row) order.
 
     Per (cost, row) the highest score survives, the first candidate on
-    ties. A survivor stays when its score is strictly above the best score
+    ties: one stable sort on (cost, row, -score) puts it first in its
+    group. A survivor stays when its score is strictly above the best score
     at any smaller cost and no larger row, and at its own cost and any
     smaller row: the running maxima of a (distinct cost x distinct row)
     matrix, one cost and one row back.
     """
-    cost_set, ci = np.unique(costs, return_inverse=True)
-    row_set, ri = np.unique(rows, return_inverse=True)
-    _check_size("dominance-matrix cells", cost_set.size * row_set.size)
-    key = ci * row_set.size + ri
-    order = np.lexsort((-scores, key))
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = key[order[1:]] != key[order[:-1]]
+    if costs.size == 0:
+        return np.empty(0, dtype=np.intp)
+    order = np.lexsort((-scores, rows, costs))
+    cost, row = costs[order], rows[order]
+    starts = _starts(cost, row)
     first = order[starts]
-    ci, ri, best = ci[first] + 1, ri[first] + 1, scores[first]
-    # a border of -inf stands for "no smaller cost" and "no smaller row"
-    prefix = np.full((cost_set.size + 1, row_set.size + 1), -np.inf)
+    cost, row, best = cost[starts], row[starts], scores[first]
+    # ranks start at 1: rank 0 is a border of -inf that stands for "no
+    # smaller cost" and "no smaller row"
+    ci = np.cumsum(_starts(cost))
+    ri, n_rows = _ranks(row)
+    _check_size("dominance-matrix cells", int(ci[-1]) * n_rows)
+    prefix = np.full((ci[-1] + 1, n_rows + 1), -np.inf)
     prefix[ci, ri] = best
     np.maximum.accumulate(prefix, axis=0, out=prefix)
     np.maximum.accumulate(prefix, axis=1, out=prefix)
     return first[(best > prefix[ci - 1, ri]) & (best > prefix[ci, ri - 1])]
 
 
-def build_pendant_table(eid: int, taxon: Taxon, lam: float, budget: int,
-                        disc: Discretization) -> CladeTable:
-    """Table for a pendant edge: conserve the taxon if it is affordable, or
-    leave it. Conserving is listed first, so it wins a tie at equal cost."""
-    affordable = taxon.c <= budget
-    probs = np.array([taxon.b, taxon.a] if affordable else [taxon.a])
-    costs = np.array([taxon.c, 0] if affordable else [0], dtype=np.int64)
-    rows = disc.pi_index(probs)
-    scores = probs * lam
-    keep = _frontier(costs, rows, scores)
-    return CladeTable(edge_id=eid, kind="pendant", costs=costs[keep],
-                      rows=rows[keep], scores=scores[keep], taxon=taxon.id)
+def build_pendant_tables(instance: Instance,
+                         disc: Discretization) -> dict[int, CladeTable]:
+    """Tables for every pendant edge, keyed by edge id.
+
+    The instance must be normalized: every taxon then has c <= B and
+    a <= b, so its two candidates, conserving (c, pi(b), b * lam) and
+    leaving (0, pi(a), a * lam), need no frontier filter. A free taxon
+    (c = 0) keeps only its conserved cell; a conservation that changes
+    neither the row nor the score keeps only the cell that leaves the
+    taxon; otherwise both cells stay, leaving first. All pendants are
+    rounded in one ``pi_index`` call.
+    """
+    edges = [e for e in instance.tree.edges if e.taxon is not None]
+    taxa = [instance.taxa[e.taxon] for e in edges]
+    a = np.array([tx.a for tx in taxa], dtype=np.float64)
+    b = np.array([tx.b for tx in taxa], dtype=np.float64)
+    c = np.array([tx.c for tx in taxa], dtype=np.int64)
+    lam = np.array([e.length for e in edges], dtype=np.float64)
+    if np.any(c > instance.budget) or np.any(a > b):
+        raise InternalError("pendant tables need a normalized instance "
+                            "(every c within the budget, a <= b)")
+    row_a, row_b = np.split(disc.pi_index(np.concatenate((a, b))), 2)
+    score_a, score_b = a * lam, b * lam
+    # column 0 leaves the taxon, column 1 conserves it
+    keep = np.stack((c > 0, (c == 0) | (row_a != row_b) | (score_a != score_b)),
+                    axis=1)
+    costs = np.stack((np.zeros_like(c), c), axis=1)[keep]
+    rows = np.stack((row_a, row_b), axis=1)[keep]
+    scores = np.stack((score_a, score_b), axis=1)[keep]
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    tables = {}
+    for e, start, end in zip(edges, [0] + ends, ends):
+        tables[e.eid] = CladeTable(
+            edge_id=e.eid, kind="pendant", costs=costs[start:end],
+            rows=rows[start:end], scores=scores[start:end], taxon=e.taxon)
+    return tables
 
 
 def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
@@ -147,7 +197,8 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
     prefix of them; the pairs are laid out left cell by left cell, each
     followed by its prefix, which is the (left, right) index order of the
     tie rule. Their count is checked against ``PAIR_LIMIT`` before any
-    pair array exists.
+    pair array exists. Each pair's survival ``v_j + (1 - v_j) v_k`` is
+    rounded on its own, all pairs in one ``pi_index`` call.
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
@@ -158,12 +209,8 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
     _check_size("candidate pairs", pairs)
     li = np.repeat(np.arange(m.size), m)
     ri = np.arange(pairs) - np.repeat(np.cumsum(m) - m, m)
-    # output row per pair of distinct child rows, gathered to the pairs
-    finite_j, l_n = np.unique(left.rows, return_inverse=True)
-    finite_k, r_n = np.unique(right.rows, return_inverse=True)
-    vj = disc.grid[finite_j, None]
-    p_of = disc.pi_index(vj + (1.0 - vj) * disc.grid[finite_k])
-    rows = p_of[l_n[li], r_n[ri]]
+    vj = disc.grid[left.rows[li]]
+    rows = disc.pi_index(vj + (1.0 - vj) * disc.grid[right.rows[ri]])
     costs = left.costs[li] + right.costs[ri]
     scores = (left.scores[li] + right.scores[ri]) + lam * disc.grid[rows]
     keep = _frontier(costs, rows, scores)
@@ -195,14 +242,13 @@ def build_tables(instance: Instance,
     """
     tree = instance.tree
     budget = int(instance.budget)
-    tables: dict[int, CladeTable] = {}
+    tables = build_pendant_tables(instance, disc)
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
     for e in tree.edges:
         if e.taxon is not None:
-            tables[e.eid] = build_pendant_table(
-                e.eid, instance.taxa[e.taxon], e.length, budget, disc)
-        elif len(e.children) == 1:
+            continue
+        if len(e.children) == 1:
             tables[e.eid] = _combine_unary(
                 e.eid, tables[e.children[0]], e.length, disc)
         elif len(e.children) == 2:
@@ -214,7 +260,7 @@ def build_tables(instance: Instance,
             raise InternalError(
                 f"edge {e.eid} has {len(e.children)} children; "
                 "tables need a normalized binary tree")
-        stats["table_cells"] += int(tables[e.eid].scores.size)
+    stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
     return tables, stats
 
 

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from napx import solver
@@ -15,7 +15,7 @@ from napx.generators import gen_caterpillar, gen_yule
 from napx.io import load_instance
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
                         min_conserved_survival, normalize, total_pd)
-from napx.solver import (CladeTable, build_pendant_table, build_tables,
+from napx.solver import (CladeTable, build_pendant_tables, build_tables,
                          combine_tables, solve)
 
 from oracles import (assert_frontier_of_scatter, cells, exhaustive_best,
@@ -31,33 +31,88 @@ def small_disc() -> Discretization:
 #  Pendant tables
 # ------------------------------------------------------------------------- #
 
+def _pendant_cells(instance, disc) -> dict[str, list]:
+    """Cells of every pendant table of the instance, keyed by taxon."""
+    return {tab.taxon: cells(tab)
+            for tab in build_pendant_tables(instance, disc).values()}
+
+
 def test_pendant_table_by_hand():
     """Two cells: leave the taxon (cost 0, value a*lam at pi(a)) or
     conserve it (cost c, value b*lam at pi(b))."""
     d = small_disc()
-    tx = Taxon(id="x", a=0.2, b=0.9, c=3)
-    tab = build_pendant_table(0, tx, 2.0, 4, d)
+    inst = make_instance(leaf("x", 2.0), [("x", 0.2, 0.9, 3)], budget=4)
     # pi(0.2): [0.125, 0.25) is row 3; pi(0.9): [0.5, 1) is row 1
-    assert cells(tab) == [(0, 3, 0.2 * 2.0), (3, 1, 0.9 * 2.0)]
+    assert _pendant_cells(inst, d) == {"x": [(0, 3, 0.2 * 2.0), (3, 1, 0.9 * 2.0)]}
 
 
 def test_pendant_unaffordable_has_no_conserved_row():
+    """Normalizing turns a taxon priced above the budget into c = 0 and
+    b = a, so its one cell is the unconserved survival at cost 0."""
     d = small_disc()
-    tx = Taxon(id="x", a=0.2, b=0.9, c=9)
-    tab = build_pendant_table(0, tx, 2.0, 4, d)
-    assert cells(tab) == [(0, 3, 0.2 * 2.0)]
+    inst = make_instance(leaf("x", 2.0), [("x", 0.2, 0.9, 9)], budget=4)
+    assert _pendant_cells(normalize(inst), d) == {"x": [(0, 3, 0.2 * 2.0)]}
 
 
 def test_pendant_drops_a_useless_conservation():
     """With a = b conserving buys nothing, so the costlier cell is
     dominated; at cost 0 the conserved cell is the one kept."""
     d = small_disc()
-    tab = build_pendant_table(0, Taxon(id="x", a=0.3, b=0.3, c=2), 1.0, 4, d)
-    assert cells(tab) == [(0, 2, 0.3)]
-    free = build_pendant_table(0, Taxon(id="x", a=0.3, b=0.3, c=0), 1.0, 4, d)
-    assert cells(free) == [(0, 2, 0.3)]
+    inst = make_instance(inner(0.0, leaf("x", 1.0), leaf("free", 1.0)),
+                         [("x", 0.3, 0.3, 2), ("free", 0.3, 0.3, 0)], budget=4)
+    assert _pendant_cells(inst, d) == {"x": [(0, 2, 0.3)], "free": [(0, 2, 0.3)]}
     assert solve(make_instance(leaf("x", 1.0), [("x", 0.3, 0.3, 0)], budget=1),
                  0.5).selection.selected == frozenset({"x"})
+
+
+@st.composite
+def _pendant_taxon(draw):
+    a = draw(st.floats(0.0, 1.0))
+    b = draw(st.sampled_from([a, 1.0]) | st.floats(a, 1.0))
+    lam = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 100.0))
+    return a, b, draw(st.integers(0, 3)), lam
+
+
+# one taxon per branch of the closed form: c = 0, a = b, lam = 0, a < b
+_BRANCHES = [(0.2, 0.9, 0, 1.0), (0.3, 0.3, 2, 1.0), (0.2, 0.9, 1, 0.0),
+             (0.2, 0.9, 3, 2.0), (0.26, 0.3, 1, 1.0)]
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(taxa=st.lists(_pendant_taxon(), min_size=1, max_size=6),
+       alpha=st.floats(0.3, 0.95))
+@example(taxa=_BRANCHES, alpha=0.5)
+def test_pendant_tables_equal_the_frontier_of_both_choices(taxa, alpha):
+    """Every batched pendant table holds exactly the cells the frontier
+    filter keeps of its two candidates, conserving listed first."""
+    d = Discretization.from_alpha_pmin(alpha, 0.01)
+    ids = [f"t{i}" for i in range(len(taxa))]
+    leaves = [leaf(tid, lam) for tid, (_, _, _, lam) in zip(ids, taxa)]
+    inst = make_instance(leaves[0] if len(leaves) == 1 else inner(0.0, *leaves),
+                         [(tid, a, b, c) for tid, (a, b, c, _) in zip(ids, taxa)],
+                         budget=3)
+    got = _pendant_cells(inst, d)
+    for tid, (a, b, c, lam) in zip(ids, taxa):
+        costs = np.array([c, 0], dtype=np.int64)
+        probs = np.array([b, a])
+        rows = d.pi_index(probs)
+        keep = solver._frontier(costs, rows, probs * lam)
+        assert got[tid] == list(zip(costs[keep].tolist(), rows[keep].tolist(),
+                                    (probs * lam)[keep].tolist()))
+
+
+def test_pendant_tables_refuse_an_unnormalized_instance():
+    """The closed form assumes c <= B; a taxon priced above the budget
+    must go through ``normalize`` first."""
+    inst = make_instance(leaf("x", 2.0), [("x", 0.2, 0.9, 9)], budget=4)
+    with pytest.raises(InternalError, match="normalized instance"):
+        build_pendant_tables(inst, small_disc())
+
+
+def test_frontier_of_no_candidates_is_empty():
+    none = np.empty(0, dtype=np.int64)
+    keep = solver._frontier(none, none, np.empty(0))
+    assert keep.size == 0 and keep.dtype == np.intp
 
 
 # ------------------------------------------------------------------------- #
