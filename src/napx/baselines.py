@@ -21,11 +21,15 @@ from .errors import InternalError, RestrictionError, SizeLimitError
 from .model import (ConservationSet, Instance, expected_pd,
                     make_conservation_set, normalize, validate_instance)
 
-__all__ = ["brute_force", "pardi_goldman", "BRUTE_FORCE_LIMIT"]
+__all__ = ["brute_force", "pardi_goldman", "BRUTE_FORCE_LIMIT", "CELL_LIMIT"]
 
 # 2**25 subset evaluations is already minutes of work; past that the
 # enumeration is a bug in the caller, not a patience problem.
 BRUTE_FORCE_LIMIT = 25
+
+# pardi_goldman keeps one float per (edge, budget) cell, edges * (B + 1)
+# of them; 10**8 cells are 800 MB.
+CELL_LIMIT = 10**8
 
 _TIE_TOL = 1e-12
 
@@ -90,6 +94,9 @@ def pardi_goldman(instance: Instance) -> ConservationSet:
         Naming the offending taxa when any has a != 0 or b != 1. The
         check runs on the raw instance, before normalization has a chance
         to rewrite probabilities.
+    SizeLimitError
+        When the tables would hold more than ``CELL_LIMIT`` (edge, budget)
+        cells for the normalized budget; nothing is allocated.
     """
     validate_instance(instance)
     offending = sorted(t.id for t in instance.taxa.values()
@@ -102,6 +109,11 @@ def pardi_goldman(instance: Instance) -> ConservationSet:
     norm = normalize(instance)
     tree = norm.tree
     budget = norm.budget
+    cells = len(tree.edges) * (budget + 1)
+    if cells > CELL_LIMIT:
+        raise SizeLimitError(
+            f"the tables would hold {cells} (edge, budget) cells, above the "
+            f"limit of {CELL_LIMIT}")
     neg = -np.inf
 
     # bn[e][b]: best diversity below-and-including edge e over selections

@@ -16,8 +16,9 @@ Verbs:
     Re-score a solution file against an instance and check feasibility.
 
 Exit codes: 0 success, 2 bad input (syntax, validation, parameters),
-3 solver restriction (instance unsupported, too large, or degenerate),
-4 internal error.
+3 refused work (restriction violated, instance too large for the method,
+infeasible solution in ``eval``), 4 internal error. An instance in which
+no taxon can be helped solves to the empty selection with exit 0.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from pathlib import Path
 from time import perf_counter
 
 from .baselines import brute_force, pardi_goldman
-from .errors import (DegenerateInstanceError, InputError, NapError,
-                     RestrictionError, SizeLimitError)
+from .errors import InputError, NapError, RestrictionError, SizeLimitError
 from .generators import TOPOLOGIES, GenSpec, generate
 from .io import (SolutionDocument, instance_format_for, load_instance,
                  load_solution, save_instance, write_instance, write_solution)
@@ -40,6 +40,9 @@ from .newick import fmt_float
 from .solver import solve
 
 SOLVERS = ("napx", "exact", "pg")
+
+# the exact solvers behind the verbs of the same name
+BASELINES = {"exact": brute_force, "pg": pardi_goldman}
 
 BENCH_COLUMNS = [
     "schema_version", "instance", "topology", "n", "B", "h", "epsilon",
@@ -139,26 +142,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_exact(args: argparse.Namespace) -> int:
+def _cmd_baseline(args: argparse.Namespace) -> int:
     instance, meta = load_instance(args.instance)
     t0 = perf_counter()
-    best = brute_force(instance)
+    best = BASELINES[args.command](instance)
     wall = perf_counter() - t0
-    doc = _solution_doc("exact", instance, meta.get("name"), best.selected,
-                        best.total_cost, best.score, best.score,
-                        None, {"wall_s": wall})
-    _emit(write_solution(doc), args.out)
-    return 0
-
-
-def _cmd_pg(args: argparse.Namespace) -> int:
-    instance, meta = load_instance(args.instance)
-    t0 = perf_counter()
-    best = pardi_goldman(instance)
-    wall = perf_counter() - t0
-    doc = _solution_doc("pg", instance, meta.get("name"), best.selected,
-                        best.total_cost, best.score, best.score,
-                        None, {"wall_s": wall})
+    doc = _solution_doc(args.command, instance, meta.get("name"),
+                        best.selected, best.total_cost, best.score,
+                        best.score, None, {"wall_s": wall})
     _emit(write_solution(doc), args.out)
     return 0
 
@@ -231,10 +222,7 @@ def _run_one(solver: str, instance: Instance, epsilon: float) -> dict:
                 out["k"] = str(sol.params.k)
                 out["t"] = str(sol.params.t)
             return out
-        if solver == "exact":
-            best = brute_force(instance)
-        else:
-            best = pardi_goldman(instance)
+        best = BASELINES[solver](instance)
         wall = perf_counter() - t0
         return {
             "wall_s": fmt_float(wall),
@@ -322,15 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also run exhaustive search and report the ratio")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("exact", help="run exhaustive search")
-    p.add_argument("instance")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("pg", help="run the unit-cost dynamic program")
-    p.add_argument("instance")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pg)
+    for verb, help_text in (("exact", "run exhaustive search"),
+                            ("pg", "run the unit-cost dynamic program")):
+        p = sub.add_parser(verb, help=help_text)
+        p.add_argument("instance")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--topology", choices=TOPOLOGIES, required=True)
@@ -378,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RestrictionError, SizeLimitError, DegenerateInstanceError) as exc:
+    except (RestrictionError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NapError as exc:

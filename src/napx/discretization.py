@@ -42,25 +42,18 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT",
-           "CELL_LIMIT"]
+__all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT"]
 
-# Refuse grids deeper than T_LIMIT rows and tables spanning more than
-# CELL_LIMIT (budget, row) cells, (B + 1) * (t + 2): the run would not finish.
-# Only extreme epsilon/height combinations or huge budgets reach them.
+# Refuse grids deeper than T_LIMIT rows: the run would not finish. Only
+# extreme epsilon/height combinations reach it.
 T_LIMIT = 2_000_000
-CELL_LIMIT = 10**8
 
 _SNAP = 1e-9
 
 
-def _snap(x: float) -> float:
-    """Round x to the nearest integer when it is within 1e-9 of one."""
-    r = round(x)
-    return float(r) if abs(x - r) <= _SNAP else x
-
-
-def _snap_arr(x: np.ndarray) -> np.ndarray:
+def _snap_arr(x: float | np.ndarray) -> np.ndarray:
+    """Round x to the nearest integer where it is within 1e-9 of one,
+    elementwise."""
     r = np.round(x)
     return np.where(np.abs(x - r) <= _SNAP, r, x)
 
@@ -85,7 +78,7 @@ def derive_k(n: int, min_b: float) -> int:
     # -log(min_b) rather than log(1 / min_b): 1 / min_b overflows to
     # infinity for subnormal min_b
     need = -math.log(min_b) / math.log(n)
-    return max(1, math.ceil(_snap(need)))
+    return max(1, math.ceil(_snap_arr(need)))
 
 
 def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretization":
@@ -168,7 +161,7 @@ class Discretization:
             raise ParameterError(f"alpha must be in (0, 1), got {alpha!r}")
         if not (0.0 < p_min < 1.0):
             raise ParameterError(f"p_min must be in (0, 1), got {p_min!r}")
-        t = math.ceil(_snap(math.log(p_min) / math.log(alpha)))
+        t = math.ceil(_snap_arr(math.log(p_min) / math.log(alpha)))
         if t > T_LIMIT:
             raise ParameterError(
                 f"grid depth t={t} exceeds the limit of {T_LIMIT}; "

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: input problems exit 2, refused work
-(restriction or size guards, degenerate instances) exits 3, and broken
-internal invariants exit 4.
+(restriction or size guards) exits 3, and broken internal invariants
+exit 4.
 """
 
 from __future__ import annotations
@@ -51,7 +51,10 @@ class SizeLimitError(NapError):
 
 
 class DegenerateInstanceError(NapError):
-    """No taxon can be helped (every conserved survival is zero)."""
+    """No taxon can be helped (every conserved survival is zero).
+
+    :func:`napx.solve` catches it and returns the empty selection.
+    """
 
 
 class InternalError(NapError):

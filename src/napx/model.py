@@ -445,7 +445,9 @@ def normalize(instance: Instance) -> Instance:
     3. costs are divided by their collective gcd and the budget is scaled
        by the same factor, rounding down (this never excludes a feasible
        selection, since feasible totals are multiples of the gcd);
-    4. polytomies are resolved with zero-length edges.
+    4. the budget is capped at the total cost of the taxa, which no
+       selection exceeds, so every affordability test is unchanged;
+    5. polytomies are resolved with zero-length edges.
 
     The root edge is a structural constant of :class:`PhyloTree`, so no
     separate attachment step is needed. Normalizing twice returns an
@@ -468,6 +470,7 @@ def normalize(instance: Instance) -> Instance:
             taxa = {tid: Taxon(id=tx.id, a=tx.a, b=tx.b, c=tx.c // g)
                     for tid, tx in taxa.items()}
             budget //= g
+    budget = min(budget, sum(tx.c for tx in taxa.values()))
 
     tree = instance.tree
     if not tree.is_binary():

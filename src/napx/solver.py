@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import CELL_LIMIT, Discretization, derive_k, select_params
+from .discretization import Discretization, derive_k, select_params
 from .errors import (DegenerateInstanceError, InternalError, ParameterError,
                      SizeLimitError)
 from .model import (ConservationSet, Instance, make_conservation_set,
@@ -309,10 +309,10 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     lower bound. When every unconserved survival ``a`` is at most the grid
     floor ``p_min`` (in the returned ``params``), it is also at least
     (1 - epsilon) times the optimum. Work is polynomial in the instance
-    size and 1/epsilon. Grids whose (budget, row) span exceeds
-    ``CELL_LIMIT`` are refused with :class:`SizeLimitError` before any
-    table is built, and so is a combine of more than ``PAIR_LIMIT``
-    candidate pairs before its pairs are allocated.
+    size and 1/epsilon. A combine of more than ``PAIR_LIMIT`` candidate
+    pairs is refused with :class:`SizeLimitError` before its pairs are
+    allocated, and so is a normalized budget beyond int64, the type of
+    every stored cost.
 
     The root cell with the highest score wins, the cheapest one on ties
     (then the one with the smallest row), so of two equally good
@@ -335,17 +335,14 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
         return NapxSolution(selection=sel, reported_score=sel.score,
                             epsilon=epsilon, params=None,
                             stats={"fast_combines": 0, "general_combines": 0,
-                                   "candidate_pairs": 0, "table_cells": 0,
-                                   "dense_cells": 0})
+                                   "candidate_pairs": 0, "table_cells": 0})
+    if norm.budget > np.iinfo(np.int64).max:
+        raise SizeLimitError(
+            f"normalized budget {norm.budget} does not fit the 64-bit cost "
+            "type of the tables")
     k = derive_k(n, min_b)
     disc = select_params(n, norm.tree.height, epsilon, k)
-    dense = (norm.budget + 1) * (disc.t + 2)
-    if dense > CELL_LIMIT:
-        raise SizeLimitError(
-            f"tables would span {dense} (budget, row) cells, "
-            f"above the limit of {CELL_LIMIT}; lower the budget or raise epsilon")
     tables, stats = build_tables(norm, disc)
-    stats["dense_cells"] = dense
     root = tables[norm.tree.root]
     m = int(np.argmax(root.scores))
     reported = float(root.scores[m])

@@ -227,13 +227,63 @@ def test_subnormal_b_exits_2(capsys):
     assert err.startswith("error:") and "too small" in err
 
 
-def test_huge_budget_exits_3(capsys):
-    """A budget of 10**18 would need (B + 1) * (t + 2) table cells far
-    above the cell limit: the run is refused before any table exists."""
+def test_huge_budget_solves(capsys):
+    """A budget of 10**18 on two taxa of cost 1 is capped at their total
+    cost, 2, by normalization: the run buys both."""
     code, out, err = run(capsys, "solve", data_path("huge_budget.nap.json"))
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error:") and "cells" in err
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["budget"] == 10**18
+    assert doc["selected"] == ["t0", "t1"]
+
+
+@pytest.mark.parametrize("verb,code", [("solve", 3), ("exact", 0)])
+def test_budget_beyond_int64(verb, code, capsys):
+    """Costs of 2**63 and 1 under a budget of 2**64 normalize to a budget
+    of 2**63 + 1, past the 64-bit costs of the solver's tables, which
+    refuses the run; exhaustive search needs no table."""
+    got, out, err = run(capsys, verb, data_path("beyond_int64.nap.json"))
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert err.startswith("error:") and "64-bit" in err
+    else:
+        assert json.loads(out)["selected"] == ["t0", "t1"]
+
+
+@pytest.mark.parametrize("verb,code", [("pg", 3), ("solve", 0), ("exact", 0)])
+def test_big_costs_restricted(verb, code, capsys):
+    """Costs near 10**12 leave a normalized budget of 2 * 10**12: the
+    restricted program's (edge, budget) table is refused before it is
+    allocated, while the frontier solver and exhaustive search agree."""
+    got, out, err = run(capsys, verb, data_path("big_costs_restricted.nap.json"))
+    assert got == code
+    if code == 3:
+        assert out == ""
+        assert err.startswith("error:") and "cells" in err
+    else:
+        doc = json.loads(out)
+        assert doc["selected"] == ["t1", "t2"]
+        assert doc["evaluated_score"] == 5.5
+
+
+def test_unsavable_instance_solves_to_nothing(tmp_path, capsys):
+    """When every taxon has b = 0 no conservation helps: solve exits 0
+    with the empty selection and builds no table."""
+    path = tmp_path / "dead.nap.json"
+    path.write_text(json.dumps({
+        "format": "nap-instance", "version": 1, "budget": 2,
+        "newick": "(x:1,y:2);",
+        "taxa": {"x": {"a": 0, "b": 0, "c": 1}, "y": {"a": 0, "b": 0, "c": 1}},
+    }))
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["selected"] == []
+    assert doc["evaluated_score"] == 0.0
+    assert "t" not in doc["params"]
 
 
 def test_python_m_napx_runs_cli():
@@ -259,12 +309,14 @@ _BAD_VALUES = [-1, -0.5, 1.5, 0, 1, "0.5", None, True, [], {}, 5e-324, 1e-300,
 
 
 @st.composite
-def _instance_docs(draw):
-    """A generated .nap.json document, left valid or given one mutation."""
+def _instance_docs(draw, restricted=False):
+    """A generated .nap.json document, left valid or given one mutation;
+    ``restricted`` generates every taxon with a = 0 and b = 1."""
+    ranges = {"a_range": (0.0, 0.0), "b_range": (1.0, 1.0)} if restricted else {}
     spec = GenSpec(n=draw(st.integers(1, 8)),
                    topology=draw(st.sampled_from(["yule", "caterpillar"])),
                    seed=draw(st.integers(0, 10_000)),
-                   budget=draw(st.none() | st.integers(0, 12)))
+                   budget=draw(st.none() | st.integers(0, 12)), **ranges)
     doc = json.loads(write_instance(generate(spec), "json", name=spec.name))
     tid = draw(st.sampled_from(sorted(doc["taxa"])))
     kind = draw(st.sampled_from(["valid", "drop_key", "extra_key", "budget",
@@ -295,10 +347,8 @@ def _instance_docs(draw):
     return text
 
 
-@settings(deadline=None, max_examples=200, derandomize=True)
-@given(text=_instance_docs(), epsilon=st.sampled_from(["0.3", "0.5", "0.9", "1.5"]))
-def test_solve_any_document_exits_with_a_code(tmp_path_factory, text, epsilon):
-    """Valid and mutated documents either solve (0) or fail with an
+def _run_document(tmp_path_factory, verb, text, *options):
+    """Run ``verb`` on a document: it either succeeds (0) or fails with an
     ``error:`` line and exit 2, 3 or 4; no exception escapes main()."""
     work = tmp_path_factory.mktemp("doc")
     path = work / "inst.nap.json"
@@ -306,10 +356,25 @@ def test_solve_any_document_exits_with_a_code(tmp_path_factory, text, epsilon):
     out = work / "sol.json"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["solve", str(path), "--epsilon", epsilon, "--out", str(out)])
+        code = main([verb, str(path), *options, "--out", str(out)])
     assert code in (0, 2, 3, 4)
     if code == 0:
         doc = parse_solution(out.read_text())
         assert doc.total_cost <= doc.budget
     else:
         assert err.getvalue().startswith(("error:", "internal error:"))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(text=_instance_docs(), epsilon=st.sampled_from(["0.3", "0.5", "0.9", "1.5"]))
+def test_solve_any_document_exits_with_a_code(tmp_path_factory, text, epsilon):
+    _run_document(tmp_path_factory, "solve", text, "--epsilon", epsilon)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(text=_instance_docs(restricted=True))
+def test_pg_any_document_exits_with_a_code(tmp_path_factory, text):
+    """The same mutations of a = 0, b = 1 documents, through pg and solve:
+    a huge budget or cost must not reach a table allocation."""
+    _run_document(tmp_path_factory, "pg", text)
+    _run_document(tmp_path_factory, "solve", text)

@@ -354,8 +354,8 @@ def test_pair_limit_refuses_large_combines(monkeypatch, capsys):
 
 def test_work_counters_on_hand_instance():
     """``stats`` counts the affordable pairs, found here by checking the
-    summed cost of every (left cell, right cell) pair, the frontier cells
-    stored and the dense cell count that the size limit checks."""
+    summed cost of every (left cell, right cell) pair, and the frontier
+    cells stored."""
     inst, _ = load_instance(data_path("hand.nap.json"))
     sol = solve(inst, epsilon=0.3)
     norm = normalize(inst)
@@ -368,7 +368,33 @@ def test_work_counters_on_hand_instance():
     assert sol.stats["fast_combines"] == 2
     assert sol.stats["candidate_pairs"] == pairs
     assert sol.stats["table_cells"] == sum(t.scores.size for t in tables.values())
-    assert sol.stats["dense_cells"] == (inst.budget + 1) * (sol.params.t + 2)
+
+
+def test_wide_budget_on_a_deep_grid_solves():
+    """A caterpillar of 256 leaves at epsilon 0.1 has t = 68 326 grid rows;
+    with costs 1-40 and B = 2000 a dense (budget, row) table would hold
+    137 M cells, yet its frontiers pair under a million cells."""
+    inst = gen_caterpillar(256, 1, c_range=(1, 40), budget=2000)
+    sol = solve(inst, epsilon=0.1)
+    assert sol.params.t == 68_326
+    assert sol.stats["candidate_pairs"] < 10**6
+    assert sol.selection.total_cost <= inst.budget
+    assert sol.selection.score >= sol.reported_score - 1e-9 * total_pd(inst)
+
+
+def test_budget_above_total_cost_changes_nothing():
+    """normalize caps the budget at the total cost; every budget from the
+    total up gives the same selection, bound and work."""
+    inst = gen_yule(9, 4, c_range=(1, 6))
+    total = sum(tx.c for tx in inst.taxa.values())
+    runs = []
+    for budget in (total, total + 1, 10**18):
+        inst.budget = budget
+        assert normalize(inst).budget == total
+        sol = solve(inst, epsilon=0.3)
+        runs.append((sol.selection.selected, sol.reported_score, sol.stats))
+    assert runs[0][0] == frozenset(inst.taxa)
+    assert runs[1:] == runs[:1] * 2
 
 
 def test_solve_degenerate_all_dead():
