@@ -6,30 +6,34 @@ Two baselines anchor the approximate solver:
   ground truth for anything small enough to enumerate and is used by the
   benchmark harness to measure approximation ratios.
 
-* :func:`pardi_goldman` is the classic quadratic dynamic program for the
-  restricted setting where unprotected taxa surely die (a = 0) and
-  protected taxa surely survive (b = 1). Expected diversity then counts
-  exactly the edges above at least one protected leaf, and a
-  cost-indexed best-nonempty-subtree recurrence is exact.
+* :func:`pardi_goldman` solves the restricted setting of Pardi and
+  Goldman, where unprotected taxa surely die (a = 0) and protected taxa
+  surely survive (b = 1), exactly. Expected diversity then counts exactly
+  the edges above at least one protected leaf, and the frontier table
+  program of :mod:`napx.solver` finds the best such selection on a grid
+  that holds every survival probability without rounding.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .errors import InternalError, RestrictionError, SizeLimitError
+from .discretization import Discretization
+from .errors import RestrictionError, SizeLimitError
 from .model import (ConservationSet, Instance, expected_pd,
                     make_conservation_set, normalize, validate_instance)
+from .solver import solve_on_grid
 
-__all__ = ["brute_force", "pardi_goldman", "BRUTE_FORCE_LIMIT", "CELL_LIMIT"]
+__all__ = ["brute_force", "pardi_goldman", "BRUTE_FORCE_LIMIT"]
 
 # 2**25 subset evaluations is already minutes of work; past that the
 # enumeration is a bug in the caller, not a patience problem.
 BRUTE_FORCE_LIMIT = 25
 
-# pardi_goldman keeps one float per (edge, budget) cell, edges * (B + 1)
-# of them; 10**8 cells are 800 MB.
-CELL_LIMIT = 10**8
+# With a = 0 and b = 1 every leaf survives with probability exactly 0 or
+# 1, and so does every clade, since v_j + (1 - v_j) * v_k stays in {0, 1}.
+# Any grid holds both values without rounding (1 on row 0, 0 on row
+# t + 1), so the table program is exact on this one, and a cell's score is
+# the float sum of the lengths of the edges above its conserved leaves.
+_CERTAIN = Discretization(alpha=0.5, p_min=0.5, t=1)
 
 _TIE_TOL = 1e-12
 
@@ -86,7 +90,11 @@ def brute_force(instance: Instance, *, limit: int = BRUTE_FORCE_LIMIT) -> Conser
 
 
 def pardi_goldman(instance: Instance) -> ConservationSet:
-    """Exact quadratic dynamic program for the a=0, b=1 restriction.
+    """Exact optimum for the a=0, b=1 restriction, for any integer costs.
+
+    Runs :func:`napx.solver.solve_on_grid` on a grid that represents the
+    restricted model exactly. Of two exactly tied selections the cheaper
+    one is returned, as by :func:`napx.solver.solve`.
 
     Raises
     ------
@@ -95,8 +103,8 @@ def pardi_goldman(instance: Instance) -> ConservationSet:
         check runs on the raw instance, before normalization has a chance
         to rewrite probabilities.
     SizeLimitError
-        When the tables would hold more than ``CELL_LIMIT`` (edge, budget)
-        cells for the normalized budget; nothing is allocated.
+        When the normalized budget does not fit int64 or a table combine
+        exceeds ``napx.solver.PAIR_LIMIT``, as in :func:`napx.solver.solve`.
     """
     validate_instance(instance)
     offending = sorted(t.id for t in instance.taxa.values()
@@ -105,79 +113,4 @@ def pardi_goldman(instance: Instance) -> ConservationSet:
         raise RestrictionError(
             "this solver needs a=0 and b=1 for every taxon; violated by: "
             + ", ".join(offending))
-
-    norm = normalize(instance)
-    tree = norm.tree
-    budget = norm.budget
-    cells = len(tree.edges) * (budget + 1)
-    if cells > CELL_LIMIT:
-        raise SizeLimitError(
-            f"the tables would hold {cells} (edge, budget) cells, above the "
-            f"limit of {CELL_LIMIT}")
-    neg = -np.inf
-
-    # bn[e][b]: best diversity below-and-including edge e over selections
-    # of cost <= b that conserve at least one leaf in e's clade.
-    bn: dict[int, np.ndarray] = {}
-    for e in tree.edges:
-        arr = np.full(budget + 1, neg)
-        if e.taxon is not None:
-            tx = norm.taxa[e.taxon]
-            if tx.b == 1.0 and tx.c <= budget:
-                arr[tx.c:] = e.length
-        elif len(e.children) == 1:
-            arr = bn[e.children[0]] + e.length
-        else:
-            l, r = e.children
-            bl, br = bn[l], bn[r]
-            for b in range(budget + 1):
-                left = bl[:b + 1]
-                right = br[b::-1]
-                both = left + right
-                lonly = left
-                ronly = right
-                arr[b] = e.length + max(both.max(), lonly.max(), ronly.max())
-        bn[e.eid] = arr
-
-    root_val = bn[tree.root][budget]
-    if not (root_val > 0.0):
-        return make_conservation_set(instance, frozenset())
-
-    selected: list[str] = []
-    stack: list[tuple[int, int]] = [(tree.root, budget)]
-    while stack:
-        eid, b = stack.pop()
-        e = tree.edges[eid]
-        if e.taxon is not None:
-            selected.append(e.taxon)
-            continue
-        if len(e.children) == 1:
-            stack.append((e.children[0], b))
-            continue
-        l, r = e.children
-        bl, br = bn[l], bn[r]
-        target = bn[eid][b]
-        found = False
-        for i in range(b + 1):
-            # candidate order fixes ties: smallest split first, then
-            # both-sides before left-only before right-only
-            options = (
-                (bl[i] + br[b - i], True, True),
-                (bl[i], True, False),
-                (br[b - i], False, True),
-            )
-            for val, use_l, use_r in options:
-                if val == neg:
-                    continue
-                if e.length + val == target:
-                    if use_l:
-                        stack.append((l, i))
-                    if use_r:
-                        stack.append((r, b - i))
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            raise InternalError("inconsistent tables during backtrace")
-    return make_conservation_set(instance, frozenset(selected))
+    return solve_on_grid(instance, normalize(instance), _CERTAIN)[0]

@@ -61,6 +61,7 @@ __all__ = [
     "build_tables",
     "backtrace",
     "solve",
+    "solve_on_grid",
 ]
 
 # Largest number of candidate pairs one combine may build, and of cells in
@@ -336,12 +337,26 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
                             epsilon=epsilon, params=None,
                             stats={"fast_combines": 0, "general_combines": 0,
                                    "candidate_pairs": 0, "table_cells": 0})
+    k = derive_k(n, min_b)
+    disc = select_params(n, norm.tree.height, epsilon, k)
+    selection, reported, stats = solve_on_grid(instance, norm, disc)
+    return NapxSolution(selection=selection, reported_score=reported,
+                        epsilon=epsilon, params=disc, stats=stats)
+
+
+def solve_on_grid(instance: Instance, norm: Instance,
+                  disc: Discretization) -> tuple[ConservationSet, float, dict]:
+    """The table program of :func:`solve` on the grid ``disc``.
+
+    ``norm`` is ``normalize(instance)``. Returns the selection, scored
+    exactly on ``instance``, the root optimum it was chosen by, and the
+    :func:`build_tables` stats. Tie rule, size guards and checks are those
+    of :func:`solve`.
+    """
     if norm.budget > np.iinfo(np.int64).max:
         raise SizeLimitError(
             f"normalized budget {norm.budget} does not fit the 64-bit cost "
             "type of the tables")
-    k = derive_k(n, min_b)
-    disc = select_params(n, norm.tree.height, epsilon, k)
     tables, stats = build_tables(norm, disc)
     root = tables[norm.tree.root]
     m = int(np.argmax(root.scores))
@@ -356,5 +371,4 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
         raise InternalError(
             f"evaluated score {selection.score!r} fell below the reported "
             f"bound {reported!r}")
-    return NapxSolution(selection=selection, reported_score=reported,
-                        epsilon=epsilon, params=disc, stats=stats)
+    return selection, reported, stats

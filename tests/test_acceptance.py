@@ -79,8 +79,7 @@ def test_acceptance_01_approximation_ratio(capsys, corpus):
 
 def test_acceptance_02_pg_equals_brute(capsys):
     """Criterion 2: on 100 certain-conservation instances (a=0, b=1,
-    n <= 12) the cost-indexed dynamic program matches brute force to
-    1e-9."""
+    n <= 12) the restricted exact solver matches brute force to 1e-9."""
     worst = 0.0
     for i in range(100):
         gen = gen_yule if i % 2 == 0 else gen_caterpillar

@@ -1,10 +1,11 @@
 """Tests for the exact baselines."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from napx.baselines import BRUTE_FORCE_LIMIT, brute_force, pardi_goldman
 from napx.errors import RestrictionError, SizeLimitError
-from napx.generators import gen_yule
+from napx.generators import gen_caterpillar, gen_yule
 from napx.model import expected_pd, inner, leaf
 
 from oracles import exhaustive_best
@@ -62,7 +63,7 @@ def test_brute_force_size_limit():
 
 
 # ------------------------------------------------------------------------- #
-#  Unit-cost certain-conservation dynamic program
+#  Certain conservation (a = 0, b = 1), any integer costs
 # ------------------------------------------------------------------------- #
 
 def test_pg_frozen_example():
@@ -106,3 +107,57 @@ def test_pg_handles_nonunit_costs():
     best = pardi_goldman(inst)
     assert best.selected == frozenset({"x"})   # 5 beats 4, both affordable
     assert best.score == pytest.approx(5.0)
+
+
+def test_pg_tie_returns_the_cheaper_selection():
+    """t01 hangs on a zero-length edge, so {t00} and {t00, t01} both score
+    3; the cheaper one is returned."""
+    inst = make_instance(
+        inner(2.0, leaf("t00", 1.0), leaf("t01", 0.0)),
+        [("t00", 0.0, 1.0, 1), ("t01", 0.0, 1.0, 1)],
+        budget=3,
+    )
+    best = pardi_goldman(inst)
+    assert best.selected == frozenset({"t00"})
+    assert best.score == 3.0
+
+
+@st.composite
+def _restricted_integer_instances(draw):
+    """a = 0, b = 1 instances of up to 10 leaves with branch lengths of 0,
+    1 or 2, so that many selections tie exactly: adjacent subtrees are
+    joined until one is left, which reaches every binary shape."""
+    n = draw(st.integers(1, 10))
+    length = st.sampled_from([0.0, 1.0, 2.0])
+    nodes = [leaf(f"t{i:02d}", draw(length)) for i in range(n)]
+    while len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        nodes[i:i + 2] = [inner(draw(length), nodes[i], nodes[i + 1])]
+    costs = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    rows = [(f"t{i:02d}", 0.0, 1.0, c) for i, c in enumerate(costs)]
+    return make_instance(nodes[0], rows, budget=draw(st.integers(0, 10)))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_restricted_integer_instances())
+def test_pg_is_optimal_and_minimal_property(inst):
+    """pg scores the optimum, and every taxon it pays for adds diversity:
+    with exact ties, the cheaper-selection rule leaves no paid taxon that
+    could be dropped at no loss."""
+    got = pardi_goldman(inst)
+    assert got.score == pytest.approx(brute_force(inst).score, abs=1e-9)
+    assert got.total_cost <= inst.budget
+    for tid in got.selected:
+        if inst.taxa[tid].c > 0:
+            assert expected_pd(inst, got.selected - {tid}) < got.score
+
+
+@pytest.mark.parametrize("gen", [gen_yule, gen_caterpillar])
+def test_pg_matches_brute_force_on_wide_costs(gen):
+    """Costs 1-2000 give long cost axes and few ties."""
+    for n, seed in [(n, seed) for n in (6, 10, 14) for seed in range(4)]:
+        inst = gen(n, seed, a_range=(0.0, 0.0), b_range=(1.0, 1.0),
+                   c_range=(1, 2000))
+        got = pardi_goldman(inst)
+        assert got.score == pytest.approx(brute_force(inst).score, abs=1e-9)
+        assert got.total_cost <= inst.budget

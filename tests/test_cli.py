@@ -181,6 +181,31 @@ def test_bench_restricted_instances_let_pg_run(capsys):
     assert pg_row["error"]                    # default generator taxa a > 0
 
 
+def test_baselines_are_looked_up_at_call_time(monkeypatch, capsys):
+    """A replaced ``napx.cli.brute_force`` or ``napx.cli.pardi_goldman``
+    (as a tracer installs) is the one the exact, pg and bench verbs run."""
+    import napx.cli
+
+    calls = []
+
+    def spy(name, real):
+        def wrapper(instance):
+            calls.append(name)
+            return real(instance)
+        return wrapper
+
+    monkeypatch.setattr(napx.cli, "brute_force",
+                        spy("exact", napx.cli.brute_force))
+    monkeypatch.setattr(napx.cli, "pardi_goldman",
+                        spy("pg", napx.cli.pardi_goldman))
+    assert run(capsys, "pg", data_path("unit.nap.nwk"))[0] == 0
+    assert run(capsys, "exact", data_path("hand.nap.json"))[0] == 0
+    assert calls == ["pg", "exact"]
+    assert run(capsys, "bench", "--sizes", "5", "--topologies", "yule",
+               "--seeds", "0", "--solvers", "pg,exact")[0] == 0
+    assert calls == ["pg", "exact", "pg", "exact"]
+
+
 def test_bench_rejects_unknown_solver(capsys):
     code, _, err = run(capsys, "bench", "--sizes", "5", "--solvers", "magic")
     assert code == 2
@@ -252,20 +277,32 @@ def test_budget_beyond_int64(verb, code, capsys):
         assert json.loads(out)["selected"] == ["t0", "t1"]
 
 
-@pytest.mark.parametrize("verb,code", [("pg", 3), ("solve", 0), ("exact", 0)])
+@pytest.mark.parametrize("verb,code", [("pg", 0), ("solve", 0), ("exact", 0)])
 def test_big_costs_restricted(verb, code, capsys):
-    """Costs near 10**12 leave a normalized budget of 2 * 10**12: the
-    restricted program's (edge, budget) table is refused before it is
-    allocated, while the frontier solver and exhaustive search agree."""
+    """Costs near 10**12 leave a normalized budget of 2 * 10**12, which
+    the frontier tables of solve and pg hold in a few cells; all three
+    solvers agree."""
     got, out, err = run(capsys, verb, data_path("big_costs_restricted.nap.json"))
     assert got == code
-    if code == 3:
-        assert out == ""
-        assert err.startswith("error:") and "cells" in err
-    else:
-        doc = json.loads(out)
-        assert doc["selected"] == ["t1", "t2"]
-        assert doc["evaluated_score"] == 5.5
+    doc = json.loads(out)
+    assert doc["selected"] == ["t1", "t2"]
+    assert doc["evaluated_score"] == 5.5
+
+
+def test_pg_budget_beyond_int64(tmp_path, capsys):
+    """The restricted program shares the solver's tables and so their
+    64-bit cost guard."""
+    path = tmp_path / "big.nap.json"
+    path.write_text(json.dumps({
+        "format": "nap-instance", "version": 1, "budget": 2**64,
+        "newick": "(t0:1,t1:1);",
+        "taxa": {"t0": {"a": 0, "b": 1, "c": 2**63},
+                 "t1": {"a": 0, "b": 1, "c": 1}},
+    }))
+    code, out, err = run(capsys, "pg", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "64-bit" in err
 
 
 def test_unsavable_instance_solves_to_nothing(tmp_path, capsys):
