@@ -38,7 +38,7 @@ _CERTAIN = Discretization(alpha=0.5, p_min=0.5, t=1)
 _TIE_TOL = 1e-12
 
 
-def brute_force(instance: Instance, *, limit: int = BRUTE_FORCE_LIMIT) -> ConservationSet:
+def brute_force(instance: Instance) -> ConservationSet:
     """Exact optimum by subset enumeration.
 
     Subsets are walked in Gray-code order so the running cost updates by
@@ -50,9 +50,9 @@ def brute_force(instance: Instance, *, limit: int = BRUTE_FORCE_LIMIT) -> Conser
     validate_instance(instance)
     ids = sorted(instance.taxa)
     n = len(ids)
-    if n > limit:
+    if n > BRUTE_FORCE_LIMIT:
         raise SizeLimitError(
-            f"brute force is capped at {limit} taxa, instance has {n}")
+            f"brute force is capped at {BRUTE_FORCE_LIMIT} taxa, instance has {n}")
     costs = [instance.taxa[t].c for t in ids]
     budget = instance.budget
 

@@ -17,8 +17,10 @@ Verbs:
 
 Exit codes: 0 success, 2 bad input (syntax, validation, parameters),
 3 refused work (restriction violated, instance too large for the method,
-infeasible solution in ``eval``), 4 internal error. An instance in which
-no taxon can be helped solves to the empty selection with exit 0.
+infeasible solution in ``eval``), 4 internal error. ``eval`` validates the
+instance as the solvers do, so an invalid instance exits 2 there too. An
+instance in which no taxon can be helped solves to the empty selection
+with exit 0.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import InputError, NapError, RestrictionError, SizeLimitError
 from .generators import TOPOLOGIES, GenSpec, generate
 from .io import (SolutionDocument, instance_format_for, load_instance,
                  load_solution, save_instance, write_instance, write_solution)
-from .model import Instance, make_conservation_set
+from .model import Instance, make_conservation_set, validate_instance
 from .newick import fmt_float
 from .solver import solve
 
@@ -180,6 +182,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     instance, _ = load_instance(args.instance)
+    validate_instance(instance)
     doc = load_solution(args.solution)
     chosen = make_conservation_set(instance, doc.selected)
     feasible = chosen.total_cost <= instance.budget

@@ -12,11 +12,15 @@ Two dialects are supported:
       [&budget=4,name=demo,seed=7]
       ((x[&a=0.1,b=0.9,c=2]:1,y[&a=0,b=1,c=3]:2):0.5,z[&a=0.2,b=0.7,c=1]:3);
 
-Writers are canonical: children are ordered by the smallest leaf label in
-their subtree, floats are rendered with 12 significant digits, and the
-top-level length is written only when it is positive. Parsing a written
-file reproduces the written values exactly whenever the instance's floats
-already sit on the 12-digit grid (see :func:`round12`).
+Writers are canonical: children are written in the tree's own order
+(smallest leaf label first, see :meth:`PhyloTree.from_node`), floats are
+rendered with 12 significant digits, and the top-level length is written
+only when it is positive. Parsing a written file reproduces the written
+values exactly whenever the instance's floats already sit on the 12-digit
+grid (see :func:`round12`).
+
+The parser tracks only an offset into the text; the line and column of a
+:class:`ParseError` are worked out from that offset when it is raised.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ _NUMBER_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 _KEY_RE = re.compile(r"[A-Za-z_]+")
 _VALUE_RE = re.compile(r"[^,\]\s]+")
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_SPACE_RE = re.compile(r"[ \t\r\n]*")
+_SPACE_OR_COMMENT_RE = re.compile(r"(?:[ \t\r\n]+|\[[^\]]*\])*")
 
 
 def fmt_float(x: float) -> str:
@@ -57,58 +63,43 @@ def round12(x: float) -> float:
 # ------------------------------------------------------------------------- #
 
 class _Scanner:
-    """Character cursor with line and column tracking for error messages."""
+    """Cursor over the text: an offset, with positions worked out on error."""
 
-    __slots__ = ("text", "pos", "line", "col")
+    __slots__ = ("text", "pos")
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
+        return self.text[self.pos:self.pos + 1]
 
     def match(self, regex: re.Pattern) -> str | None:
         m = regex.match(self.text, self.pos)
-        if m is None or not m.group(0):
+        if m is None or m.end() == self.pos:
             return None
-        self.advance(len(m.group(0)))
+        self.pos = m.end()
         return m.group(0)
 
     def expect(self, literal: str, what: str | None = None) -> None:
         if not self.text.startswith(literal, self.pos):
             self.fail(f"expected {what or literal!r}")
-        self.advance(len(literal))
+        self.pos += len(literal)
 
-    def fail(self, message: str):
-        raise ParseError(message, line=self.line, column=self.col)
+    def fail(self, message: str, at: int | None = None):
+        """Raise at offset ``at`` (default: the cursor) as a line and column."""
+        at = self.pos if at is None else at
+        line = self.text.count("\n", 0, at) + 1
+        raise ParseError(message, line=line,
+                         column=at - self.text.rfind("\n", 0, at))
 
 
 def _skip_trivia(sc: _Scanner, skip_comments: bool) -> None:
-    while not sc.eof():
-        ch = sc.peek()
-        if ch in " \t\r\n":
-            sc.advance()
-        elif skip_comments and ch == "[":
-            while not sc.eof() and sc.peek() != "]":
-                sc.advance()
-            sc.expect("]", "closing ']' of comment")
-        else:
-            return
+    regex = _SPACE_OR_COMMENT_RE if skip_comments else _SPACE_RE
+    sc.pos = regex.match(sc.text, sc.pos).end()
+    if skip_comments and sc.peek() == "[":
+        sc.pos = len(sc.text)           # an unclosed comment runs to the end
+        sc.expect("]", "closing ']' of comment")
 
 
 # ------------------------------------------------------------------------- #
@@ -135,57 +126,46 @@ def _parse_annotation(sc: _Scanner) -> dict[str, str]:
         out[key] = val
         _skip_trivia(sc, False)
         if sc.peek() == ",":
-            sc.advance()
+            sc.pos += 1
             continue
         sc.expect("]", "closing ']' of annotation")
         return out
 
 
-def _leaf_taxon(sc: _Scanner, label: str, ann: dict[str, str],
-                line: int, col: int) -> Taxon:
+def _leaf_taxon(sc: _Scanner, label: str, ann: dict[str, str], at: int) -> Taxon:
     if set(ann) != {"a", "b", "c"}:
-        raise ParseError(
-            f"leaf {label!r}: annotation must have exactly the keys a, b, c",
-            line=line, column=col)
+        sc.fail(f"leaf {label!r}: annotation must have exactly the keys a, b, c", at)
     try:
-        a = float(ann["a"])
-        b = float(ann["b"])
-        c = int(ann["c"])
+        return Taxon(id=label, a=float(ann["a"]), b=float(ann["b"]), c=int(ann["c"]))
     except ValueError as exc:
-        raise ParseError(f"leaf {label!r}: {exc}", line=line, column=col) from exc
-    return Taxon(id=label, a=a, b=b, c=c)
+        sc.fail(f"leaf {label!r}: {exc}", at)
 
 
 def _decorate(sc: _Scanner, node: TreeNode, annotated: bool,
               taxa: dict[str, Taxon]) -> TreeNode:
     """Consume the optional label, annotation and length after a subtree."""
     if node.taxon is None:
-        _read_and_discard_internal_label(sc)
+        sc.match(_LABEL_RE)             # interior labels are read and dropped
     _skip_trivia(sc, not annotated)
     if annotated and sc.peek() == "[":
-        line, col = sc.line, sc.col
+        at = sc.pos
         ann = _parse_annotation(sc)
         if node.taxon is None:
-            raise ParseError("annotation on an interior edge", line=line, column=col)
+            sc.fail("annotation on an interior edge", at)
         if node.taxon in taxa:
-            raise ParseError(f"duplicate leaf label {node.taxon!r}",
-                             line=line, column=col)
-        taxa[node.taxon] = _leaf_taxon(sc, node.taxon, ann, line, col)
+            sc.fail(f"duplicate leaf label {node.taxon!r}", at)
+        taxa[node.taxon] = _leaf_taxon(sc, node.taxon, ann, at)
     elif annotated and node.taxon is not None:
         sc.fail(f"leaf {node.taxon!r} is missing its [&a=...,b=...,c=...] annotation")
     _skip_trivia(sc, not annotated)
     if sc.peek() == ":":
-        sc.advance()
+        sc.pos += 1
         _skip_trivia(sc, not annotated)
         num = sc.match(_NUMBER_RE)
         if num is None:
             sc.fail("expected a branch length after ':'")
         node.length = float(num)
     return node
-
-
-def _read_and_discard_internal_label(sc: _Scanner) -> None:
-    sc.match(_LABEL_RE)
 
 
 def _parse_tree_body(sc: _Scanner, annotated: bool) -> tuple[TreeNode, dict[str, Taxon]]:
@@ -200,14 +180,14 @@ def _parse_tree_body(sc: _Scanner, annotated: bool) -> tuple[TreeNode, dict[str,
         elif ch == "(":
             if current is not None:
                 sc.fail("unexpected '(' after a complete subtree")
-            sc.advance()
+            sc.pos += 1
             stack.append([])
         elif ch == ",":
             if current is None:
                 sc.fail("expected a subtree before ','")
             if not stack:
                 sc.fail("',' outside any group")
-            sc.advance()
+            sc.pos += 1
             stack[-1].append(current)
             current = None
         elif ch == ")":
@@ -215,7 +195,7 @@ def _parse_tree_body(sc: _Scanner, annotated: bool) -> tuple[TreeNode, dict[str,
                 sc.fail("expected a subtree before ')'")
             if not stack:
                 sc.fail("unbalanced ')'")
-            sc.advance()
+            sc.pos += 1
             children = stack.pop()
             children.append(current)
             current = _decorate(sc, TreeNode(children=children), annotated, taxa)
@@ -224,9 +204,9 @@ def _parse_tree_body(sc: _Scanner, annotated: bool) -> tuple[TreeNode, dict[str,
                 sc.fail("unbalanced '(': group never closed")
             if current is None:
                 sc.fail("empty tree")
-            sc.advance()
+            sc.pos += 1
             _skip_trivia(sc, not annotated)
-            if not sc.eof():
+            if sc.pos < len(sc.text):
                 sc.fail("trailing text after ';'")
             return current, taxa
         else:
@@ -245,9 +225,7 @@ def parse_newick(text: str) -> TreeNode:
     discarded. Raises :class:`ParseError` with line and column on any
     syntax problem.
     """
-    sc = _Scanner(text)
-    top, _ = _parse_tree_body(sc, annotated=False)
-    return top
+    return _parse_tree_body(_Scanner(text), annotated=False)[0]
 
 
 def parse_annotated(text: str) -> tuple[TreeNode, dict[str, Taxon], dict]:
@@ -261,23 +239,21 @@ def parse_annotated(text: str) -> tuple[TreeNode, dict[str, Taxon], dict]:
     _skip_trivia(sc, False)
     if sc.peek() != "[":
         sc.fail("expected a [&budget=...] header")
-    line, col = sc.line, sc.col
+    at = sc.pos
     ann = _parse_annotation(sc)
     unknown = sorted(set(ann) - {"budget", "name", "seed"})
     if unknown:
-        raise ParseError("unknown header keys: " + ", ".join(unknown),
-                         line=line, column=col)
+        sc.fail("unknown header keys: " + ", ".join(unknown), at)
     if "budget" not in ann:
-        raise ParseError("header is missing the budget", line=line, column=col)
+        sc.fail("header is missing the budget", at)
     try:
         budget = int(ann["budget"])
         seed = int(ann["seed"]) if "seed" in ann else None
     except ValueError as exc:
-        raise ParseError(f"header: {exc}", line=line, column=col) from exc
+        sc.fail(f"header: {exc}", at)
     name = ann.get("name")
     if name is not None and not _NAME_RE.fullmatch(name):
-        raise ParseError(f"header: name {name!r} has characters outside "
-                         "[A-Za-z0-9_.-]", line=line, column=col)
+        sc.fail(f"header: name {name!r} has characters outside [A-Za-z0-9_.-]", at)
     top, taxa = _parse_tree_body(sc, annotated=True)
     return top, taxa, {"budget": budget, "name": name, "seed": seed}
 
@@ -294,14 +270,11 @@ def _check_label(label: str) -> str:
 
 
 def _render(tree: PhyloTree, taxa: dict[str, Taxon] | None) -> str:
-    """Canonical tree text: children ordered by smallest leaf label."""
-    n = len(tree.edges)
-    minlab = [""] * n
-    text = [""] * n
+    """Tree text with children in the tree's own (canonical) order."""
+    text = [""] * len(tree.edges)
     for e in tree.edges:
         if e.taxon is not None:
             label = _check_label(e.taxon)
-            minlab[e.eid] = label
             ann = ""
             if taxa is not None:
                 tx = taxa[label]
@@ -309,14 +282,9 @@ def _render(tree: PhyloTree, taxa: dict[str, Taxon] | None) -> str:
                        f"c={int(tx.c)}]")
             text[e.eid] = f"{label}{ann}:{fmt_float(e.length)}"
         else:
-            kids = sorted(e.children, key=lambda c: minlab[c])
-            minlab[e.eid] = minlab[kids[0]]
-            body = "(" + ",".join(text[k] for k in kids) + ")"
-            if e.eid == tree.root:
-                tail = f":{fmt_float(e.length)}" if e.length > 0 else ""
-            else:
-                tail = f":{fmt_float(e.length)}"
-            text[e.eid] = body + tail
+            text[e.eid] = "(" + ",".join(text[k] for k in e.children) + ")"
+            if e.eid != tree.root or e.length > 0:
+                text[e.eid] += f":{fmt_float(e.length)}"
     return text[tree.root] + ";"
 
 

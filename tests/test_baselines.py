@@ -56,10 +56,6 @@ def test_brute_force_size_limit():
     inst = gen_yule(BRUTE_FORCE_LIMIT + 1, 0)
     with pytest.raises(SizeLimitError):
         brute_force(inst)
-    # explicit limit overrides the default
-    small = gen_yule(6, 0)
-    with pytest.raises(SizeLimitError):
-        brute_force(small, limit=5)
 
 
 # ------------------------------------------------------------------------- #

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from napx.cli import BENCH_COLUMNS, main
 from napx.generators import GenSpec, generate
-from napx.io import load_instance, parse_solution, write_instance
+from napx.io import (SolutionDocument, load_instance, parse_solution,
+                     write_instance, write_solution)
+from napx.model import validate_instance
 
 from util import data_path
 
@@ -131,6 +133,21 @@ def test_eval_untouched_solution_prints_no_note(verb, tmp_path, capsys):
     code, out, _ = run(capsys, "eval", inst, str(sol))
     assert code == 0
     assert "note:" not in out
+
+
+@pytest.mark.parametrize("name,fragment", [
+    ("bad_semantics.nap.json", "exceeds b"),
+    ("missing_taxon.nap.json", "has no taxon record"),
+])
+def test_eval_rejects_an_invalid_instance(name, fragment, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_text(write_solution(SolutionDocument(
+        solver="napx", budget=2, selected=("u",), total_cost=1,
+        reported_score=0.0, evaluated_score=0.0)))
+    code, out, err = run(capsys, "eval", data_path(name), str(sol))
+    assert code == 2
+    assert err.startswith("error:") and fragment in err
+    assert out == ""
 
 
 def test_eval_notes_a_changed_score(tmp_path, capsys):
@@ -386,16 +403,25 @@ def _instance_docs(draw, restricted=False):
 
 def _run_document(tmp_path_factory, verb, text, *options):
     """Run ``verb`` on a document: it either succeeds (0) or fails with an
-    ``error:`` line and exit 2, 3 or 4; no exception escapes main()."""
+    ``error:`` line and exit 2, 3 or 4; no exception escapes main(). A
+    solver writes its answer with ``--out``; ``eval`` takes a solution file
+    in ``options`` and prints its verdict, exit 3 meaning infeasible."""
     work = tmp_path_factory.mktemp("doc")
     path = work / "inst.nap.json"
     path.write_text(text)
     out = work / "sol.json"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main([verb, str(path), *options, "--out", str(out)])
+    argv = [verb, str(path), *options]
+    if verb != "eval":
+        argv += ["--out", str(out)]
+    err, printed = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(printed):
+        code = main(argv)
     assert code in (0, 2, 3, 4)
-    if code == 0:
+    if verb == "eval" and code in (0, 3):
+        validate_instance(load_instance(path)[0])
+        verdict = "yes" if code == 0 else "no"
+        assert printed.getvalue().endswith(f"feasible: {verdict}\n")
+    elif code == 0:
         doc = parse_solution(out.read_text())
         assert doc.total_cost <= doc.budget
     else:
@@ -406,6 +432,20 @@ def _run_document(tmp_path_factory, verb, text, *options):
 @given(text=_instance_docs(), epsilon=st.sampled_from(["0.3", "0.5", "0.9", "1.5"]))
 def test_solve_any_document_exits_with_a_code(tmp_path_factory, text, epsilon):
     _run_document(tmp_path_factory, "solve", text, "--epsilon", epsilon)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(text=_instance_docs(),
+       selected=st.lists(st.sampled_from(["t00", "t01", "t02", "zz"]),
+                         unique=True, max_size=3))
+def test_eval_any_document_exits_with_a_code(tmp_path_factory, text, selected):
+    """eval validates the instance before scoring: a verdict is printed only
+    for a valid instance, and a bad one fails with an exit code."""
+    sol = tmp_path_factory.mktemp("sol") / "sol.json"
+    sol.write_text(write_solution(SolutionDocument(
+        solver="napx", budget=0, selected=tuple(selected), total_cost=0,
+        reported_score=0.0, evaluated_score=0.0)))
+    _run_document(tmp_path_factory, "eval", text, str(sol))
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)

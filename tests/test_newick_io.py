@@ -10,7 +10,7 @@ from napx.generators import gen_caterpillar, gen_yule
 from napx.io import (SolutionDocument, instance_format_for, load_instance,
                      parse_instance, parse_solution, write_instance,
                      write_solution)
-from napx.model import PhyloTree
+from napx.model import Instance, PhyloTree, Taxon, TreeNode
 from napx.newick import (fmt_float, format_annotated, format_newick,
                          parse_annotated, parse_newick, round12)
 
@@ -109,6 +109,61 @@ def test_format_annotated_shape():
     assert body.endswith(";")
     assert "w[&a=0,b=1,c=2]:120" in body
     assert tail == ""                      # newline-terminated
+
+
+# ------------------------------------------------------------------------- #
+#  Pinned parse outcomes
+# ------------------------------------------------------------------------- #
+
+def _outcome(dialect: str, text: str) -> dict:
+    """What parsing ``text`` gives: the canonical edges, taxa and header of
+    an accepted text, or the error and its position for a rejected one."""
+    try:
+        if dialect == "plain":
+            top, taxa, header = parse_newick(text), None, None
+        else:
+            top, taxa, header = parse_annotated(text)
+    except ParseError as exc:
+        return {"error": type(exc).__name__, "message": str(exc),
+                "line": exc.line, "column": exc.column}
+    tree = PhyloTree.from_node(top)
+    out = {"edges": [[repr(e.length), list(e.children), e.taxon]
+                     for e in tree.edges]}
+    if taxa is not None:
+        out["taxa"] = {k: [repr(t.a), repr(t.b), t.c] for k, t in taxa.items()}
+        out["header"] = header
+    return out
+
+
+def test_parse_outcomes_match_pinned_corpus():
+    """Hand-written and fuzzed texts in both dialects (CRLF, tabs, comments,
+    unclosed comments, interior annotations, duplicate leaves, bad headers,
+    trailing text) keep the outcome recorded in newick_cases.json: the same
+    tree, taxa and header, or the same message at the same line and column."""
+    with open(data_path("newick_cases.json"), encoding="utf-8") as fh:
+        cases = json.load(fh)
+    assert len(cases) >= 300
+    for case in cases:
+        want = {k: v for k, v in case.items() if k not in ("dialect", "text")}
+        assert _outcome(case["dialect"], case["text"]) == want, case["text"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "nwk"])
+def test_deep_caterpillar_round_trip(fmt):
+    """A 5 000-leaf comb nests 5 000 groups deep; both formats write and
+    parse it back equal without recursion."""
+    n = 5000
+    labels = [f"t{i:04d}" for i in range(n)]
+    top = TreeNode(taxon=labels[0], length=1.0)
+    for i, label in enumerate(labels[1:], 1):
+        top = TreeNode(length=0.5, children=[top, TreeNode(taxon=label, length=float(i))])
+    taxa = {t: Taxon(id=t, a=0.25, b=0.75, c=1) for t in labels}
+    inst = Instance(tree=PhyloTree.from_node(top), taxa=taxa, budget=10)
+    assert inst.tree.height == n
+    text = write_instance(inst, fmt)
+    back, _ = parse_instance(text, fmt)
+    assert back == inst
+    assert write_instance(back, fmt) == text
 
 
 # ------------------------------------------------------------------------- #
