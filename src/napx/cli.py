@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from io import StringIO
 from pathlib import Path
@@ -302,7 +303,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 #  Parser and entry points
 # ------------------------------------------------------------------------- #
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused by every call."""
     parser = argparse.ArgumentParser(
         prog="napx",
         description="Budgeted conservation of phylogenetic diversity.")
@@ -358,9 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0

@@ -270,9 +270,19 @@ def _check_label(label: str) -> str:
 
 
 def _render(tree: PhyloTree, taxa: dict[str, Taxon] | None) -> str:
-    """Tree text with children in the tree's own (canonical) order."""
-    text = [""] * len(tree.edges)
-    for e in tree.edges:
+    """Tree text with children in the tree's own (canonical) order.
+
+    One depth-first walk appends every piece of text once, so writing is
+    linear in the text at any depth.
+    """
+    pieces: list[str] = []
+    todo: list[int | str] = [tree.root]  # edge ids to write, or literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+            continue
+        e = tree.edges[item]
         if e.taxon is not None:
             label = _check_label(e.taxon)
             ann = ""
@@ -280,12 +290,17 @@ def _render(tree: PhyloTree, taxa: dict[str, Taxon] | None) -> str:
                 tx = taxa[label]
                 ann = (f"[&a={fmt_float(tx.a)},b={fmt_float(tx.b)},"
                        f"c={int(tx.c)}]")
-            text[e.eid] = f"{label}{ann}:{fmt_float(e.length)}"
-        else:
-            text[e.eid] = "(" + ",".join(text[k] for k in e.children) + ")"
-            if e.eid != tree.root or e.length > 0:
-                text[e.eid] += f":{fmt_float(e.length)}"
-    return text[tree.root] + ";"
+            pieces.append(f"{label}{ann}:{fmt_float(e.length)}")
+            continue
+        close = ")"
+        if e.eid != tree.root or e.length > 0:
+            close += f":{fmt_float(e.length)}"
+        pieces.append("(")
+        todo.append(close)
+        for k in reversed(e.children[1:]):
+            todo += [k, ","]
+        todo.append(e.children[0])
+    return "".join(pieces) + ";"
 
 
 def format_newick(tree: PhyloTree) -> str:

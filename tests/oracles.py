@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, table combines by
 a literal scatter over every (row, row, split) triple of dense tables,
-whose non-dominated cells a combine must reproduce. Slow and obviously
-correct is the point.
+whose non-dominated cells a combine must reproduce, and exhaustive search
+by scoring every subset one at a time. Slow and obviously correct is the
+point.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from napx.model import Instance
+from napx.model import (ConservationSet, Instance, expected_pd,
+                        make_conservation_set)
 from napx.solver import CladeTable
 
 
@@ -72,6 +74,52 @@ def exhaustive_best(instance: Instance) -> tuple[frozenset, float]:
                 best = score
             best_sel = sel
     return frozenset(best_sel), best
+
+
+def brute_force_gray(instance: Instance) -> ConservationSet:
+    """Exhaustive search as one Gray-code loop, every subset scored alone.
+
+    The literal form of the rule that :func:`napx.baselines.brute_force`
+    must reproduce: the running cost changes by one taxon per step, each
+    affordable subset is scored by ``expected_pd``, a score above
+    best + 1e-12 takes over, and one within 1e-12 of the best wins if its
+    sorted id tuple is smaller. ``expected_pd`` is looked up at call time,
+    so a test can swap the scorer for both routes at once.
+    """
+    ids = sorted(instance.taxa)
+    n = len(ids)
+    costs = [instance.taxa[t].c for t in ids]
+    best_score = expected_pd(instance, frozenset())
+    best_ids: tuple[str, ...] = ()
+    member = [False] * n
+    current: set[str] = set()
+    cost = 0
+    gray = 0
+    for step in range(1, 1 << n):
+        gray_next = step ^ (step >> 1)
+        bit = (gray ^ gray_next).bit_length() - 1
+        gray = gray_next
+        if member[bit]:
+            member[bit] = False
+            current.discard(ids[bit])
+            cost -= costs[bit]
+        else:
+            member[bit] = True
+            current.add(ids[bit])
+            cost += costs[bit]
+        if cost > instance.budget:
+            continue
+        score = expected_pd(instance, current)
+        if score > best_score + 1e-12:
+            best_score = score
+            best_ids = tuple(sorted(current))
+        elif score > best_score - 1e-12:
+            cand = tuple(sorted(current))
+            if cand < best_ids:
+                best_ids = cand
+            if score > best_score:
+                best_score = score
+    return make_conservation_set(instance, frozenset(best_ids))
 
 
 # ------------------------------------------------------------------------- #

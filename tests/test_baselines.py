@@ -1,14 +1,18 @@
 """Tests for the exact baselines."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import napx.baselines
+import oracles
 from napx.baselines import BRUTE_FORCE_LIMIT, brute_force, pardi_goldman
 from napx.errors import RestrictionError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
-from napx.model import expected_pd, inner, leaf
+from napx.model import _death_products, expected_pd, inner, leaf
 
-from oracles import exhaustive_best
+from oracles import brute_force_gray, exhaustive_best
 from util import cherry, fig1_instance, make_instance, pg_example, tie_cherry
 
 
@@ -56,6 +60,100 @@ def test_brute_force_size_limit():
     inst = gen_yule(BRUTE_FORCE_LIMIT + 1, 0)
     with pytest.raises(SizeLimitError):
         brute_force(inst)
+
+
+@st.composite
+def _tie_heavy_instances(draw):
+    """Up to 10 leaves under polytomies, branch lengths of 0, 0.1, 1 or 2,
+    probabilities from a few values with a = b allowed, costs of 0 to 3,
+    and any budget up to one past the total cost: many subsets tie."""
+    n = draw(st.integers(1, 10))
+    length = st.sampled_from([0.0, 0.1, 1.0, 2.0])
+    nodes = [leaf(f"t{i:02d}", draw(length)) for i in range(n)]
+    while len(nodes) > 1:
+        k = draw(st.integers(2, min(4, len(nodes))))
+        i = draw(st.integers(0, len(nodes) - k))
+        nodes[i:i + k] = [inner(draw(length), *nodes[i:i + k])]
+    rows = []
+    for i in range(n):
+        a = draw(st.sampled_from([0.0, 0.25, 0.5]))
+        b = max(a, draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])))
+        rows.append((f"t{i:02d}", a, b, draw(st.integers(0, 3))))
+    total = sum(row[3] for row in rows)
+    return make_instance(nodes[0], rows, budget=draw(st.integers(0, total + 1)))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(_tie_heavy_instances())
+def test_brute_force_equals_gray_code_loop_property(inst):
+    """Block scoring picks the subset that scoring each subset in turn
+    picks, with the same score to the last bit."""
+    got = brute_force(inst)
+    want = brute_force_gray(inst)
+    assert got.selected == want.selected
+    assert repr(got.score) == repr(want.score)
+
+
+def test_brute_force_costs_beyond_int64():
+    """Any two of three taxa of cost 2**62 cost 2**63, past the budget of
+    2**63 - 1; summed in int64 the pair would wrap to a negative cost."""
+    inst = make_instance(
+        inner(0.0, leaf("x", 1.0), leaf("y", 2.0), leaf("z", 3.0)),
+        [(t, 0.0, 1.0, 2**62) for t in "xyz"],
+        budget=2**63 - 1,
+    )
+    best = brute_force(inst)
+    assert best.selected == frozenset({"z"})
+    assert best.total_cost == 2**62
+    assert best.score == 3.0
+
+
+def test_brute_force_lengths_near_the_float_range():
+    """Scores of lengths near 1e308 overflow to inf; every affordable
+    subset then goes through the tie rule, as in the one-at-a-time loop,
+    and no block sum warns."""
+    inst = make_instance(
+        inner(1e308, leaf("x", 1e308), leaf("y", 1e308), leaf("z", 1.0)),
+        [("x", 0.1, 0.9, 1), ("y", 0.1, 0.9, 1), ("z", 0.1, 0.9, 1)],
+        budget=2,
+    )
+    got = brute_force(inst)
+    want = brute_force_gray(inst)
+    assert got.selected == want.selected
+    assert repr(got.score) == repr(want.score)
+
+
+def _compensated_expected_pd(instance, selected):
+    """expected_pd with the compensated float sum() of Python 3.12+."""
+    death = _death_products(instance, frozenset(selected))
+    terms = [e.length * (1.0 - death[e.eid]) for e in instance.tree.edges]
+    total, comp = 0.0 + terms[0], 0.0
+    for x in terms[1:]:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_brute_force_slack_covers_compensated_sums(monkeypatch):
+    """Where sum() compensates, a subset can tie the best only by its
+    compensated score. {p, r, s} adds 2**-53 + 1 + 2**-53: 1.0 in order,
+    1 + 2**-52 compensated, which is within 1e-12 of {q}'s 1 + 1e-12, so
+    it wins on its smaller ids. The block filter, which adds in order,
+    must keep it for the rescoring."""
+    inst = make_instance(
+        inner(0.0, leaf("p", 2.0**-53), leaf("q", 1.0 + 1e-12),
+              leaf("r", 1.0), leaf("s", 2.0**-53)),
+        [("p", 0.0, 1.0, 1), ("q", 0.0, 1.0, 3), ("r", 0.0, 1.0, 1),
+         ("s", 0.0, 1.0, 1)],
+        budget=3,
+    )
+    assert 2.0**-53 + 1.0 + 2.0**-53 == 1.0
+    assert _compensated_expected_pd(inst, "prs") == 1.0 + 2.0**-52
+    monkeypatch.setattr(napx.baselines, "expected_pd", _compensated_expected_pd)
+    monkeypatch.setattr(oracles, "expected_pd", _compensated_expected_pd)
+    assert brute_force_gray(inst).selected == frozenset("prs")
+    assert brute_force(inst).selected == frozenset("prs")
 
 
 # ------------------------------------------------------------------------- #
