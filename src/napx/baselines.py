@@ -22,9 +22,8 @@ import numpy as np
 
 from .discretization import Discretization
 from .errors import RestrictionError, SizeLimitError
-from .model import (ConservationSet, Instance, expected_pd,
-                    make_conservation_set, normalize, total_pd,
-                    validate_instance)
+from .model import (ConservationSet, Instance, make_conservation_set,
+                    normalize, validate_instance)
 from .solver import solve_on_grid
 
 __all__ = ["brute_force", "pardi_goldman", "BRUTE_FORCE_LIMIT"]
@@ -48,29 +47,15 @@ _TIE_TOL = 1e-12
 _BLOCK = 4096
 
 
-def _sum_slack(lengths: list[float]) -> float:
-    """Bound on how far a block score may sit from :func:`expected_pd`.
-
-    Both compute the same per-edge terms, each between 0 and its edge's
-    length, and differ only in how they add them: a block adds them in
-    order, while ``sum()`` compensates from Python 3.12 on (before 3.12 the
-    two agree bit for bit). Take m terms of exact sum S, T the total branch
-    length (so S <= T) and u = 2**-53. Ordered addition errs by at most
-    (m - 1)·u·S / (1 - (m - 1)·u), compensated addition by at most
-    2u·S + O(m·u²)·S, so the two differ by less than (m + 2)·u·T. The
-    bound returned, δ = (m + 2)·2u·T, doubles that to leave room for the
-    rounding of the filter's threshold.
-    """
-    return (len(lengths) + 2) * 2.0**-52 * math.fsum(lengths)
-
-
 def _score_block(instance: Instance, lengths: list[float], bit_of: dict[str, int],
                  costs: list[int], cost_dtype,
                  codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Costs and scores of the subsets whose membership bits are ``codes``.
 
-    Death products and the score sum follow :func:`expected_pd` operation
-    by operation. A child's array is dropped once its parent is built.
+    Death products and the score sum follow
+    :func:`napx.model.expected_pd` operation by operation, the terms added
+    in edge order, so each score has the bits that ``expected_pd`` gives
+    that subset. A child's array is dropped once its parent is built.
     """
     cost = np.zeros(len(codes), dtype=cost_dtype)
     score = np.zeros(len(codes))
@@ -94,19 +79,18 @@ def _score_block(instance: Instance, lengths: list[float], bit_of: dict[str, int
 def brute_force(instance: Instance) -> ConservationSet:
     """Exact optimum by subset enumeration.
 
-    Subsets are walked in Gray-code order, the empty set first and then
-    every affordable subset S, each step applying one rule to the running
-    best score and id tuple: a score above best + 1e-12 makes S the best;
-    a score above best - 1e-12 makes S the best if its sorted id tuple is
-    smaller, and raises the best score if it is higher. The winner's score
-    is recomputed cleanly at the end.
+    Every subset S is walked in Gray-code order, the empty set first, and
+    each affordable one goes through one rule on the running best score
+    and id tuple: a score above best + 1e-12 makes S the best; a score
+    above best - 1e-12 makes S the best if its sorted id tuple is smaller,
+    and raises the best score if it is higher.
 
-    Blocks of subsets are scored as arrays first. Only a subset that
-    scores above the running maximum minus the tolerance can change
-    anything, so only those (with slack for the summation order, see
-    :func:`_sum_slack`) are rescored by :func:`expected_pd` and fed to the
-    rule, in the same order. The selection and score are those of scoring
-    every subset by :func:`expected_pd`.
+    Blocks of subsets are scored as arrays by :func:`_score_block`, to the
+    bits of :func:`napx.model.expected_pd`. The best score is always the
+    maximum score so far, so a subset that scores below the maximum up to
+    and including it, minus the tolerance, changes nothing; only the
+    others are fed to the rule, in the same order, with their block
+    scores. The winner's score is that of ``expected_pd``.
     """
     validate_instance(instance)
     ids = sorted(instance.taxa)
@@ -123,42 +107,33 @@ def brute_force(instance: Instance) -> ConservationSet:
     cost_dtype = np.int64 if total <= np.iinfo(np.int64).max else object
     bit_of = {t: i for i, t in enumerate(ids)}
     lengths = [e.length for e in instance.tree.edges]
-    # block scores add like expected_pd and could overflow past 2**1000 of
-    # total length; scored with zero lengths, every affordable subset ties
-    # and goes to the rule
-    if not total_pd(instance) < 2.0**1000:
-        lengths = [0.0] * len(lengths)
-    margin = _TIE_TOL + 2 * _sum_slack(lengths)
 
-    best_score = expected_pd(instance, frozenset())
+    best_score = -math.inf
     best_ids: tuple[str, ...] = ()
-    running = -math.inf
     size = min(_BLOCK, 1 << n)
     for start in range(0, 1 << n, size):
         codes = np.arange(start, start + size, dtype=np.int64)
         codes ^= codes >> 1
-        cost, score = _score_block(instance, lengths, bit_of, costs,
-                                   cost_dtype, codes)
+        # Python floats overflow to inf silently, and so must the blocks
+        with np.errstate(over="ignore"):
+            cost, score = _score_block(instance, lengths, bit_of, costs,
+                                       cost_dtype, codes)
         score[cost > limit] = -math.inf
-        # a subset below the best so far minus the tolerance changes
-        # nothing; the maximum up to and including each subset keeps the
-        # same ones as the maximum before it
         top = np.maximum.accumulate(score)
-        np.maximum(top, running, out=top)
-        running = top[-1]
-        for code in codes[score > top - margin].tolist():
-            if code == 0:
-                continue
+        np.maximum(top, best_score, out=top)
+        # >=, not >: from 2**14 on, top - 1e-12 == top, and a new maximum
+        # must still reach the rule
+        keep = score >= top - _TIE_TOL
+        for code, s in zip(codes[keep].tolist(), score[keep].tolist()):
             cand = tuple(ids[i] for i in range(n) if code >> i & 1)
-            exact = expected_pd(instance, cand)
-            if exact > best_score + _TIE_TOL:
-                best_score = exact
+            if s > best_score + _TIE_TOL:
+                best_score = s
                 best_ids = cand
-            elif exact > best_score - _TIE_TOL:
+            elif s > best_score - _TIE_TOL:
                 if cand < best_ids:
                     best_ids = cand
-                if exact > best_score:
-                    best_score = exact
+                if s > best_score:
+                    best_score = s
     return make_conservation_set(instance, frozenset(best_ids))
 
 

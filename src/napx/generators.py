@@ -55,7 +55,8 @@ class GenSpec:
     topology : str
         One of ``"yule"`` or ``"caterpillar"``.
     seed : int
-        Philox key; equal specs generate equal instances.
+        Philox key, in ``[0, 2**128)``; equal specs generate equal
+        instances.
     a_range, b_range : (float, float)
         Closed ranges for the unconserved and conserved survival
         probabilities.  ``b`` is drawn from ``[max(a, b_lo), b_hi]`` so
@@ -80,6 +81,8 @@ class GenSpec:
             raise InputError(f"need at least one leaf, got n={self.n}")
         if self.topology not in TOPOLOGIES:
             raise InputError(f"unknown topology {self.topology!r}")
+        if not 0 <= self.seed < 2**128:
+            raise InputError(f"seed must be in [0, 2**128), got {self.seed}")
         a_lo, a_hi = self.a_range
         b_lo, b_hi = self.b_range
         if not (0.0 <= a_lo <= a_hi <= 1.0):

@@ -69,7 +69,7 @@ def _check_doc(doc, expected_format: str, allowed: set[str], required: set[str])
     if got != expected_format:
         raise ParseError(f"format must be {expected_format!r}, got {got!r}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
     unknown = sorted(set(doc) - allowed)
     if unknown:

@@ -397,23 +397,29 @@ def expected_pd(instance: Instance, selected: "ConservationSet | Iterable[str]")
     Returns
     -------
     float
-        A value between 0 and :func:`total_pd` of the instance.
+        A value between 0 and :func:`total_pd` of the instance: the
+        per-edge terms added left to right in edge order, with no
+        compensation, so the same bits on every supported Python (the
+        ``sum()`` of 3.12 and later compensates). The block scores of
+        :func:`napx.baselines.brute_force` add the same terms in the same
+        order.
     """
     sel = _coerce_ids(selected)
     death = _death_products(instance, sel)
-    return float(sum(e.length * (1.0 - death[e.eid]) for e in instance.tree.edges))
+    total = 0.0
+    for e in instance.tree.edges:
+        total += e.length * (1.0 - death[e.eid])
+    return total
 
 
 def make_conservation_set(instance: Instance,
                           selected: "ConservationSet | Iterable[str]") -> ConservationSet:
     """Bundle a selection with its total cost and evaluated score."""
     sel = _coerce_ids(selected)
-    unknown = sorted(sel - set(instance.taxa))
-    if unknown:
-        raise InputError("unknown taxon ids: " + ", ".join(repr(u) for u in unknown))
-    cost = sum(instance.taxa[t].c for t in sel)
-    return ConservationSet(selected=sel, total_cost=int(cost),
-                           score=expected_pd(instance, sel))
+    score = expected_pd(instance, sel)
+    return ConservationSet(selected=sel,
+                           total_cost=int(sum(instance.taxa[t].c for t in sel)),
+                           score=score)
 
 
 # ------------------------------------------------------------------------- #

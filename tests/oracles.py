@@ -83,8 +83,7 @@ def brute_force_gray(instance: Instance) -> ConservationSet:
     must reproduce: the running cost changes by one taxon per step, each
     affordable subset is scored by ``expected_pd``, a score above
     best + 1e-12 takes over, and one within 1e-12 of the best wins if its
-    sorted id tuple is smaller. ``expected_pd`` is looked up at call time,
-    so a test can swap the scorer for both routes at once.
+    sorted id tuple is smaller.
     """
     ids = sorted(instance.taxa)
     n = len(ids)

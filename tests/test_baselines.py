@@ -1,16 +1,14 @@
 """Tests for the exact baselines."""
 
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import napx.baselines
-import oracles
-from napx.baselines import BRUTE_FORCE_LIMIT, brute_force, pardi_goldman
+from napx.baselines import (BRUTE_FORCE_LIMIT, _score_block, brute_force,
+                            pardi_goldman)
 from napx.errors import RestrictionError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
-from napx.model import _death_products, expected_pd, inner, leaf
+from napx.model import expected_pd, inner, leaf
 
 from oracles import brute_force_gray, exhaustive_best
 from util import cherry, fig1_instance, make_instance, pg_example, tie_cherry
@@ -87,11 +85,21 @@ def _tie_heavy_instances(draw):
 @given(_tie_heavy_instances())
 def test_brute_force_equals_gray_code_loop_property(inst):
     """Block scoring picks the subset that scoring each subset in turn
-    picks, with the same score to the last bit."""
+    picks, with the same score to the last bit, and every block score is
+    the expected_pd of its subset to the last bit."""
     got = brute_force(inst)
     want = brute_force_gray(inst)
     assert got.selected == want.selected
     assert repr(got.score) == repr(want.score)
+
+    ids = sorted(inst.taxa)
+    codes = np.arange(1 << len(ids), dtype=np.int64)
+    _, scores = _score_block(inst, [e.length for e in inst.tree.edges],
+                             {t: i for i, t in enumerate(ids)},
+                             [inst.taxa[t].c for t in ids], np.int64, codes)
+    for code, score in zip(codes.tolist(), scores.tolist()):
+        subset = [t for i, t in enumerate(ids) if code >> i & 1]
+        assert repr(score) == repr(expected_pd(inst, subset))
 
 
 def test_brute_force_costs_beyond_int64():
@@ -123,24 +131,11 @@ def test_brute_force_lengths_near_the_float_range():
     assert repr(got.score) == repr(want.score)
 
 
-def _compensated_expected_pd(instance, selected):
-    """expected_pd with the compensated float sum() of Python 3.12+."""
-    death = _death_products(instance, frozenset(selected))
-    terms = [e.length * (1.0 - death[e.eid]) for e in instance.tree.edges]
-    total, comp = 0.0 + terms[0], 0.0
-    for x in terms[1:]:
-        t = total + x
-        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
-        total = t
-    return total + comp if comp and math.isfinite(comp) else total
-
-
-def test_brute_force_slack_covers_compensated_sums(monkeypatch):
-    """Where sum() compensates, a subset can tie the best only by its
-    compensated score. {p, r, s} adds 2**-53 + 1 + 2**-53: 1.0 in order,
-    1 + 2**-52 compensated, which is within 1e-12 of {q}'s 1 + 1e-12, so
-    it wins on its smaller ids. The block filter, which adds in order,
-    must keep it for the rescoring."""
+def test_expected_pd_adds_in_edge_order():
+    """{p, r, s} adds 2**-53 + 1 + 2**-53 in edge order, which is 1.0; a
+    compensated sum() (Python 3.12 and later) gives 1 + 2**-52. The block
+    scores of brute_force add in edge order, so expected_pd must too on
+    every Python for the two to agree."""
     inst = make_instance(
         inner(0.0, leaf("p", 2.0**-53), leaf("q", 1.0 + 1e-12),
               leaf("r", 1.0), leaf("s", 2.0**-53)),
@@ -148,12 +143,8 @@ def test_brute_force_slack_covers_compensated_sums(monkeypatch):
          ("s", 0.0, 1.0, 1)],
         budget=3,
     )
-    assert 2.0**-53 + 1.0 + 2.0**-53 == 1.0
-    assert _compensated_expected_pd(inst, "prs") == 1.0 + 2.0**-52
-    monkeypatch.setattr(napx.baselines, "expected_pd", _compensated_expected_pd)
-    monkeypatch.setattr(oracles, "expected_pd", _compensated_expected_pd)
-    assert brute_force_gray(inst).selected == frozenset("prs")
-    assert brute_force(inst).selected == frozenset("prs")
+    assert expected_pd(inst, "prs") == 1.0
+    assert brute_force(inst).selected == brute_force_gray(inst).selected
 
 
 # ------------------------------------------------------------------------- #

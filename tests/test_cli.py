@@ -99,6 +99,14 @@ def test_gen_deterministic_bytes(tmp_path, capsys):
     assert a == b
 
 
+def test_gen_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "gen", "--topology", "yule", "-n", "4",
+                         "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
 # ------------------------------------------------------------------------- #
 #  eval
 # ------------------------------------------------------------------------- #

@@ -79,6 +79,8 @@ def test_custom_ranges():
     dict(n=3, a_range=(0.0, 0.9), b_range=(0.1, 0.5)),
     dict(n=3, c_range=(-1, 2)),
     dict(n=3, budget=-1),
+    dict(seed=-1),
+    dict(seed=2**128),
 ])
 def test_bad_specs_rejected(kwargs):
     base = dict(n=4, topology="yule", seed=0)

@@ -234,6 +234,17 @@ def test_solution_rejects_missing_keys():
         parse_solution('{"format": "nap-solution", "version": 1}')
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+@pytest.mark.parametrize("parse, doc", [
+    (lambda text: parse_instance(text, "json"),
+     json.loads(write_instance(fig1_instance(), "json"))),
+    (parse_solution, {"format": "nap-solution", "selected": []}),
+], ids=["instance", "solution"])
+def test_version_must_be_the_integer_1(parse, doc, version):
+    with pytest.raises(ParseError, match="unsupported version"):
+        parse(json.dumps(dict(doc, version=version)))
+
+
 # ------------------------------------------------------------------------- #
 #  Whole-file identity on generated instances
 # ------------------------------------------------------------------------- #
