@@ -195,10 +195,14 @@ class Discretization:
         row t rather than the zero row.
         """
         q = np.asarray(p, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m = np.ceil(_snap_arr(np.log(q) / self._log_alpha))
+        # the smallest subnormal keeps log finite; q = 0 lies below the
+        # floor, so its row never reads x
+        x = np.log(np.maximum(q, 5e-324)) / self._log_alpha
+        r = np.round(x)
+        m = np.where(np.abs(x - r) <= _SNAP, r, np.ceil(x))
         below = self.p_min - q > _SNAP * self.p_min
-        idx = np.where(below, self.t + 1, np.clip(m, 0, self.t)).astype(np.int64)
+        idx = np.where(below, self.t + 1,
+                       np.minimum(np.maximum(m, 0), self.t)).astype(np.int64)
         return int(idx) if idx.ndim == 0 else idx
 
     def pi(self, p: float) -> float:

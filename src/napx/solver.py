@@ -31,6 +31,18 @@ one call, and the frontier filter :func:`_frontier` keeps the
 non-dominated cells. Each interior cell stores the index of the left and
 the right child cell it was built from, which :func:`backtrace` follows.
 
+Every child sits at a lower height than its parent, so
+:func:`build_tables` builds the tables one height at a time. The combines
+at one height go through :func:`combine_level` in batches of up to
+``BATCH_PAIRS`` pairs, one pass each: their pairs are laid out edge after
+edge, rounded in one ``pi_index`` call and filtered by one
+:func:`_frontier` that treats each edge apart. A numpy call costs
+microseconds however small its array, and most combines hold about a
+hundred pairs, so this pays that fixed cost once per batch rather than
+once per edge. A batch of a single combine, as at every height of a
+caterpillar and at the root, runs :func:`combine_tables` alone, which is
+faster for one edge. Both give the same tables, bit for bit.
+
 Ties resolve deterministically. Among candidates for one (cost, row) the
 highest value wins, then the first pair in (left index, right index) order;
 a free taxon keeps only its conserved cell, so it is conserved. The root
@@ -58,20 +70,30 @@ __all__ = [
     "NapxSolution",
     "build_pendant_tables",
     "combine_tables",
+    "combine_level",
     "build_tables",
     "backtrace",
     "solve",
     "solve_on_grid",
 ]
 
-# Largest number of candidate pairs one combine may build, and of cells in
-# the dominance matrix of one frontier filter. A pair holds its two child
-# indices, cost, row and score, five 8-byte arrays, and the rounding
-# temporaries and the filter's sort keys and orders add a handful more: a
-# 0.9 M-pair combine (Yule n=256, costs 1-40, B=1684, epsilon 0.3) peaked
-# at 74 bytes a pair under tracemalloc, so one at the limit needs about
-# 310 MB.
+# Largest number of candidate pairs one combine, or one batch of the
+# combines at a tree height, may build, and of cells in the dominance
+# matrices of one frontier filter. A pair holds its two child indices,
+# cost, row and score, five 8-byte arrays (a batch adds the pair's edge
+# number and an (edge, row) sort key), and the rounding temporaries and the
+# filter's sort keys and orders add a handful more: a 0.9 M-pair combine
+# (Yule n=256, costs 1-40, B=1684, epsilon 0.3) peaked at 74 bytes a pair
+# under tracemalloc, so one at the limit needs about 310 MB.
 PAIR_LIMIT = 1 << 22
+
+# Most candidate pairs one batch of combines may hold. Batching saves
+# numpy's fixed cost of about 80 calls a combine, some 0.15 ms, which a
+# combine of thousands of pairs hardly notices, while one sort over a large
+# batch costs more than a sort per combine: on Yule n=2048 at epsilon 0.1
+# the heights of 40 000 pairs and more ran slower as one pass than edge by
+# edge.
+BATCH_PAIRS = 1 << 14
 
 
 @dataclass
@@ -103,26 +125,8 @@ def _check_size(what: str, n: int) -> None:
             f"{PAIR_LIMIT}; lower the budget or raise epsilon")
 
 
-def _starts(*keys: np.ndarray) -> np.ndarray:
-    """True where sorted keys, compared together, take a new value."""
-    new = np.zeros(keys[0].size, dtype=bool)
-    new[:1] = True
-    for key in keys:
-        new[1:] |= key[1:] != key[:-1]
-    return new
-
-
-def _ranks(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """1-based dense ranks of the values of x, and how many are distinct."""
-    order = np.argsort(x, kind="stable")
-    new = _starts(x[order])
-    ranks = np.empty(x.size, dtype=np.int64)
-    ranks[order] = np.cumsum(new)
-    return ranks, int(np.count_nonzero(new))
-
-
-def _frontier(costs: np.ndarray, rows: np.ndarray,
-              scores: np.ndarray) -> np.ndarray:
+def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+              seg: np.ndarray | None = None) -> np.ndarray:
     """Indices of the non-dominated candidates, in (cost, row) order.
 
     Per (cost, row) the highest score survives, the first candidate on
@@ -131,24 +135,105 @@ def _frontier(costs: np.ndarray, rows: np.ndarray,
     at any smaller cost and no larger row, and at its own cost and any
     smaller row: the running maxima of a (distinct cost x distinct row)
     matrix, one cost and one row back.
+
+    ``seg``, when given, numbers the edge of each candidate from 0. Each
+    edge is then filtered on its own, as if it came alone, and the indices
+    come in (edge, cost, row) order. An edge's matrix is indexed by cost
+    index and row rank within the edge, and the matrices of several edges
+    are stacked, at most ``PAIR_LIMIT`` cells at a time.
     """
-    if costs.size == 0:
+    n = costs.size
+    if n == 0:
         return np.empty(0, dtype=np.intp)
+    if seg is not None:
+        # one key for (edge, row), so that a sort on three keys puts each
+        # (cost, edge, row) group together, its best candidate first
+        width = int(rows.max()) + 1
+        rows = seg * width + rows
     order = np.lexsort((-scores, rows, costs))
     cost, row = costs[order], rows[order]
-    starts = _starts(cost, row)
-    first = order[starts]
-    cost, row, best = cost[starts], row[starts], scores[first]
-    # ranks start at 1: rank 0 is a border of -inf that stands for "no
-    # smaller cost" and "no smaller row"
-    ci = np.cumsum(_starts(cost))
-    ri, n_rows = _ranks(row)
-    _check_size("dominance-matrix cells", int(ci[-1]) * n_rows)
-    prefix = np.full((ci[-1] + 1, n_rows + 1), -np.inf)
-    prefix[ci, ri] = best
-    np.maximum.accumulate(prefix, axis=0, out=prefix)
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(cost[1:], cost[:-1], out=new[1:])
+    new[1:] |= row[1:] != row[:-1]
+    first = order[new]
+    best = scores[first]
+    cost, row = cost[new], row[new]
+    new_cost = np.empty(cost.size, dtype=bool)
+    new_cost[0] = True
+    if seg is not None:
+        # each edge's groups together, still in (cost, row) order
+        edge = row // width
+        by = np.argsort(edge, kind="stable")
+        first, best, cost, row, edge = (first[by], best[by], cost[by],
+                                        row[by], edge[by])
+        np.not_equal(edge[1:], edge[:-1], out=new_cost[1:])
+        new_cost[1:] |= cost[1:] != cost[:-1]
+    else:
+        np.not_equal(cost[1:], cost[:-1], out=new_cost[1:])
+    # cost indices and row ranks start at 1: index 0 is a border of -inf
+    # that stands for "no smaller cost" and "no smaller row"
+    ci = np.cumsum(new_cost)
+    distinct, ri = _sorted_ranks(row)
+    if seg is None:
+        n_costs, n_rows = int(ci[-1]), distinct.size
+        _check_size("dominance-matrix cells", n_costs * n_rows)
+        return first[_undominated(ci, ri, best, 1, n_costs, n_rows)]
+    n_edges = int(edge[-1]) + 1
+    row_start = np.searchsorted(distinct, np.arange(n_edges + 1) * width)
+    ri -= row_start[edge]
+    ci -= ci[np.searchsorted(edge, edge)] - 1
+    n_rows = np.diff(row_start).tolist()
+    max_costs, max_rows = int(ci.max()), max(n_rows)
+    if n_edges * max_costs * max_rows <= PAIR_LIMIT:
+        return first[_undominated(edge * (max_costs + 1) + ci, ri, best,
+                                  n_edges, max_costs, max_rows)]
+    bounds = np.searchsorted(edge, np.arange(n_edges + 1))
+    n_costs = np.where(bounds[1:] > bounds[:-1], ci[bounds[1:] - 1], 0).tolist()
+    bounds = bounds.tolist()
+    keep = np.empty(edge.size, dtype=bool)
+    lo = 0
+    while lo < n_edges:
+        hi, c, r = lo + 1, n_costs[lo], n_rows[lo]
+        while (hi < n_edges and (hi + 1 - lo) * max(c, n_costs[hi])
+               * max(r, n_rows[hi]) <= PAIR_LIMIT):
+            c, r = max(c, n_costs[hi]), max(r, n_rows[hi])
+            hi += 1
+        # only a batch of one edge can be above the limit
+        _check_size("dominance-matrix cells", (hi - lo) * c * r)
+        part = slice(bounds[lo], bounds[hi])
+        keep[part] = _undominated((edge[part] - lo) * (c + 1) + ci[part],
+                                  ri[part], best[part], hi - lo, c, r)
+        lo = hi
+    return first[keep]
+
+
+def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of x, ascending, and the 1-based rank of each
+    value of x among them."""
+    srt = np.sort(x)
+    new = np.empty(srt.size, dtype=bool)
+    new[0] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    distinct = srt[new]
+    return distinct, np.searchsorted(distinct, x, side="right")
+
+
+def _undominated(at: np.ndarray, ri: np.ndarray, best: np.ndarray,
+                 n_edges: int, n_costs: int, n_rows: int) -> np.ndarray:
+    """True where ``best`` is strictly above every other best of its edge
+    at no greater cost index and row rank.
+
+    The edges' (cost index x row rank) matrices are stacked: ``at`` is a
+    group's row in the stack, its edge's number times ``n_costs + 1`` plus
+    its 1-based cost index, and ``ri`` its 1-based row rank.
+    """
+    prefix = np.full((n_edges, n_costs + 1, n_rows + 1), -np.inf)
+    flat = prefix.reshape(-1, n_rows + 1)
+    flat[at, ri] = best
     np.maximum.accumulate(prefix, axis=1, out=prefix)
-    return first[(best > prefix[ci - 1, ri]) & (best > prefix[ci, ri - 1])]
+    np.maximum.accumulate(prefix, axis=2, out=prefix)
+    return (best > flat[at - 1, ri]) & (best > flat[at, ri - 1])
 
 
 def build_pendant_tables(instance: Instance,
@@ -220,6 +305,90 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
                       left=li[keep], right=ri[keep])
 
 
+def combine_level(combines: list[tuple[int, CladeTable, CladeTable, float]],
+                  budget: int, disc: Discretization,
+                  stats: dict | None = None) -> list[CladeTable]:
+    """Run independent combines, several at a time, as vectorized passes.
+
+    ``combines`` lists (edge id, left table, right table, edge length);
+    the result holds their tables in that order, each equal field for
+    field to what :func:`combine_tables` gives for it alone. Every
+    combine's pair count is checked against ``PAIR_LIMIT`` first, in list
+    order. The combines are then cut, in order, into batches of at most
+    ``BATCH_PAIRS`` pairs, and never more than ``PAIR_LIMIT``. A batch
+    lays its pairs out edge by edge, each edge's in the (left, right)
+    order of :func:`combine_tables`, rounds them all in one ``pi_index``
+    call and filters them in one segmented :func:`_frontier`. A batch of
+    one combine, such as the only combine at a height of a caterpillar,
+    runs :func:`combine_tables`, which is the faster of the two on one
+    edge.
+
+    With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
+    """
+    if len(combines) == 1:
+        return [combine_tables(*combines[0], budget, disc, stats)]
+    prefixes = [np.searchsorted(right.costs, budget - left.costs, side="right")
+                for _, left, right, _ in combines]
+    counts = [int(m.sum()) for m in prefixes]
+    if stats is not None:
+        stats["candidate_pairs"] += sum(counts)
+    for pairs in counts:
+        _check_size("candidate pairs", pairs)
+    most = min(BATCH_PAIRS, PAIR_LIMIT)
+    out: list[CladeTable] = []
+    lo = 0
+    while lo < len(combines):
+        hi, total = lo + 1, counts[lo]
+        while hi < len(combines) and total + counts[hi] <= most:
+            total += counts[hi]
+            hi += 1
+        if hi - lo == 1:
+            out.append(combine_tables(*combines[lo], budget, disc))
+        else:
+            out += _combine_batch(combines[lo:hi], prefixes[lo:hi],
+                                  counts[lo:hi], disc)
+        lo = hi
+    return out
+
+
+def _combine_batch(combines: list[tuple[int, CladeTable, CladeTable, float]],
+                   prefixes: list[np.ndarray], counts: list[int],
+                   disc: Discretization) -> list[CladeTable]:
+    """The pass of :func:`combine_level` over one batch; ``prefixes[i][j]``
+    is how many right cells left cell j of combine i affords and
+    ``counts[i]`` their sum."""
+    eids, lefts, rights, lams = zip(*combines)
+    n_left = [t.costs.size for t in lefts]
+    left_start = np.cumsum([0] + n_left[:-1])
+    right_start = np.cumsum([0] + [t.costs.size for t in rights[:-1]])
+    m = np.concatenate(prefixes)
+    # pair p of left cell j takes right cell p - (first pair of j) of its
+    # combine's right table
+    li = np.repeat(np.arange(m.size), m)
+    ri = np.arange(sum(counts)) - np.repeat(
+        np.cumsum(m) - m - np.repeat(right_start, n_left), m)
+    seg = np.repeat(np.arange(len(combines)), counts)
+    grid = disc.grid
+    vj = grid[np.concatenate([t.rows for t in lefts])[li]]
+    rows = disc.pi_index(
+        vj + (1.0 - vj) * grid[np.concatenate([t.rows for t in rights])[ri]])
+    costs = (np.concatenate([t.costs for t in lefts])[li]
+             + np.concatenate([t.costs for t in rights])[ri])
+    scores = ((np.concatenate([t.scores for t in lefts])[li]
+               + np.concatenate([t.scores for t in rights])[ri])
+              + np.array(lams)[seg] * grid[rows])
+    keep = _frontier(costs, rows, scores, seg)
+    edge = seg[keep]
+    left = li[keep] - left_start[edge]
+    right = ri[keep] - right_start[edge]
+    costs, rows, scores = costs[keep], rows[keep], scores[keep]
+    ends = np.searchsorted(edge, np.arange(1, len(combines) + 1)).tolist()
+    return [CladeTable(edge_id=eid, kind="internal", costs=costs[a:b],
+                       rows=rows[a:b], scores=scores[a:b], left=left[a:b],
+                       right=right[a:b])
+            for eid, a, b in zip(eids, [0] + ends, ends)]
+
+
 def _combine_unary(eid: int, child: CladeTable, lam: float,
                    disc: Discretization) -> CladeTable:
     """Root edge over a single pendant: rows pass through unchanged."""
@@ -231,7 +400,14 @@ def _combine_unary(eid: int, child: CladeTable, lam: float,
 
 def build_tables(instance: Instance,
                  disc: Discretization) -> tuple[dict[int, CladeTable], dict]:
-    """Build every edge's table in postorder.
+    """Build every edge's table, one tree height at a time.
+
+    Each child sits at a lower height than its parent, so the combines at
+    one height are independent, and :func:`combine_level` runs them in
+    batches that pay numpy's fixed cost per call once per batch rather
+    than once per edge. When a combine is refused for its size, the binary
+    combines are run again one by one in postorder, so the refusal raised
+    is the first one a postorder walk meets.
 
     The instance must be normalized (binary tree, costs within budget).
     Returns the tables keyed by edge id and work counters:
@@ -246,21 +422,36 @@ def build_tables(instance: Instance,
     tables = build_pendant_tables(instance, disc)
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
+    levels: dict[int, list] = {}
     for e in tree.edges:
-        if e.taxon is not None:
-            continue
-        if len(e.children) == 1:
-            tables[e.eid] = _combine_unary(
-                e.eid, tables[e.children[0]], e.length, disc)
-        elif len(e.children) == 2:
-            left, right = e.children
-            tables[e.eid] = combine_tables(e.eid, tables[left], tables[right],
-                                           e.length, budget, disc, stats)
-            stats["fast_combines"] += 1
-        else:
+        if len(e.children) > 2:
             raise InternalError(
                 f"edge {e.eid} has {len(e.children)} children; "
                 "tables need a normalized binary tree")
+        if e.children:
+            levels.setdefault(e.height, []).append(e)
+    try:
+        for height in sorted(levels):
+            level = []
+            for e in levels[height]:
+                if len(e.children) == 1:
+                    tables[e.eid] = _combine_unary(
+                        e.eid, tables[e.children[0]], e.length, disc)
+                else:
+                    left, right = e.children
+                    level.append((e.eid, tables[left], tables[right], e.length))
+            if level:
+                tables.update(zip([c[0] for c in level],
+                                  combine_level(level, budget, disc, stats)))
+            stats["fast_combines"] += len(level)
+    except SizeLimitError:
+        for e in tree.edges:
+            if len(e.children) == 2:
+                left, right = e.children
+                tables[e.eid] = combine_tables(e.eid, tables[left],
+                                               tables[right], e.length,
+                                               budget, disc)
+        raise
     stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
     return tables, stats
 

@@ -3,9 +3,9 @@
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, table combines by
 a literal scatter over every (row, row, split) triple of dense tables,
-whose non-dominated cells a combine must reproduce, and exhaustive search
-by scoring every subset one at a time. Slow and obviously correct is the
-point.
+whose non-dominated cells a combine must reproduce, all tables by one
+combine per edge in postorder, and exhaustive search by scoring every
+subset one at a time. Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from napx.model import (ConservationSet, Instance, expected_pd,
                         make_conservation_set)
+from napx import solver
 from napx.solver import CladeTable
 
 
@@ -195,6 +196,43 @@ def from_dense(eid: int, kind: str, scores: np.ndarray) -> CladeTable:
     b, p = np.nonzero(np.isfinite(scores))
     return CladeTable(edge_id=eid, kind=kind, costs=b, rows=p,
                       scores=scores[b, p])
+
+
+def build_tables_postorder(instance: Instance,
+                           disc) -> tuple[dict[int, CladeTable], dict]:
+    """Every table of a normalized instance, built one edge at a time in
+    postorder with :func:`napx.solver.combine_tables`, and the stats of
+    :func:`napx.solver.build_tables`. A refused combine raises the first
+    refusal in postorder."""
+    budget = int(instance.budget)
+    tables = solver.build_pendant_tables(instance, disc)
+    stats = {"fast_combines": 0, "general_combines": 0,
+             "candidate_pairs": 0, "table_cells": 0}
+    for e in instance.tree.edges:
+        if len(e.children) == 1:
+            tables[e.eid] = solver._combine_unary(
+                e.eid, tables[e.children[0]], e.length, disc)
+        elif len(e.children) == 2:
+            left, right = (tables[c] for c in e.children)
+            tables[e.eid] = solver.combine_tables(e.eid, left, right, e.length,
+                                                  budget, disc, stats)
+            stats["fast_combines"] += 1
+    stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
+    return tables, stats
+
+
+def assert_same_table(got: CladeTable, want: CladeTable) -> None:
+    """Equal tables: the same edge, kind and taxon, and every array of the
+    same dtype, shape and bytes."""
+    assert (got.edge_id, got.kind, got.taxon) == (want.edge_id, want.kind,
+                                                  want.taxon)
+    for name in ("costs", "rows", "scores", "left", "right"):
+        g, w = getattr(got, name), getattr(want, name)
+        if w is None:
+            assert g is None, name
+        else:
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape,
+                                                       w.tobytes()), name
 
 
 def combine_reference(lsc: np.ndarray, rsc: np.ndarray, lam: float,

@@ -12,15 +12,17 @@ from napx.discretization import Discretization, derive_k, select_params
 from napx.cli import main
 from napx.errors import InternalError, ParameterError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
-from napx.io import load_instance
+from napx.io import load_instance, save_instance
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
                         min_conserved_survival, normalize, total_pd)
 from napx.solver import (CladeTable, build_pendant_tables, build_tables,
-                         combine_tables, solve)
+                         combine_level, combine_tables, solve)
 
-from oracles import (assert_frontier_of_scatter, cells, exhaustive_best,
+from oracles import (assert_frontier_of_scatter, assert_same_table,
+                     build_tables_postorder, cells, exhaustive_best,
                      from_dense)
-from util import cherry, data_path, fig1_instance, make_instance, tie_cherry
+from util import (cherry, data_path, fig1_instance, make_instance,
+                  polytomy_instance, tie_cherry)
 
 
 def small_disc() -> Discretization:
@@ -255,6 +257,178 @@ def _wide_cost_instance():
 
 def test_wide_cost_combines_match_scatter():
     _assert_combines_match_scatter(*_wide_cost_instance())
+
+
+# ------------------------------------------------------------------------- #
+#  Combines batched by tree height
+# ------------------------------------------------------------------------- #
+
+# costs near 2**62, whose affordable sums still fit int64 under the largest
+# budget
+_COSTS = [0, 0, 1, 2, 3, (1 << 62) - 3, 1 << 62, (1 << 62) + 3]
+_DISCS = [small_disc(), Discretization.from_alpha_pmin(0.9, 1e-3)]
+
+
+@st.composite
+def _child_table(draw, disc):
+    """A table of 0-5 cells in (cost, row) order, dominated ones too, with
+    few distinct costs, rows and scores, so that ties are common."""
+    n = draw(st.integers(0, 5))
+    drawn = sorted(draw(st.lists(st.tuples(
+        st.sampled_from(_COSTS), st.integers(0, disc.t + 1),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 100.0)),
+        min_size=n, max_size=n)))
+    costs, rows, scores = zip(*drawn) if drawn else ((), (), ())
+    return CladeTable(edge_id=-1, kind="internal",
+                      costs=np.array(costs, dtype=np.int64),
+                      rows=np.array(rows, dtype=np.int64),
+                      scores=np.array(scores, dtype=np.float64))
+
+
+@st.composite
+def _level(draw):
+    disc = draw(st.sampled_from(_DISCS))
+    budget = draw(st.sampled_from([0, 1, 3, 6, (1 << 63) - 1]))
+    combines = [(eid, draw(_child_table(disc)), draw(_child_table(disc)),
+                 draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)))
+                for eid in range(draw(st.integers(2, 6)))]
+    return disc, budget, combines
+
+
+_EMPTY = CladeTable(edge_id=-1, kind="internal",
+                    costs=np.empty(0, dtype=np.int64),
+                    rows=np.empty(0, dtype=np.int64), scores=np.empty(0))
+_ONE = CladeTable(edge_id=-1, kind="internal", costs=np.array([0]),
+                  rows=np.array([1]), scores=np.array([0.5]))
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(_level())
+@example((_DISCS[0], 3, [(0, _EMPTY, _ONE, 1.0), (1, _ONE, _EMPTY, 1.0),
+                         (2, _ONE, _ONE, 0.0), (3, _EMPTY, _EMPTY, 1.0)]))
+def test_combine_level_equals_combine_tables(case):
+    """Each table of a batched level equals, field for field, the one
+    ``combine_tables`` builds for its edge alone; the level counts the
+    same candidate pairs."""
+    disc, budget, combines = case
+    stats = {"candidate_pairs": 0}
+    got = combine_level(combines, budget, disc, stats)
+    want_stats = {"candidate_pairs": 0}
+    assert len(got) == len(combines)
+    for tab, (eid, left, right, lam) in zip(got, combines):
+        assert_same_table(tab, combine_tables(eid, left, right, lam, budget,
+                                              disc, want_stats))
+    assert stats == want_stats
+
+
+def _random_polytomy(seed: int):
+    """A tree of 3-12 leaves whose interior nodes have two to four
+    children, some edges of length 0, some a = b and some c = 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 13))
+    nodes = [leaf(f"t{i}", float(rng.choice([0.0, 0.5, 1.0]))) for i in range(n)]
+    while len(nodes) > 1:
+        k = min(len(nodes), int(rng.integers(2, 5)))
+        picked = [nodes.pop(int(rng.integers(len(nodes)))) for _ in range(k)]
+        nodes.append(inner(float(rng.choice([0.0, 1.0])), *picked))
+    rows = []
+    for i in range(n):
+        a = float(rng.choice([0.0, 0.2, 0.5]))
+        rows.append((f"t{i}", a, float(rng.choice([a, 0.9])),
+                     int(rng.integers(0, 4))))
+    return make_instance(nodes[0], rows, budget=int(rng.integers(0, 2 * n)))
+
+
+@pytest.mark.parametrize("instance", [
+    *(gen_yule(n, seed) for n in (2, 9, 40) for seed in range(3)),
+    *(gen_caterpillar(n, seed) for n in (2, 9, 40) for seed in range(2)),
+    gen_yule(64, 1, c_range=(1, 40), budget=200),
+    polytomy_instance(),
+    *(_random_polytomy(seed) for seed in range(8)),
+], ids=lambda inst: f"n{len(inst.taxa)}h{inst.tree.height}")
+@pytest.mark.parametrize("epsilon", [0.3, 0.1])
+@pytest.mark.parametrize("batch_pairs", [solver.BATCH_PAIRS, 8])
+def test_build_tables_equals_a_postorder_loop(monkeypatch, instance, epsilon,
+                                              batch_pairs):
+    """Tables built one height at a time equal those of one
+    ``combine_tables`` call per edge in postorder, and so do the stats,
+    also when small batches cut most heights into several passes."""
+    monkeypatch.setattr(solver, "BATCH_PAIRS", batch_pairs)
+    norm, disc = _tables_for(instance, epsilon)
+    tables, stats = build_tables(norm, disc)
+    want, want_stats = build_tables_postorder(norm, disc)
+    assert tables.keys() == want.keys()
+    for eid in want:
+        assert_same_table(tables[eid], want[eid])
+    assert stats == want_stats
+
+
+def _sizes_of_combines(monkeypatch, norm, disc) -> list[int]:
+    """Pair and dominance-cell counts of every combine of the postorder
+    loop, as its size checks see them."""
+    sizes = []
+    check = solver._check_size
+    monkeypatch.setattr(solver, "_check_size",
+                        lambda what, n: sizes.append(n) or check(what, n))
+    build_tables_postorder(norm, disc)
+    monkeypatch.setattr(solver, "_check_size", check)
+    return sizes
+
+
+def test_batches_refuse_nothing_the_edge_loop_solves(monkeypatch):
+    """With ``PAIR_LIMIT`` at the largest single combine but below a level's
+    summed pairs, no batch holds more pairs than the limit, some dominance
+    matrices are stacked in parts, and the solve is the one without the
+    limit."""
+    inst = gen_yule(256, 1, budget=64)
+    norm, disc = _tables_for(inst, 0.3)
+    largest = max(_sizes_of_combines(monkeypatch, norm, disc))
+    tables, _ = build_tables(norm, disc)
+    pairs: dict[int, int] = {}
+    for e in norm.tree.edges:
+        if len(e.children) == 2:
+            left, right = (tables[c] for c in e.children)
+            pairs[e.height] = pairs.get(e.height, 0) + int(np.searchsorted(
+                right.costs, norm.budget - left.costs, side="right").sum())
+    assert largest < max(pairs.values()) <= solver.BATCH_PAIRS
+    before = solve(inst, 0.3)
+    calls = {"_combine_batch": [], "_frontier": [], "_undominated": []}
+
+    def recorded(name, f):
+        def wrapper(*args):
+            calls[name].append(args)
+            return f(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, recorded(name, getattr(solver, name)))
+    monkeypatch.setattr(solver, "PAIR_LIMIT", largest)
+    after = solve(inst, 0.3)
+    batch_pairs = [sum(counts) for _, _, counts, _ in calls["_combine_batch"]]
+    assert batch_pairs and max(batch_pairs) <= largest
+    # a filter whose matrices did not fit at once stacked them in parts
+    assert len(calls["_undominated"]) > len(calls["_frontier"])
+    assert after.selection == before.selection
+    assert repr(after.reported_score) == repr(before.reported_score)
+    assert after.stats == before.stats
+
+
+@pytest.mark.parametrize("below", [1, 2000])
+def test_refusal_is_the_first_of_the_edge_loop(monkeypatch, capsys, tmp_path,
+                                                below):
+    """Below the largest single combine the solve is refused with exit 3
+    and the message of the first combine a postorder loop refuses, even
+    when combines at several heights are above the limit."""
+    inst = gen_yule(256, 1, budget=64)
+    norm, disc = _tables_for(inst, 0.3)
+    largest = max(_sizes_of_combines(monkeypatch, norm, disc))
+    monkeypatch.setattr(solver, "PAIR_LIMIT", largest - below)
+    with pytest.raises(SizeLimitError) as want:
+        build_tables_postorder(norm, disc)
+    path = tmp_path / "y256.nap.json"
+    save_instance(inst, path)
+    assert main(["solve", str(path), "--epsilon", "0.3"]) == 3
+    assert capsys.readouterr().err == f"error: {want.value}\n"
 
 
 # ------------------------------------------------------------------------- #
