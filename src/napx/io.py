@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .model import Instance, PhyloTree, Taxon
+from .model import Instance, Taxon
 from .newick import (format_annotated, format_newick, parse_annotated,
                      parse_newick, round12)
 
@@ -50,14 +49,15 @@ _SOLUTION_KEYS = {"format", "version", "solver", "instance", "budget", "selected
                   "total_cost", "reported_score", "evaluated_score", "params", "stats"}
 
 
+# json.loads gives numbers as exactly int or float, and a bool is neither
 def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    if type(value) is not int:
         raise ParseError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _as_float(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, Real):
+    if type(value) is not float and type(value) is not int:
         raise ParseError(f"{what} must be a number, got {value!r}")
     return float(value)
 
@@ -101,26 +101,26 @@ def _parse_instance_json(text: str) -> tuple[Instance, dict]:
         raise ParseError("taxa must be an object")
     taxa: dict[str, Taxon] = {}
     for tid, rec in doc["taxa"].items():
-        if not isinstance(rec, dict) or set(rec) != {"a", "b", "c"}:
+        if type(rec) is not dict or rec.keys() != {"a", "b", "c"}:
             raise ParseError(f"taxon {tid!r} must be an object with exactly "
                              "the keys a, b, c")
-        taxa[tid] = Taxon(id=tid,
-                          a=_as_float(rec["a"], f"taxon {tid!r}: a"),
-                          b=_as_float(rec["b"], f"taxon {tid!r}: b"),
-                          c=_as_int(rec["c"], f"taxon {tid!r}: c"))
+        try:
+            taxa[tid] = Taxon(tid, _as_float(rec["a"], "a"), _as_float(rec["b"], "b"),
+                              _as_int(rec["c"], "c"))
+        except ParseError as exc:
+            raise ParseError(f"taxon {tid!r}: {exc}") from None
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError(f"name must be a string, got {name!r}")
     seed = doc.get("seed")
     if seed is not None:
         seed = _as_int(seed, "seed")
-    tree = PhyloTree.from_node(parse_newick(doc["newick"]))
+    tree = parse_newick(doc["newick"])
     return Instance(tree=tree, taxa=taxa, budget=budget), {"name": name, "seed": seed}
 
 
 def _parse_instance_nwk(text: str) -> tuple[Instance, dict]:
-    top, taxa, header = parse_annotated(text)
-    tree = PhyloTree.from_node(top)
+    tree, taxa, header = parse_annotated(text)
     instance = Instance(tree=tree, taxa=taxa, budget=header["budget"])
     return instance, {"name": header["name"], "seed": header["seed"]}
 
@@ -172,14 +172,18 @@ def instance_format_for(path: "str | Path") -> str:
                      "expected .nap.json or .nap.nwk")
 
 
+def _read_text(path: "str | Path") -> str:
+    """A file's text; a file that cannot be read or is not UTF-8 is bad input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def load_instance(path: "str | Path") -> tuple[Instance, dict]:
     """Read an instance file, picking the format from the suffix."""
     fmt = instance_format_for(path)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_instance(text, fmt)
+    return parse_instance(_read_text(path), fmt)
 
 
 def save_instance(instance: Instance, path: "str | Path", *,
@@ -272,8 +276,4 @@ def parse_solution(text: str) -> SolutionDocument:
 
 
 def load_solution(path: "str | Path") -> SolutionDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    return parse_solution(text)
+    return parse_solution(_read_text(path))

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInstanceError, InputError, ValidationError
 
@@ -81,9 +81,10 @@ class Taxon:
 class TreeNode:
     """Mutable builder node used while assembling or rewriting a tree.
 
-    The finished, read-only representation is :class:`PhyloTree`; parsers,
-    generators and the normalizer all shape their work as ``TreeNode``
-    structures first and convert once at the end.
+    The finished, read-only representation is :class:`PhyloTree`; the
+    generators and the normalizer shape their work as ``TreeNode``
+    structures first and convert once at the end (the parsers emit flat
+    records instead).
     """
 
     length: float = 0.0
@@ -118,44 +119,6 @@ class Edge:
     height: int
 
 
-def _contract_below(top: TreeNode) -> None:
-    """Collapse unary interior chains below ``top``, summing lengths.
-
-    Exact for expected diversity: an edge of length u over an edge of
-    length v with the same clade contributes (u + v) times one survival
-    probability. Iterative so deep caterpillars stay within recursion
-    limits.
-    """
-    stack = [top]
-    while stack:
-        cur = stack.pop()
-        new_children = []
-        for ch in cur.children:
-            while ch.taxon is None and len(ch.children) == 1:
-                only = ch.children[0]
-                only.length += ch.length
-                ch = only
-            new_children.append(ch)
-        cur.children = new_children
-        stack.extend(new_children)
-
-
-def _min_labels(top: TreeNode) -> dict[int, str]:
-    """Smallest leaf label below each node, keyed by ``id(node)``."""
-    lab: dict[int, str] = {}
-    stack: list[tuple[TreeNode, bool]] = [(top, False)]
-    while stack:
-        node, done = stack.pop()
-        if not done:
-            stack.append((node, True))
-            stack.extend((ch, False) for ch in node.children)
-        elif node.taxon is not None:
-            lab[id(node)] = node.taxon
-        else:
-            lab[id(node)] = min((lab[id(ch)] for ch in node.children), default="")
-    return lab
-
-
 @dataclass(eq=True)
 class PhyloTree:
     """A rooted tree stored as a flat tuple of edges in postorder.
@@ -168,51 +131,84 @@ class PhyloTree:
     root: int
 
     @staticmethod
-    def from_node(top: TreeNode) -> "PhyloTree":
-        """Build a tree from nested :class:`TreeNode` structures.
+    def from_records(lengths: Sequence[float], children: Sequence[Sequence[int]],
+                     taxa: Sequence[str | None]) -> "PhyloTree":
+        """Build the canonical tree from flat records, which are only read.
 
-        The top node becomes the root edge. Unary chains are contracted
-        with their lengths summed (this never changes expected diversity);
-        a bare leaf at the top is wrapped under a zero-length root edge.
-
-        The result is canonical: children are ordered by the smallest leaf
-        label in their subtree and edge ids are assigned by a postorder
-        walk in that order, so two builder trees that differ only in child
-        order produce equal ``PhyloTree`` values.
+        Record ``i`` is one edge: its length, the ids of the records
+        directly below it (each smaller than ``i``) and its leaf label or
+        None. The last record becomes the root edge, under a zero-length
+        root edge if it is labelled. Unary chains contract into their last
+        edge, with lengths summed from the top down (expected diversity is
+        unchanged), and a root edge absorbs a lone interior child. Children
+        are ordered by the smallest leaf label below them, ties keeping
+        their given order, and edges are numbered in postorder. So records
+        that differ only in child order build equal trees.
         """
-        if top.taxon is not None:
-            top = TreeNode(length=0.0, children=[top])
-        _contract_below(top)
-        while top.taxon is None and len(top.children) == 1 and top.children[0].taxon is None:
-            only = top.children[0]
-            top.length += only.length
-            top.children = only.children
-
-        lab = _min_labels(top)
-        edges: list[Edge] = []
-        eid_of: dict[int, int] = {}
-        stack: list[tuple[TreeNode, bool]] = [(top, False)]
-        while stack:
-            node, done = stack.pop()
-            ordered = sorted(node.children, key=lambda ch: lab[id(ch)])
-            if not done:
-                stack.append((node, True))
-                stack.extend((ch, False) for ch in reversed(ordered))
+        length, below, taxa = [*lengths], [*children], [*taxa]     # edited copies
+        if taxa[-1] is not None:
+            length, below, taxa = length + [0.0], below + [(len(taxa) - 1,)], taxa + [None]
+        top = len(taxa) - 1
+        low: list[str] = []     # smallest leaf label below each record
+        ends: list[int] = []    # where the unary chain from each record ends
+        for i, (tx, ks) in enumerate(zip(taxa, below)):
+            if tx is None and len(ks) == 1:
+                ends.append(ends[ks[0]])
+                low.append(low[ks[0]])
             else:
-                child_ids = tuple(eid_of[id(ch)] for ch in ordered)
-                if child_ids:
-                    height = 1 + max(edges[c].height for c in child_ids)
-                else:
-                    height = 1
-                eid_of[id(node)] = len(edges)
-                edges.append(Edge(
-                    eid=len(edges),
-                    length=float(node.length),
-                    children=child_ids,
-                    taxon=node.taxon,
-                    height=height,
-                ))
+                ends.append(i)
+                low.append(tx if tx is not None
+                           else min(map(low.__getitem__, ks), default=""))
+
+        def contract(c: int) -> int:
+            """The end of the chain from ``c``, given the chain's length."""
+            total = length[c]
+            while c != ends[c]:
+                c = below[c][0]
+                total = length[c] + total
+            length[c] = total
+            return c
+
+        if len(below[top]) == 1 and taxa[ends[below[top][0]]] is None:
+            end = contract(below[top][0])
+            length[top] = length[top] + length[end]
+            below[top] = below[end]
+        # parents first and last children first: the reverse of the postorder
+        order: list[tuple[int, list[int]]] = []
+        todo = [top]
+        while todo:
+            i = todo.pop()
+            ks = [c if c == ends[c] else contract(c) for c in below[i]]
+            ks.sort(key=low.__getitem__)
+            order.append((i, ks))
+            todo += ks
+        eids, heights = [0] * len(taxa), [0] * len(taxa)
+        edges: list[Edge] = []
+        for eid, (i, ks) in enumerate(reversed(order)):
+            if ks:
+                height = 1 + max(map(heights.__getitem__, ks))
+                ids = tuple(map(eids.__getitem__, ks))
+            else:
+                height, ids = 1, ()
+            eids[i], heights[i] = eid, height
+            edges.append(Edge(eid, float(length[i]), ids, taxa[i], height))
         return PhyloTree(edges=tuple(edges), root=len(edges) - 1)
+
+    @staticmethod
+    def from_node(top: TreeNode) -> "PhyloTree":
+        """Build the canonical tree from nested :class:`TreeNode` structures,
+        which are only read: they are flattened into records for
+        :meth:`from_records`, the one builder that parsers, generators and
+        :func:`normalize` share. The top node becomes the root edge."""
+        nodes = [top]
+        for node in nodes:                      # breadth first, growing as it goes
+            nodes += node.children
+        nodes.reverse()                         # children before parents
+        ids = {id(node): i for i, node in enumerate(nodes)}
+        return PhyloTree.from_records(
+            [node.length for node in nodes],
+            [tuple([ids[id(ch)] for ch in node.children]) for node in nodes],
+            [node.taxon for node in nodes])
 
     def to_node(self) -> TreeNode:
         """Inverse of :meth:`from_node`; used by rewriting passes."""

@@ -13,14 +13,23 @@ Two dialects are supported:
       ((x[&a=0.1,b=0.9,c=2]:1,y[&a=0,b=1,c=3]:2):0.5,z[&a=0.2,b=0.7,c=1]:3);
 
 Writers are canonical: children are written in the tree's own order
-(smallest leaf label first, see :meth:`PhyloTree.from_node`), floats are
-rendered with 12 significant digits, and the top-level length is written
-only when it is positive. Parsing a written file reproduces the written
-values exactly whenever the instance's floats already sit on the 12-digit
-grid (see :func:`round12`).
+(smallest leaf label first, see :meth:`PhyloTree.from_records`), floats
+are rendered with 12 significant digits, and the top-level length is
+written only when it is positive. Parsing a written file reproduces the
+written values exactly whenever the instance's floats already sit on the
+12-digit grid (see :func:`round12`).
 
-The parser tracks only an offset into the text; the line and column of a
-:class:`ParseError` are worked out from that offset when it is raised.
+The reader is one pass with two states, after a subtree or not. A step
+is one match of a compound pattern: trivia, then a ``)`` and its interior
+label, a ``;``, or an optional ``,`` with the ``(`` and leaf label after
+it, and after a label or ``)`` the trivia, ``:`` and branch length. An
+annotation takes one match per ``key=value`` entry; the last also takes
+the length after it. No part after the leading trivia is required, so a
+match never fails and the first missing group marks the offset of an
+error. Only offsets are kept; a :class:`ParseError` works out its line and
+column when raised. The reader emits flat postorder records (length,
+child record ids, leaf label) to :meth:`PhyloTree.from_records`, and
+drops interior labels.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import re
 
 from .errors import InputError, ParseError
-from .model import Instance, PhyloTree, Taxon, TreeNode
+from .model import Instance, PhyloTree, Taxon
 
 __all__ = [
     "parse_newick",
@@ -39,13 +48,32 @@ __all__ = [
     "round12",
 ]
 
-_LABEL_RE = re.compile(r"[A-Za-z0-9_.\-|]+")
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
-_KEY_RE = re.compile(r"[A-Za-z_]+")
-_VALUE_RE = re.compile(r"[^,\]\s]+")
+_LABEL = r"[A-Za-z0-9_.\-|]"
+_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_SPACE = r"[ \t\r\n]*"
+_TRIVIA = r"(?:[ \t\r\n]|\[[^\]]*\])*"   # plain newick skips comments too
+
+
+def _tail(trivia: str) -> str:
+    """The trivia, ``:`` and branch length after a label or ``)``."""
+    return rf"{trivia}(?:(:){trivia}({_NUMBER})?)?"
+
+
+def _step(trivia: str, after_leaf: str) -> re.Pattern:
+    """Groups: 1 ``)``, 2 ``:`` and 3 the length after it, 4 ``;``,
+    5 ``,``, 6 the ``(`` before a leaf, 7 its label, then ``after_leaf``'s."""
+    return re.compile(rf"{trivia}(?:(\)){_LABEL}*{_tail(trivia)}|(;){trivia}"
+                      rf"|(,)?((?:{trivia}\()*){trivia}(?:({_LABEL}+){after_leaf})?)")
+
+
+_STEP_RE = {False: _step(_TRIVIA, _tail(_TRIVIA)), True: _step(_SPACE, _SPACE)}
+# groups: 1 key, 2 '=', 3 value (each empty where missing), 4 ',', 5 ']',
+# 6 ':' and 7 the length after it
+_ENTRY_RE = re.compile(rf"{_SPACE}([A-Za-z_]*){_SPACE}(=?){_SPACE}([^,\]\s]*)"
+                       rf"{_SPACE}(?:(,)|(\]){_tail(_SPACE)})?")
+_COMMENT_RE = re.compile(r"\[[^\]]*\]")
+_LABEL_RE = re.compile(_LABEL + "+")
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
-_SPACE_RE = re.compile(r"[ \t\r\n]*")
-_SPACE_OR_COMMENT_RE = re.compile(r"(?:[ \t\r\n]+|\[[^\]]*\])*")
 
 
 def fmt_float(x: float) -> str:
@@ -59,203 +87,177 @@ def round12(x: float) -> float:
 
 
 # ------------------------------------------------------------------------- #
-#  Scanner
+#  Reading
 # ------------------------------------------------------------------------- #
 
-class _Scanner:
-    """Cursor over the text: an offset, with positions worked out on error."""
-
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos:self.pos + 1]
-
-    def match(self, regex: re.Pattern) -> str | None:
-        m = regex.match(self.text, self.pos)
-        if m is None or m.end() == self.pos:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def expect(self, literal: str, what: str | None = None) -> None:
-        if not self.text.startswith(literal, self.pos):
-            self.fail(f"expected {what or literal!r}")
-        self.pos += len(literal)
-
-    def fail(self, message: str, at: int | None = None):
-        """Raise at offset ``at`` (default: the cursor) as a line and column."""
-        at = self.pos if at is None else at
-        line = self.text.count("\n", 0, at) + 1
-        raise ParseError(message, line=line,
-                         column=at - self.text.rfind("\n", 0, at))
+def _fail(text: str, message: str, at: int, comments: bool = False):
+    """Raise at offset ``at`` of ``text``, as a line and column. Where
+    ``comments`` are trivia, a ``[`` there opens a comment never closed."""
+    if comments and text.startswith("[", at):
+        message, at = "expected \"closing ']' of comment\"", len(text)
+    raise ParseError(message, line=text.count("\n", 0, at) + 1,
+                     column=at - text.rfind("\n", 0, at))
 
 
-def _skip_trivia(sc: _Scanner, skip_comments: bool) -> None:
-    regex = _SPACE_OR_COMMENT_RE if skip_comments else _SPACE_RE
-    sc.pos = regex.match(sc.text, sc.pos).end()
-    if skip_comments and sc.peek() == "[":
-        sc.pos = len(sc.text)           # an unclosed comment runs to the end
-        sc.expect("]", "closing ']' of comment")
+def _stray(text: str, at: int, after: bool, nested: bool, comments: bool):
+    """Fail at ``at``, whose character cannot come next: ``after`` says
+    whether a subtree was just read, ``nested`` whether a group is open."""
+    ch = text[at:at + 1]
+    if not ch:
+        message = "unexpected end of input"
+    elif after and not nested and ch in ",)":
+        message = "',' outside any group" if ch == "," else "unbalanced ')'"
+    elif after:
+        message = f"unexpected {ch!r} after a complete subtree"
+    elif ch in ",)":
+        message = f"expected a subtree before {ch!r}"
+    elif ch == ";":
+        message = "unbalanced '(': group never closed" if nested else "empty tree"
+    else:
+        message = f"unexpected character {ch!r}"
+    _fail(text, message, at, comments)
 
 
-# ------------------------------------------------------------------------- #
-#  Parsing
-# ------------------------------------------------------------------------- #
+def _no_length(text: str, colon: str | None, at: int, comments: bool) -> float:
+    """0 for an edge without ``:``; else the missing number's error."""
+    if colon is not None:
+        _fail(text, "expected a branch length after ':'", at, comments)
+    return 0.0
 
-def _parse_annotation(sc: _Scanner) -> dict[str, str]:
-    """Read one ``[&key=value,...]`` block into a string map."""
-    sc.expect("[&", "'[&' annotation")
+
+def _annotation(text: str, at: int) -> tuple[dict[str, str], re.Match]:
+    """Read the ``[&key=value,...]`` block at ``at`` into a string map,
+    and the last entry's match: its groups 6, 7 hold the length after it."""
+    if not text.startswith("[&", at):
+        _fail(text, "expected \"'[&' annotation\"", at)
     out: dict[str, str] = {}
+    pos = at + 2
     while True:
-        _skip_trivia(sc, False)
-        key = sc.match(_KEY_RE)
-        if key is None:
-            sc.fail("expected an annotation key")
-        _skip_trivia(sc, False)
-        sc.expect("=")
-        _skip_trivia(sc, False)
-        val = sc.match(_VALUE_RE)
-        if val is None:
-            sc.fail(f"missing value for annotation key {key!r}")
+        m = _ENTRY_RE.match(text, pos)
+        key, eq, value, comma, close, _, _ = m.groups()
+        if not key:
+            _fail(text, "expected an annotation key", m.start(1))
+        if not eq:
+            _fail(text, "expected '='", m.start(2))
+        if not value:
+            _fail(text, f"missing value for annotation key {key!r}", m.start(3))
         if key in out:
-            sc.fail(f"duplicate annotation key {key!r}")
-        out[key] = val
-        _skip_trivia(sc, False)
-        if sc.peek() == ",":
-            sc.pos += 1
-            continue
-        sc.expect("]", "closing ']' of annotation")
-        return out
+            _fail(text, f"duplicate annotation key {key!r}", m.end(3))
+        out[key] = value
+        if close is not None:
+            return out, m
+        if comma is None:
+            _fail(text, "expected \"closing ']' of annotation\"", m.end())
+        pos = m.end()
 
 
-def _leaf_taxon(sc: _Scanner, label: str, ann: dict[str, str], at: int) -> Taxon:
-    if set(ann) != {"a", "b", "c"}:
-        sc.fail(f"leaf {label!r}: annotation must have exactly the keys a, b, c", at)
-    try:
-        return Taxon(id=label, a=float(ann["a"]), b=float(ann["b"]), c=int(ann["c"]))
-    except ValueError as exc:
-        sc.fail(f"leaf {label!r}: {exc}", at)
-
-
-def _decorate(sc: _Scanner, node: TreeNode, annotated: bool,
-              taxa: dict[str, Taxon]) -> TreeNode:
-    """Consume the optional label, annotation and length after a subtree."""
-    if node.taxon is None:
-        sc.match(_LABEL_RE)             # interior labels are read and dropped
-    _skip_trivia(sc, not annotated)
-    if annotated and sc.peek() == "[":
-        at = sc.pos
-        ann = _parse_annotation(sc)
-        if node.taxon is None:
-            sc.fail("annotation on an interior edge", at)
-        if node.taxon in taxa:
-            sc.fail(f"duplicate leaf label {node.taxon!r}", at)
-        taxa[node.taxon] = _leaf_taxon(sc, node.taxon, ann, at)
-    elif annotated and node.taxon is not None:
-        sc.fail(f"leaf {node.taxon!r} is missing its [&a=...,b=...,c=...] annotation")
-    _skip_trivia(sc, not annotated)
-    if sc.peek() == ":":
-        sc.pos += 1
-        _skip_trivia(sc, not annotated)
-        num = sc.match(_NUMBER_RE)
-        if num is None:
-            sc.fail("expected a branch length after ':'")
-        node.length = float(num)
-    return node
-
-
-def _parse_tree_body(sc: _Scanner, annotated: bool) -> tuple[TreeNode, dict[str, Taxon]]:
+def _read_tree(text: str, pos: int, annotated: bool):
+    """Read the tree from ``pos`` to the end of ``text`` as flat postorder
+    records, and build it; returns the tree and the leaf annotations' taxa."""
+    step = _STEP_RE[annotated].match
+    comments = not annotated
+    lengths: list[float] = []
+    children: list[tuple[int, ...]] = []
+    labels: list[str | None] = []
     taxa: dict[str, Taxon] = {}
-    stack: list[list[TreeNode]] = []
-    current: TreeNode | None = None
+    done: list[int] = []     # ids of the subtrees read in the open groups
+    opened: list[int] = []   # for each open group, where its subtrees start in done
+    after = False            # a subtree was just read
     while True:
-        _skip_trivia(sc, not annotated)
-        ch = sc.peek()
-        if ch == "":
-            sc.fail("unexpected end of input")
-        elif ch == "(":
-            if current is not None:
-                sc.fail("unexpected '(' after a complete subtree")
-            sc.pos += 1
-            stack.append([])
-        elif ch == ",":
-            if current is None:
-                sc.fail("expected a subtree before ','")
-            if not stack:
-                sc.fail("',' outside any group")
-            sc.pos += 1
-            stack[-1].append(current)
-            current = None
-        elif ch == ")":
-            if current is None:
-                sc.fail("expected a subtree before ')'")
-            if not stack:
-                sc.fail("unbalanced ')'")
-            sc.pos += 1
-            children = stack.pop()
-            children.append(current)
-            current = _decorate(sc, TreeNode(children=children), annotated, taxa)
-        elif ch == ";":
-            if stack:
-                sc.fail("unbalanced '(': group never closed")
-            if current is None:
-                sc.fail("empty tree")
-            sc.pos += 1
-            _skip_trivia(sc, not annotated)
-            if sc.pos < len(sc.text):
-                sc.fail("trailing text after ';'")
-            return current, taxa
+        m = step(text, pos)
+        close, colon, number, semi, comma, opens, label = m.group(1, 2, 3, 4, 5, 6, 7)
+        pos = m.end()
+        if semi is not None:
+            if opened or not after:
+                _stray(text, m.start(4), False, bool(opened), comments)
+            if pos < len(text):
+                _fail(text, "trailing text after ';'", pos, comments)
+            return PhyloTree.from_records(lengths, children, labels), taxa
+        if close is not None:
+            if not (after and opened):
+                _stray(text, m.start(1), after, bool(opened), comments)
+            if annotated and colon is None and text.startswith("[", pos):
+                _annotation(text, pos)
+                _fail(text, "annotation on an interior edge", pos)
+            start = opened.pop()
+            kids = tuple(done[start:])
+            del done[start:]
         else:
-            if current is not None:
-                sc.fail(f"unexpected {ch!r} after a complete subtree")
-            label = sc.match(_LABEL_RE)
+            if comma is not None:
+                if not (after and opened):
+                    _stray(text, m.start(5), after, bool(opened), comments)
+            elif after:
+                _stray(text, m.start(6), True, bool(opened), comments)
+            if opens:
+                if comments and "[" in opens:
+                    opens = _COMMENT_RE.sub("", opens)
+                opened += [len(done)] * opens.count("(")
             if label is None:
-                sc.fail(f"unexpected character {ch!r}")
-            current = _decorate(sc, TreeNode(taxon=label), annotated, taxa)
+                _stray(text, pos, False, bool(opened), comments)
+            if annotated:
+                if not text.startswith("[", pos):
+                    _fail(text, f"leaf {label!r} is missing its "
+                          "[&a=...,b=...,c=...] annotation", pos)
+                ann, m = _annotation(text, pos)
+                if label in taxa:
+                    _fail(text, f"duplicate leaf label {label!r}", pos)
+                if ann.keys() != {"a", "b", "c"}:
+                    _fail(text, f"leaf {label!r}: annotation must have exactly "
+                          "the keys a, b, c", pos)
+                try:
+                    taxa[label] = Taxon(label, float(ann["a"]), float(ann["b"]),
+                                        int(ann["c"]))
+                except ValueError as exc:
+                    _fail(text, f"leaf {label!r}: {exc}", pos)
+                colon, number = m.group(6, 7)
+                pos = m.end()
+            else:
+                colon, number = m.group(8, 9)
+            kids = ()
+        lengths.append(float(number) if number is not None
+                       else _no_length(text, colon, pos, comments))
+        children.append(kids)
+        labels.append(label)
+        done.append(len(labels) - 1)
+        after = True
 
 
-def parse_newick(text: str) -> TreeNode:
-    """Parse a plain newick string into builder nodes.
+def parse_newick(text: str) -> PhyloTree:
+    """Parse a plain newick string into its canonical tree.
 
     Bracket comments are ignored. Interior labels are accepted and
     discarded. Raises :class:`ParseError` with line and column on any
     syntax problem.
     """
-    return _parse_tree_body(_Scanner(text), annotated=False)[0]
+    return _read_tree(text, 0, annotated=False)[0]
 
 
-def parse_annotated(text: str) -> tuple[TreeNode, dict[str, Taxon], dict]:
+def parse_annotated(text: str) -> tuple[PhyloTree, dict[str, Taxon], dict]:
     """Parse the annotated single-file format.
 
-    Returns the tree's builder nodes, the taxon table collected from leaf
+    Returns the canonical tree, the taxon table collected from leaf
     annotations, and a header mapping with keys ``budget`` (int), ``name``
     (str or None) and ``seed`` (int or None).
     """
-    sc = _Scanner(text)
-    _skip_trivia(sc, False)
-    if sc.peek() != "[":
-        sc.fail("expected a [&budget=...] header")
-    at = sc.pos
-    ann = _parse_annotation(sc)
+    at = len(text) - len(text.lstrip(" \t\r\n"))
+    if not text.startswith("[", at):
+        _fail(text, "expected a [&budget=...] header", at)
+    ann, m = _annotation(text, at)
     unknown = sorted(set(ann) - {"budget", "name", "seed"})
     if unknown:
-        sc.fail("unknown header keys: " + ", ".join(unknown), at)
+        _fail(text, "unknown header keys: " + ", ".join(unknown), at)
     if "budget" not in ann:
-        sc.fail("header is missing the budget", at)
+        _fail(text, "header is missing the budget", at)
     try:
         budget = int(ann["budget"])
         seed = int(ann["seed"]) if "seed" in ann else None
     except ValueError as exc:
-        sc.fail(f"header: {exc}", at)
+        _fail(text, f"header: {exc}", at)
     name = ann.get("name")
     if name is not None and not _NAME_RE.fullmatch(name):
-        sc.fail(f"header: name {name!r} has characters outside [A-Za-z0-9_.-]", at)
-    top, taxa = _parse_tree_body(sc, annotated=True)
-    return top, taxa, {"budget": budget, "name": name, "seed": seed}
+        _fail(text, f"header: name {name!r} has characters outside [A-Za-z0-9_.-]", at)
+    tree, taxa = _read_tree(text, m.end(5), annotated=True)
+    return tree, taxa, {"budget": budget, "name": name, "seed": seed}
 
 
 # ------------------------------------------------------------------------- #

@@ -262,6 +262,26 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "BAD.nap.json"], ["exact", "BAD.nap.nwk"], ["pg", "BAD.nap.json"],
+    ["eval", "BAD.nap.json", "SOLUTION"], ["eval", "INSTANCE", "BAD.json"],
+], ids=["solve", "exact", "pg", "eval-instance", "eval-solution"])
+def test_file_not_utf8_exits_2(argv, tmp_path, capsys):
+    """Bytes that are not UTF-8 (here a UTF-16 byte order mark) are bad
+    input with an error line, in every file a verb reads."""
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", data_path("hand.nap.json"), "--out", str(sol))
+    paths = {"INSTANCE": data_path("hand.nap.json"), "SOLUTION": str(sol)}
+    for arg in argv[1:]:
+        if arg.startswith("BAD"):
+            paths[arg] = str(tmp_path / arg)
+            (tmp_path / arg).write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, argv[0], *[paths[a] for a in argv[1:]])
+    assert code == 2
+    assert err.startswith("error: cannot read") and "utf-8" in err
+    assert out == ""
+
+
 def test_bad_epsilon_exits_2(capsys):
     code, _, _ = run(capsys, "solve", data_path("hand.nap.json"),
                      "--epsilon", "1.5")

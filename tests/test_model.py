@@ -1,5 +1,6 @@
 """Tests for the data model: trees, scoring, validation, normalization."""
 
+import copy
 import math
 
 import pytest
@@ -36,6 +37,22 @@ def test_unary_chain_contracts():
     assert tree.edges[0].taxon == "x"
     assert tree.edges[0].length == pytest.approx(9.0)
     assert tree.root_edge.length == pytest.approx(1.0)
+
+
+def test_from_node_only_reads_its_argument():
+    """Unary chains, a polytomy and a top over a lone interior child are
+    all contracted or reordered in the result, not in the builder nodes."""
+    top = inner(0.5, inner(1.0, inner(2.0, leaf("c", 1.0),
+                                      inner(1.5, inner(0.25, leaf("b", 1.0))),
+                                      leaf("a", 2.0), inner(3.0, leaf("d", 1.0), leaf("e", 1.0)))))
+    before = copy.deepcopy(top)
+    tree = PhyloTree.from_node(top)
+    assert top == before
+    assert [(e.length, e.children, e.taxon) for e in tree.edges] == [
+        (2.0, (), "a"), (2.75, (), "b"), (1.0, (), "c"),
+        (1.0, (), "d"), (1.0, (), "e"), (3.0, (3, 4), None),
+        (3.5, (0, 1, 2, 5), None)]
+    assert PhyloTree.from_node(top) == tree
 
 
 def test_bare_leaf_wrapped():

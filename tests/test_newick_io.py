@@ -22,25 +22,23 @@ from util import data_path, fig1_instance
 # ------------------------------------------------------------------------- #
 
 def test_parse_plain_newick():
-    tree = PhyloTree.from_node(parse_newick("((a:1,b:2):0.5,c:3);"))
+    tree = parse_newick("((a:1,b:2):0.5,c:3);")
     assert sorted(tree.leaf_edges) == ["a", "b", "c"]
     assert tree.height == 3
 
 
 def test_format_is_canonical():
-    t1 = PhyloTree.from_node(parse_newick("((b:2,a:1):0.5,c:3);"))
+    t1 = parse_newick("((b:2,a:1):0.5,c:3);")
     assert format_newick(t1) == "((a:1,b:2):0.5,c:3);"
 
 
 def test_root_length_emitted_only_if_positive():
-    assert format_newick(PhyloTree.from_node(
-        parse_newick("(a:1,b:2):0;"))) == "(a:1,b:2);"
-    assert format_newick(PhyloTree.from_node(
-        parse_newick("(a:1,b:2):4;"))) == "(a:1,b:2):4;"
+    assert format_newick(parse_newick("(a:1,b:2):0;")) == "(a:1,b:2);"
+    assert format_newick(parse_newick("(a:1,b:2):4;")) == "(a:1,b:2):4;"
 
 
 def test_plain_newick_skips_comments():
-    tree = PhyloTree.from_node(parse_newick("(a:1,[ignore me]b:2);"))
+    tree = parse_newick("(a:1,[ignore me]b:2);")
     assert sorted(tree.leaf_edges) == ["a", "b"]
 
 
@@ -120,13 +118,12 @@ def _outcome(dialect: str, text: str) -> dict:
     an accepted text, or the error and its position for a rejected one."""
     try:
         if dialect == "plain":
-            top, taxa, header = parse_newick(text), None, None
+            tree, taxa, header = parse_newick(text), None, None
         else:
-            top, taxa, header = parse_annotated(text)
+            tree, taxa, header = parse_annotated(text)
     except ParseError as exc:
         return {"error": type(exc).__name__, "message": str(exc),
                 "line": exc.line, "column": exc.column}
-    tree = PhyloTree.from_node(top)
     out = {"edges": [[repr(e.length), list(e.children), e.taxon]
                      for e in tree.edges]}
     if taxa is not None:
@@ -164,6 +161,42 @@ def test_deep_caterpillar_round_trip(fmt):
     back, _ = parse_instance(text, fmt)
     assert back == inst
     assert write_instance(back, fmt) == text
+
+
+@st.composite
+def builder_trees(draw):
+    """Builder trees of up to 12 uniquely labelled leaves, with unary
+    chains and polytomies. Lengths are dyadic, so the sums of contracted
+    chains are exact and every length survives the 12-digit writers."""
+    lengths = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.75])
+    shape = draw(st.recursive(st.none(), lambda kids: st.lists(kids, min_size=1, max_size=4),
+                              max_leaves=12))
+    names = iter(draw(st.permutations([f"t{i}" for i in range(12)])))
+
+    def build(s):
+        if s is None:
+            return TreeNode(length=draw(lengths), taxon=next(names))
+        return TreeNode(length=draw(lengths), children=[build(c) for c in s])
+    return build(shape)
+
+
+def _shuffled(node: TreeNode, rnd) -> TreeNode:
+    children = [_shuffled(c, rnd) for c in node.children]
+    rnd.shuffle(children)
+    return TreeNode(length=node.length, children=children, taxon=node.taxon)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(top=builder_trees(), rnd=st.randoms(use_true_random=False))
+def test_every_path_builds_the_same_tree(top, rnd):
+    """from_node, with the children in any order, and both readers on the
+    writers' output give one and the same tree: they share one builder."""
+    tree = PhyloTree.from_node(top)
+    assert PhyloTree.from_node(_shuffled(top, rnd)) == tree
+    assert parse_newick(format_newick(tree)) == tree
+    taxa = {t: Taxon(id=t, a=0.25, b=0.75, c=1) for t in tree.leaf_edges}
+    back, back_taxa, _ = parse_annotated(format_annotated(Instance(tree, taxa, 1)))
+    assert back == tree and back_taxa == taxa
 
 
 # ------------------------------------------------------------------------- #
