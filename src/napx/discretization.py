@@ -117,7 +117,7 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
         raise ParameterError(
             f"grid floor n**-(k+1) underflows for n={n}, k={k}; some taxon's "
             "conserved survival b is too small to resolve") from None
-    return Discretization.from_alpha_pmin(alpha, p_min, k=k, epsilon=epsilon)
+    return Discretization.from_alpha_pmin(alpha, p_min, k=k)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,6 @@ class Discretization:
     p_min: float
     t: int
     k: int | None = None
-    epsilon: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -154,8 +153,8 @@ class Discretization:
             raise ParameterError(f"t must be at least 1, got {self.t}")
 
     @classmethod
-    def from_alpha_pmin(cls, alpha: float, p_min: float, *, k: int | None = None,
-                        epsilon: float | None = None) -> "Discretization":
+    def from_alpha_pmin(cls, alpha: float, p_min: float, *,
+                        k: int | None = None) -> "Discretization":
         """Build a grid from its two defining constants, deriving t."""
         if not (0.0 < alpha < 1.0):
             raise ParameterError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -166,7 +165,7 @@ class Discretization:
             raise ParameterError(
                 f"grid depth t={t} exceeds the limit of {T_LIMIT}; "
                 "use a larger epsilon or a shallower tree")
-        return cls(alpha=alpha, p_min=p_min, t=max(t, 1), k=k, epsilon=epsilon)
+        return cls(alpha=alpha, p_min=p_min, t=max(t, 1), k=k)
 
     # -- derived structures, computed once ---------------------------------
 

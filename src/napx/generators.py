@@ -62,7 +62,7 @@ class GenSpec:
         probabilities.  ``b`` is drawn from ``[max(a, b_lo), b_hi]`` so
         that ``a <= b`` always holds, which requires ``a_hi <= b_hi``.
     c_range : (int, int)
-        Inclusive range for integer protection costs.
+        Inclusive range for integer protection costs, within [0, 2**63 - 1].
     budget : int or None
         Total budget; ``None`` means a third of the summed costs,
         rounded up.
@@ -95,7 +95,7 @@ class GenSpec:
                 "cannot guarantee a <= b"
             )
         c_lo, c_hi = self.c_range
-        if not (0 <= c_lo <= c_hi):
+        if not (0 <= c_lo <= c_hi <= 2**63 - 1):
             raise InputError(f"bad c_range {self.c_range!r}")
         if self.budget is not None and self.budget < 0:
             raise InputError(f"budget must be nonnegative, got {self.budget}")

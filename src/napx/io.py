@@ -59,7 +59,10 @@ def _as_int(value, what: str) -> int:
 def _as_float(value, what: str) -> float:
     if type(value) is not float and type(value) is not int:
         raise ParseError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float") from None
 
 
 def _check_doc(doc, expected_format: str, allowed: set[str], required: set[str]) -> None:
@@ -84,6 +87,8 @@ def _loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        raise ParseError(str(exc)) from None
 
 
 # ------------------------------------------------------------------------- #

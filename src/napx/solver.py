@@ -41,7 +41,8 @@ microseconds however small its array, and most combines hold about a
 hundred pairs, so this pays that fixed cost once per batch rather than
 once per edge. A batch of a single combine, as at every height of a
 caterpillar and at the root, runs :func:`combine_tables` alone, which is
-faster for one edge. Both give the same tables, bit for bit.
+faster for one edge. Both give the same tables, bit for bit, and a
+refusal names a combine at the lowest height that holds one.
 
 Ties resolve deterministically. Among candidates for one (cost, row) the
 highest value wins, then the first pair in (left index, right index) order;
@@ -78,8 +79,9 @@ __all__ = [
 ]
 
 # Largest number of candidate pairs one combine, or one batch of the
-# combines at a tree height, may build, and of cells in the dominance
-# matrices of one frontier filter. A pair holds its two child indices,
+# combines at a tree height, may build, and of cells in one combine's
+# dominance matrix or in the stacked matrices of one batch (a batch above it
+# is filtered edge by edge). A pair holds its two child indices,
 # cost, row and score, five 8-byte arrays (a batch adds the pair's edge
 # number and an (edge, row) sort key), and the rounding temporaries and the
 # filter's sort keys and orders add a handful more: a 0.9 M-pair combine
@@ -136,22 +138,24 @@ def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
     smaller row: the running maxima of a (distinct cost x distinct row)
     matrix, one cost and one row back.
 
-    ``seg``, when given, numbers the edge of each candidate from 0. Each
-    edge is then filtered on its own, as if it came alone, and the indices
-    come in (edge, cost, row) order. An edge's matrix is indexed by cost
-    index and row rank within the edge, and the matrices of several edges
-    are stacked, at most ``PAIR_LIMIT`` cells at a time.
+    ``seg``, when given, numbers the edge of each candidate from 0 and
+    ascends. Each edge is then filtered on its own, as if it came alone,
+    and the indices come in (edge, cost, row) order. An edge's matrix is
+    indexed by cost index and row rank within the edge, and the matrices
+    of all edges are stacked into one; when the stack would hold more
+    than ``PAIR_LIMIT`` cells, each edge's slice is filtered alone.
     """
     n = costs.size
     if n == 0:
         return np.empty(0, dtype=np.intp)
+    key = rows
     if seg is not None:
         # one key for (edge, row), so that a sort on three keys puts each
         # (cost, edge, row) group together, its best candidate first
         width = int(rows.max()) + 1
-        rows = seg * width + rows
-    order = np.lexsort((-scores, rows, costs))
-    cost, row = costs[order], rows[order]
+        key = seg * width + rows
+    order = np.lexsort((-scores, key, costs))
+    cost, row = costs[order], key[order]
     new = np.empty(n, dtype=bool)
     new[0] = True
     np.not_equal(cost[1:], cost[:-1], out=new[1:])
@@ -183,29 +187,14 @@ def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
     row_start = np.searchsorted(distinct, np.arange(n_edges + 1) * width)
     ri -= row_start[edge]
     ci -= ci[np.searchsorted(edge, edge)] - 1
-    n_rows = np.diff(row_start).tolist()
-    max_costs, max_rows = int(ci.max()), max(n_rows)
+    max_costs, max_rows = int(ci.max()), int(np.diff(row_start).max())
     if n_edges * max_costs * max_rows <= PAIR_LIMIT:
         return first[_undominated(edge * (max_costs + 1) + ci, ri, best,
                                   n_edges, max_costs, max_rows)]
-    bounds = np.searchsorted(edge, np.arange(n_edges + 1))
-    n_costs = np.where(bounds[1:] > bounds[:-1], ci[bounds[1:] - 1], 0).tolist()
-    bounds = bounds.tolist()
-    keep = np.empty(edge.size, dtype=bool)
-    lo = 0
-    while lo < n_edges:
-        hi, c, r = lo + 1, n_costs[lo], n_rows[lo]
-        while (hi < n_edges and (hi + 1 - lo) * max(c, n_costs[hi])
-               * max(r, n_rows[hi]) <= PAIR_LIMIT):
-            c, r = max(c, n_costs[hi]), max(r, n_rows[hi])
-            hi += 1
-        # only a batch of one edge can be above the limit
-        _check_size("dominance-matrix cells", (hi - lo) * c * r)
-        part = slice(bounds[lo], bounds[hi])
-        keep[part] = _undominated((edge[part] - lo) * (c + 1) + ci[part],
-                                  ri[part], best[part], hi - lo, c, r)
-        lo = hi
-    return first[keep]
+    bounds = np.searchsorted(seg, np.arange(n_edges + 1)).tolist()
+    return np.concatenate([lo + _frontier(costs[lo:hi], rows[lo:hi],
+                                          scores[lo:hi])
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
 
 
 def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,14 +284,27 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
     _check_size("candidate pairs", pairs)
     li = np.repeat(np.arange(m.size), m)
     ri = np.arange(pairs) - np.repeat(np.cumsum(m) - m, m)
-    vj = disc.grid[left.rows[li]]
-    rows = disc.pi_index(vj + (1.0 - vj) * disc.grid[right.rows[ri]])
-    costs = left.costs[li] + right.costs[ri]
-    scores = (left.scores[li] + right.scores[ri]) + lam * disc.grid[rows]
+    costs, rows, scores = _candidates(
+        li, (left.costs, left.rows, left.scores),
+        ri, (right.costs, right.rows, right.scores), lam, disc)
     keep = _frontier(costs, rows, scores)
     return CladeTable(edge_id=eid, kind="internal", costs=costs[keep],
                       rows=rows[keep], scores=scores[keep],
                       left=li[keep], right=ri[keep])
+
+
+def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
+                lam, disc: Discretization) -> tuple[np.ndarray, ...]:
+    """Cost, row and score of each pair of cells ``li[p]`` of ``left`` and
+    ``ri[p]`` of ``right``, each a (costs, rows, scores) triple, under
+    edge length ``lam`` (one per pair in a batch): one copy of the
+    arithmetic, so that both combine routes agree bit for bit."""
+    (l_costs, l_rows, l_scores), (r_costs, r_rows, r_scores) = left, right
+    vj = disc.grid[l_rows[li]]
+    rows = disc.pi_index(vj + (1.0 - vj) * disc.grid[r_rows[ri]])
+    costs = l_costs[li] + r_costs[ri]
+    scores = (l_scores[li] + r_scores[ri]) + lam * disc.grid[rows]
+    return costs, rows, scores
 
 
 def combine_level(combines: list[tuple[int, CladeTable, CladeTable, float]],
@@ -318,10 +320,10 @@ def combine_level(combines: list[tuple[int, CladeTable, CladeTable, float]],
     ``BATCH_PAIRS`` pairs, and never more than ``PAIR_LIMIT``. A batch
     lays its pairs out edge by edge, each edge's in the (left, right)
     order of :func:`combine_tables`, rounds them all in one ``pi_index``
-    call and filters them in one segmented :func:`_frontier`. A batch of
-    one combine, such as the only combine at a height of a caterpillar,
-    runs :func:`combine_tables`, which is the faster of the two on one
-    edge.
+    call and filters them in one segmented :func:`_frontier`, which checks
+    the dominance matrices in list order too. A batch of one combine, such
+    as the only combine at a height of a caterpillar, runs
+    :func:`combine_tables`, which is the faster of the two on one edge.
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
@@ -368,15 +370,14 @@ def _combine_batch(combines: list[tuple[int, CladeTable, CladeTable, float]],
     ri = np.arange(sum(counts)) - np.repeat(
         np.cumsum(m) - m - np.repeat(right_start, n_left), m)
     seg = np.repeat(np.arange(len(combines)), counts)
-    grid = disc.grid
-    vj = grid[np.concatenate([t.rows for t in lefts])[li]]
-    rows = disc.pi_index(
-        vj + (1.0 - vj) * grid[np.concatenate([t.rows for t in rights])[ri]])
-    costs = (np.concatenate([t.costs for t in lefts])[li]
-             + np.concatenate([t.costs for t in rights])[ri])
-    scores = ((np.concatenate([t.scores for t in lefts])[li]
-               + np.concatenate([t.scores for t in rights])[ri])
-              + np.array(lams)[seg] * grid[rows])
+    costs, rows, scores = _candidates(
+        li, (np.concatenate([t.costs for t in lefts]),
+             np.concatenate([t.rows for t in lefts]),
+             np.concatenate([t.scores for t in lefts])),
+        ri, (np.concatenate([t.costs for t in rights]),
+             np.concatenate([t.rows for t in rights]),
+             np.concatenate([t.scores for t in rights])),
+        np.array(lams)[seg], disc)
     keep = _frontier(costs, rows, scores, seg)
     edge = seg[keep]
     left = li[keep] - left_start[edge]
@@ -403,11 +404,13 @@ def build_tables(instance: Instance,
     """Build every edge's table, one tree height at a time.
 
     Each child sits at a lower height than its parent, so the combines at
-    one height are independent, and :func:`combine_level` runs them in
-    batches that pay numpy's fixed cost per call once per batch rather
-    than once per edge. When a combine is refused for its size, the binary
-    combines are run again one by one in postorder, so the refusal raised
-    is the first one a postorder walk meets.
+    one height are independent, and :func:`combine_level` runs them, in
+    edge-id order, in batches that pay numpy's fixed cost per call once
+    per batch rather than once per edge. A refused build raises the first
+    refusal at the lowest height that holds a combine above
+    ``PAIR_LIMIT``: the first combine in edge-id order whose candidate
+    pairs are above it, or failing that the first whose dominance matrix
+    is.
 
     The instance must be normalized (binary tree, costs within budget).
     Returns the tables keyed by edge id and work counters:
@@ -430,28 +433,19 @@ def build_tables(instance: Instance,
                 "tables need a normalized binary tree")
         if e.children:
             levels.setdefault(e.height, []).append(e)
-    try:
-        for height in sorted(levels):
-            level = []
-            for e in levels[height]:
-                if len(e.children) == 1:
-                    tables[e.eid] = _combine_unary(
-                        e.eid, tables[e.children[0]], e.length, disc)
-                else:
-                    left, right = e.children
-                    level.append((e.eid, tables[left], tables[right], e.length))
-            if level:
-                tables.update(zip([c[0] for c in level],
-                                  combine_level(level, budget, disc, stats)))
-            stats["fast_combines"] += len(level)
-    except SizeLimitError:
-        for e in tree.edges:
-            if len(e.children) == 2:
+    for height in sorted(levels):
+        level = []
+        for e in levels[height]:
+            if len(e.children) == 1:
+                tables[e.eid] = _combine_unary(
+                    e.eid, tables[e.children[0]], e.length, disc)
+            else:
                 left, right = e.children
-                tables[e.eid] = combine_tables(e.eid, tables[left],
-                                               tables[right], e.length,
-                                               budget, disc)
-        raise
+                level.append((e.eid, tables[left], tables[right], e.length))
+        if level:
+            tables.update(zip([c[0] for c in level],
+                              combine_level(level, budget, disc, stats)))
+        stats["fast_combines"] += len(level)
     stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
     return tables, stats
 

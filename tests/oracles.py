@@ -4,8 +4,9 @@ Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, table combines by
 a literal scatter over every (row, row, split) triple of dense tables,
 whose non-dominated cells a combine must reproduce, all tables by one
-combine per edge in postorder, and exhaustive search by scoring every
-subset one at a time. Slow and obviously correct is the point.
+combine per edge in postorder, the refusal of a table build by one combine
+at a time in height order, and exhaustive search by scoring every subset
+one at a time. Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -219,6 +220,34 @@ def build_tables_postorder(instance: Instance,
             stats["fast_combines"] += 1
     stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
     return tables, stats
+
+
+def refuse_by_height(instance: Instance, disc) -> None:
+    """Raise the refusal :func:`napx.solver.build_tables` must raise, if
+    any: at the lowest height that holds a refused combine, the first
+    binary combine in edge-id order whose affordable pairs, counted over
+    every (left cell, right cell) pair, are above ``PAIR_LIMIT``, or
+    failing that the first one that :func:`napx.solver.combine_tables`
+    refuses on its own. Heights are visited from the leaves up, edges by
+    id within a height, each combine built alone."""
+    budget = int(instance.budget)
+    tables = solver.build_pendant_tables(instance, disc)
+    edges = [e for e in instance.tree.edges if e.children]   # in id order
+    for height in sorted({e.height for e in edges}):
+        level = [e for e in edges if e.height == height]
+        for e in level:
+            if len(e.children) == 2:
+                left, right = (tables[c].costs for c in e.children)
+                solver._check_size("candidate pairs", int(
+                    (left[:, None] + right[None, :] <= budget).sum()))
+        for e in level:
+            if len(e.children) == 1:
+                tables[e.eid] = solver._combine_unary(
+                    e.eid, tables[e.children[0]], e.length, disc)
+            else:
+                left, right = (tables[c] for c in e.children)
+                tables[e.eid] = solver.combine_tables(
+                    e.eid, left, right, e.length, budget, disc)
 
 
 def assert_same_table(got: CladeTable, want: CladeTable) -> None:

@@ -107,6 +107,16 @@ def test_gen_negative_seed_exits_2(capsys):
     assert err.startswith("error:") and "seed" in err
 
 
+def test_gen_cost_bound_beyond_int64_exits_2(capsys):
+    """numpy draws costs as int64: a higher upper bound is bad input."""
+    code, out, err = run(capsys, "gen", "--topology", "yule", "-n", "4",
+                         "--seed", "1", "--c-range", "1",
+                         "100000000000000000000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "c_range" in err
+
+
 # ------------------------------------------------------------------------- #
 #  eval
 # ------------------------------------------------------------------------- #
@@ -282,6 +292,38 @@ def test_file_not_utf8_exits_2(argv, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("raw", ["9" * 400, "9" * 5000, "[" * 100_000],
+                         ids=["float-overflow", "int-digits", "deep-nesting"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "BAD.nap.json"], ["exact", "BAD.nap.json"], ["pg", "BAD.nap.json"],
+    ["eval", "BAD.nap.json", "SOLUTION"], ["eval", "INSTANCE", "BAD.json"],
+], ids=["solve", "exact", "pg", "eval-instance", "eval-solution"])
+def test_unreadable_json_exits_2(raw, argv, tmp_path, capsys):
+    """A float field holding an integer too large for a float, an integer
+    of more digits than Python's JSON reader takes, and nesting deeper
+    than the recursion limit are bad input with an error line, in every
+    file a verb reads. The value stands for a taxon's ``a`` in an instance
+    and for ``reported_score`` in a solution."""
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", data_path("hand.nap.json"), "--out", str(sol))
+    paths = {"INSTANCE": data_path("hand.nap.json"), "SOLUTION": str(sol)}
+    for arg in argv[1:]:
+        if arg.startswith("BAD"):
+            instance = arg.endswith(".nap.json")
+            doc = json.loads(Path(paths["INSTANCE" if instance else "SOLUTION"])
+                             .read_text())
+            if instance:
+                doc["taxa"][sorted(doc["taxa"])[0]]["a"] = "RAW"
+            else:
+                doc["reported_score"] = "RAW"
+            paths[arg] = str(tmp_path / arg)
+            (tmp_path / arg).write_text(json.dumps(doc).replace('"RAW"', raw))
+    code, out, err = run(capsys, argv[0], *[paths[a] for a in argv[1:]])
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_bad_epsilon_exits_2(capsys):
     code, _, _ = run(capsys, "solve", data_path("hand.nap.json"),
                      "--epsilon", "1.5")
@@ -387,7 +429,11 @@ def test_usage_error_returns_argparse_code(capsys):
 # ------------------------------------------------------------------------- #
 
 _BAD_VALUES = [-1, -0.5, 1.5, 0, 1, "0.5", None, True, [], {}, 5e-324, 1e-300,
-               float("nan"), float("inf"), 10**18, 2**70]
+               float("nan"), float("inf"), 10**18, 2**70, 10**400]
+
+# values json.dumps cannot write, spliced into the text: an integer of more
+# digits than Python converts, and nesting past the recursion limit
+_RAW_VALUES = ["9" * 5000, "[" * 100_000]
 
 
 @st.composite
@@ -403,7 +449,7 @@ def _instance_docs(draw, restricted=False):
     tid = draw(st.sampled_from(sorted(doc["taxa"])))
     kind = draw(st.sampled_from(["valid", "drop_key", "extra_key", "budget",
                                  "taxon_field", "drop_taxon", "extra_taxon",
-                                 "newick", "truncate"]))
+                                 "newick", "truncate", "raw_value"]))
     if kind == "drop_key":
         del doc[draw(st.sampled_from(sorted(doc)))]
     elif kind == "extra_key":
@@ -423,9 +469,14 @@ def _instance_docs(draw, restricted=False):
         doc["newick"] = draw(st.sampled_from([
             nwk[:cut], nwk[:cut] + nwk[cut + 1:], nwk.replace(":", ":-", 1),
             nwk.replace(tid, "", 1), "(" + nwk, nwk + nwk]))
+    elif kind == "raw_value":
+        field = draw(st.sampled_from(["budget", "a", "b", "c"]))
+        (doc if field == "budget" else doc["taxa"][tid])[field] = "RAW"
     text = json.dumps(doc)
     if kind == "truncate":
         text = text[:draw(st.integers(0, len(text) - 1))]
+    elif kind == "raw_value":
+        text = text.replace('"RAW"', draw(st.sampled_from(_RAW_VALUES)))
     return text
 
 

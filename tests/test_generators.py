@@ -81,12 +81,20 @@ def test_custom_ranges():
     dict(n=3, budget=-1),
     dict(seed=-1),
     dict(seed=2**128),
+    dict(n=3, c_range=(1, 2**63)),
 ])
 def test_bad_specs_rejected(kwargs):
     base = dict(n=4, topology="yule", seed=0)
     base.update(kwargs)
     with pytest.raises(InputError):
         generate(GenSpec(**base))
+
+
+def test_largest_cost_range_generates():
+    """2**63 - 1, the largest int64, is the highest cost bound numpy can
+    draw, and it generates."""
+    inst = gen_yule(3, 0, c_range=(2**63 - 1, 2**63 - 1))
+    assert [tx.c for tx in inst.taxa.values()] == [2**63 - 1] * 3
 
 
 def test_yule_heights_stay_logarithmic():

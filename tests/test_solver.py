@@ -20,7 +20,7 @@ from napx.solver import (CladeTable, build_pendant_tables, build_tables,
 
 from oracles import (assert_frontier_of_scatter, assert_same_table,
                      build_tables_postorder, cells, exhaustive_best,
-                     from_dense)
+                     from_dense, refuse_by_height)
 from util import (cherry, data_path, fig1_instance, make_instance,
                   polytomy_instance, tie_cherry)
 
@@ -377,9 +377,9 @@ def _sizes_of_combines(monkeypatch, norm, disc) -> list[int]:
 
 def test_batches_refuse_nothing_the_edge_loop_solves(monkeypatch):
     """With ``PAIR_LIMIT`` at the largest single combine but below a level's
-    summed pairs, no batch holds more pairs than the limit, some dominance
-    matrices are stacked in parts, and the solve is the one without the
-    limit."""
+    summed pairs, no batch holds more pairs than the limit, some batch whose
+    stacked dominance matrices are above it is filtered edge by edge, and
+    the solve is the one without the limit."""
     inst = gen_yule(256, 1, budget=64)
     norm, disc = _tables_for(inst, 0.3)
     largest = max(_sizes_of_combines(monkeypatch, norm, disc))
@@ -392,22 +392,29 @@ def test_batches_refuse_nothing_the_edge_loop_solves(monkeypatch):
                 right.costs, norm.budget - left.costs, side="right").sum())
     assert largest < max(pairs.values()) <= solver.BATCH_PAIRS
     before = solve(inst, 0.3)
-    calls = {"_combine_batch": [], "_frontier": [], "_undominated": []}
+    calls = {"_combine_batch": [], "_frontier": []}
+    depth = [0]
 
     def recorded(name, f):
         def wrapper(*args):
-            calls[name].append(args)
-            return f(*args)
+            calls[name].append((depth[0], args))
+            depth[0] += 1
+            try:
+                return f(*args)
+            finally:
+                depth[0] -= 1
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(solver, name, recorded(name, getattr(solver, name)))
     monkeypatch.setattr(solver, "PAIR_LIMIT", largest)
     after = solve(inst, 0.3)
-    batch_pairs = [sum(counts) for _, _, counts, _ in calls["_combine_batch"]]
+    batch_pairs = [sum(args[2]) for _, args in calls["_combine_batch"]]
     assert batch_pairs and max(batch_pairs) <= largest
-    # a filter whose matrices did not fit at once stacked them in parts
-    assert len(calls["_undominated"]) > len(calls["_frontier"])
+    # a segmented filter whose stacked matrices did not fit filtered its
+    # edges one at a time, each through an unsegmented filter of its own
+    nested = [args for d, args in calls["_frontier"] if d == 2]
+    assert nested and all(len(args) == 3 for args in nested)
     assert after.selection == before.selection
     assert repr(after.reported_score) == repr(before.reported_score)
     assert after.stats == before.stats
@@ -417,14 +424,15 @@ def test_batches_refuse_nothing_the_edge_loop_solves(monkeypatch):
 def test_refusal_is_the_first_of_the_edge_loop(monkeypatch, capsys, tmp_path,
                                                 below):
     """Below the largest single combine the solve is refused with exit 3
-    and the message of the first combine a postorder loop refuses, even
-    when combines at several heights are above the limit."""
+    and the message of the first combine refused by a loop over the edges
+    by height from the leaves up, edge ids within a height, even when
+    combines at several heights are above the limit."""
     inst = gen_yule(256, 1, budget=64)
     norm, disc = _tables_for(inst, 0.3)
     largest = max(_sizes_of_combines(monkeypatch, norm, disc))
     monkeypatch.setattr(solver, "PAIR_LIMIT", largest - below)
     with pytest.raises(SizeLimitError) as want:
-        build_tables_postorder(norm, disc)
+        refuse_by_height(norm, disc)
     path = tmp_path / "y256.nap.json"
     save_instance(inst, path)
     assert main(["solve", str(path), "--epsilon", "0.3"]) == 3
