@@ -98,9 +98,10 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
     Raises
     ------
     ParameterError
-        For out-of-range arguments, when ``n**(k + 1)`` overflows a float
-        (a taxon's conserved survival is far too small to resolve), or
-        when the implied grid depth t exceeds ``T_LIMIT``.
+        For out-of-range arguments, when epsilon is so small that the grid
+        ratio alpha rounds to 1.0 for this height, when ``n**(k + 1)``
+        overflows a float (a taxon's conserved survival is far too small to
+        resolve), or when the implied grid depth t exceeds ``T_LIMIT``.
     """
     if not (0.0 < epsilon < 1.0):
         raise ParameterError(f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
@@ -111,6 +112,10 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
     if k < 1:
         raise ParameterError(f"k must be at least 1, got {k}")
     alpha = (1.0 - epsilon) ** (1.0 / (2.0 * height))
+    if alpha == 1.0:
+        raise ParameterError(
+            f"epsilon {epsilon!r} is too small for a tree of height {height}: "
+            f"the grid ratio (1 - epsilon)**(1/(2*{height})) rounds to 1.0")
     try:
         p_min = (1.0 - math.sqrt(1.0 - epsilon)) / float(n) ** (k + 1)
     except OverflowError:

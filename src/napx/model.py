@@ -241,10 +241,6 @@ class PhyloTree:
         """Height of the tree in edges, root edge included."""
         return self.edges[self.root].height
 
-    @property
-    def root_edge(self) -> Edge:
-        return self.edges[self.root]
-
     def is_binary(self) -> bool:
         """True when every interior edge has two children.
 

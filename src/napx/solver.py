@@ -29,14 +29,16 @@ survival term:
 through :meth:`napx.discretization.Discretization.pi_index`, all pairs in
 one call, and the frontier filter :func:`_frontier` keeps the
 non-dominated cells. Each interior cell stores the index of the left and
-the right child cell it was built from, which :func:`backtrace` follows.
+the right child cell it was built from, which :func:`backtrace` follows
+down to the leaves, whose taxa it reads from the tree.
 
 Every child sits at a lower height than its parent, so
 :func:`build_tables` builds the tables one height at a time. The combines
 at one height go through :func:`combine_level` in batches of up to
 ``BATCH_PAIRS`` pairs, one pass each: their pairs are laid out edge after
 edge, rounded in one ``pi_index`` call and filtered by one
-:func:`_frontier` that treats each edge apart. A numpy call costs
+:func:`_frontier`, whose one sort takes the edge as its first key and
+whose dominance matrices, one per edge, are stacked. A numpy call costs
 microseconds however small its array, and most combines hold about a
 hundred pairs, so this pays that fixed cost once per batch rather than
 once per edge. A batch of a single combine, as at every height of a
@@ -106,18 +108,15 @@ class CladeTable:
     row ``rows[n]`` and scores ``scores[n]``. Cells are in ascending (cost,
     row) order, and no cell has another one of no greater cost and row and
     no smaller score. ``left[n]`` and ``right[n]`` index the child cells an
-    interior cell was built from; a unary table has only ``left``. Pendant
-    tables record their taxon.
+    interior cell was built from; a unary table has only ``left`` and a
+    pendant table neither. The edge, its kind and its taxon are the tree's.
     """
 
-    edge_id: int
-    kind: str  # "pendant", "internal" or "unary"
     costs: np.ndarray
     rows: np.ndarray
     scores: np.ndarray
     left: np.ndarray | None = None
     right: np.ndarray | None = None
-    taxon: str | None = None
 
 
 def _check_size(what: str, n: int) -> None:
@@ -129,72 +128,66 @@ def _check_size(what: str, n: int) -> None:
 
 def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
               seg: np.ndarray | None = None) -> np.ndarray:
-    """Indices of the non-dominated candidates, in (cost, row) order.
-
-    Per (cost, row) the highest score survives, the first candidate on
-    ties: one stable sort on (cost, row, -score) puts it first in its
-    group. A survivor stays when its score is strictly above the best score
-    at any smaller cost and no larger row, and at its own cost and any
-    smaller row: the running maxima of a (distinct cost x distinct row)
-    matrix, one cost and one row back.
+    """Indices of the non-dominated candidates, in (edge, cost, row) order.
 
     ``seg``, when given, numbers the edge of each candidate from 0 and
-    ascends. Each edge is then filtered on its own, as if it came alone,
-    and the indices come in (edge, cost, row) order. An edge's matrix is
-    indexed by cost index and row rank within the edge, and the matrices
-    of all edges are stacked into one; when the stack would hold more
-    than ``PAIR_LIMIT`` cells, each edge's slice is filtered alone.
+    ascends; without it every candidate belongs to edge 0. Each edge is
+    filtered on its own, as if it came alone. Per (edge, cost, row) the
+    highest score survives, the first candidate on ties: one stable sort
+    on (edge, cost, row, -score) puts it first in its group. A survivor
+    stays when its score is strictly above the best score of its edge at
+    any smaller cost and no larger row, and at its own cost and any
+    smaller row: the running maxima of the edge's (distinct cost x
+    distinct row) matrix, one cost and one row back. The matrices of all
+    edges are stacked into one, a single edge being a stack of one. A
+    single edge's matrix above ``PAIR_LIMIT`` cells is refused; when a
+    stack of several would be, each edge's slice is filtered alone.
     """
     n = costs.size
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    key = rows
+    keys = (-scores, rows, costs)
+    order = np.lexsort(keys if seg is None else keys + (seg,))
+    cost, row = costs[order], rows[order]
+    new_cost = np.empty(n, dtype=bool)
+    new_cost[0] = True
+    np.not_equal(cost[1:], cost[:-1], out=new_cost[1:])
     if seg is not None:
-        # one key for (edge, row), so that a sort on three keys puts each
-        # (cost, edge, row) group together, its best candidate first
-        width = int(rows.max()) + 1
-        key = seg * width + rows
-    order = np.lexsort((-scores, key, costs))
-    cost, row = costs[order], key[order]
-    new = np.empty(n, dtype=bool)
-    new[0] = True
-    np.not_equal(cost[1:], cost[:-1], out=new[1:])
+        edge = seg[order]
+        new_cost[1:] |= edge[1:] != edge[:-1]
+    new = new_cost.copy()
     new[1:] |= row[1:] != row[:-1]
     first = order[new]
     best = scores[first]
-    cost, row = cost[new], row[new]
-    new_cost = np.empty(cost.size, dtype=bool)
-    new_cost[0] = True
-    if seg is not None:
-        # each edge's groups together, still in (cost, row) order
-        edge = row // width
-        by = np.argsort(edge, kind="stable")
-        first, best, cost, row, edge = (first[by], best[by], cost[by],
-                                        row[by], edge[by])
-        np.not_equal(edge[1:], edge[:-1], out=new_cost[1:])
-        new_cost[1:] |= cost[1:] != cost[:-1]
-    else:
-        np.not_equal(cost[1:], cost[:-1], out=new_cost[1:])
-    # cost indices and row ranks start at 1: index 0 is a border of -inf
-    # that stands for "no smaller cost" and "no smaller row"
-    ci = np.cumsum(new_cost)
-    distinct, ri = _sorted_ranks(row)
+    # cost indices and row ranks start at 1 within each edge: index 0 is a
+    # border of -inf that stands for "no smaller cost" and "no smaller row"
+    ci, row = np.cumsum(new_cost[new]), row[new]
     if seg is None:
+        n_edges, at = 1, ci
+        distinct, ri = _sorted_ranks(row)
         n_costs, n_rows = int(ci[-1]), distinct.size
         _check_size("dominance-matrix cells", n_costs * n_rows)
-        return first[_undominated(ci, ri, best, 1, n_costs, n_rows)]
-    n_edges = int(edge[-1]) + 1
-    row_start = np.searchsorted(distinct, np.arange(n_edges + 1) * width)
-    ri -= row_start[edge]
-    ci -= ci[np.searchsorted(edge, edge)] - 1
-    max_costs, max_rows = int(ci.max()), int(np.diff(row_start).max())
-    if n_edges * max_costs * max_rows <= PAIR_LIMIT:
-        return first[_undominated(edge * (max_costs + 1) + ci, ri, best,
-                                  n_edges, max_costs, max_rows)]
-    bounds = np.searchsorted(seg, np.arange(n_edges + 1)).tolist()
-    return np.concatenate([lo + _frontier(costs[lo:hi], rows[lo:hi],
-                                          scores[lo:hi])
-                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+    else:
+        edge = edge[new]
+        n_edges, width = int(edge[-1]) + 1, int(row.max()) + 1
+        distinct, ri = _sorted_ranks(edge * width + row)
+        row_start = np.searchsorted(distinct, np.arange(n_edges + 1) * width)
+        ri -= row_start[edge]
+        ci -= ci[np.searchsorted(edge, edge)] - 1
+        n_costs, n_rows = int(ci.max()), int(np.diff(row_start).max())
+        if n_edges * n_costs * n_rows > PAIR_LIMIT:
+            bounds = np.searchsorted(seg, np.arange(n_edges + 1)).tolist()
+            return np.concatenate([lo + _frontier(costs[lo:hi], rows[lo:hi],
+                                                  scores[lo:hi])
+                                   for lo, hi in zip(bounds[:-1], bounds[1:])])
+        # a group's row in the stack: its edge's matrix, then its cost
+        at = edge * (n_costs + 1) + ci
+    prefix = np.full((n_edges, n_costs + 1, n_rows + 1), -np.inf)
+    flat = prefix.reshape(-1, n_rows + 1)
+    flat[at, ri] = best
+    np.maximum.accumulate(prefix, axis=1, out=prefix)
+    np.maximum.accumulate(prefix, axis=2, out=prefix)
+    return first[(best > flat[at - 1, ri]) & (best > flat[at, ri - 1])]
 
 
 def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,23 +199,6 @@ def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.not_equal(srt[1:], srt[:-1], out=new[1:])
     distinct = srt[new]
     return distinct, np.searchsorted(distinct, x, side="right")
-
-
-def _undominated(at: np.ndarray, ri: np.ndarray, best: np.ndarray,
-                 n_edges: int, n_costs: int, n_rows: int) -> np.ndarray:
-    """True where ``best`` is strictly above every other best of its edge
-    at no greater cost index and row rank.
-
-    The edges' (cost index x row rank) matrices are stacked: ``at`` is a
-    group's row in the stack, its edge's number times ``n_costs + 1`` plus
-    its 1-based cost index, and ``ri`` its 1-based row rank.
-    """
-    prefix = np.full((n_edges, n_costs + 1, n_rows + 1), -np.inf)
-    flat = prefix.reshape(-1, n_rows + 1)
-    flat[at, ri] = best
-    np.maximum.accumulate(prefix, axis=1, out=prefix)
-    np.maximum.accumulate(prefix, axis=2, out=prefix)
-    return (best > flat[at - 1, ri]) & (best > flat[at, ri - 1])
 
 
 def build_pendant_tables(instance: Instance,
@@ -255,15 +231,12 @@ def build_pendant_tables(instance: Instance,
     rows = np.stack((row_a, row_b), axis=1)[keep]
     scores = np.stack((score_a, score_b), axis=1)[keep]
     ends = np.cumsum(keep.sum(axis=1)).tolist()
-    tables = {}
-    for e, start, end in zip(edges, [0] + ends, ends):
-        tables[e.eid] = CladeTable(
-            edge_id=e.eid, kind="pendant", costs=costs[start:end],
-            rows=rows[start:end], scores=scores[start:end], taxon=e.taxon)
-    return tables
+    return {e.eid: CladeTable(costs=costs[start:end], rows=rows[start:end],
+                              scores=scores[start:end])
+            for e, start, end in zip(edges, [0] + ends, ends)}
 
 
-def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
+def combine_tables(left: CladeTable, right: CladeTable, lam: float,
                    budget: int, disc: Discretization,
                    stats: dict | None = None) -> CladeTable:
     """Combine two child tables into the frontier of their affordable pairs.
@@ -288,8 +261,7 @@ def combine_tables(eid: int, left: CladeTable, right: CladeTable, lam: float,
         li, (left.costs, left.rows, left.scores),
         ri, (right.costs, right.rows, right.scores), lam, disc)
     keep = _frontier(costs, rows, scores)
-    return CladeTable(edge_id=eid, kind="internal", costs=costs[keep],
-                      rows=rows[keep], scores=scores[keep],
+    return CladeTable(costs=costs[keep], rows=rows[keep], scores=scores[keep],
                       left=li[keep], right=ri[keep])
 
 
@@ -307,12 +279,12 @@ def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
     return costs, rows, scores
 
 
-def combine_level(combines: list[tuple[int, CladeTable, CladeTable, float]],
+def combine_level(combines: list[tuple[CladeTable, CladeTable, float]],
                   budget: int, disc: Discretization,
                   stats: dict | None = None) -> list[CladeTable]:
     """Run independent combines, several at a time, as vectorized passes.
 
-    ``combines`` lists (edge id, left table, right table, edge length);
+    ``combines`` lists (left table, right table, edge length) triples;
     the result holds their tables in that order, each equal field for
     field to what :func:`combine_tables` gives for it alone. Every
     combine's pair count is checked against ``PAIR_LIMIT`` first, in list
@@ -330,7 +302,7 @@ def combine_level(combines: list[tuple[int, CladeTable, CladeTable, float]],
     if len(combines) == 1:
         return [combine_tables(*combines[0], budget, disc, stats)]
     prefixes = [np.searchsorted(right.costs, budget - left.costs, side="right")
-                for _, left, right, _ in combines]
+                for left, right, _ in combines]
     counts = [int(m.sum()) for m in prefixes]
     if stats is not None:
         stats["candidate_pairs"] += sum(counts)
@@ -353,13 +325,13 @@ def combine_level(combines: list[tuple[int, CladeTable, CladeTable, float]],
     return out
 
 
-def _combine_batch(combines: list[tuple[int, CladeTable, CladeTable, float]],
+def _combine_batch(combines: list[tuple[CladeTable, CladeTable, float]],
                    prefixes: list[np.ndarray], counts: list[int],
                    disc: Discretization) -> list[CladeTable]:
     """The pass of :func:`combine_level` over one batch; ``prefixes[i][j]``
     is how many right cells left cell j of combine i affords and
     ``counts[i]`` their sum."""
-    eids, lefts, rights, lams = zip(*combines)
+    lefts, rights, lams = zip(*combines)
     n_left = [t.costs.size for t in lefts]
     left_start = np.cumsum([0] + n_left[:-1])
     right_start = np.cumsum([0] + [t.costs.size for t in rights[:-1]])
@@ -384,19 +356,18 @@ def _combine_batch(combines: list[tuple[int, CladeTable, CladeTable, float]],
     right = ri[keep] - right_start[edge]
     costs, rows, scores = costs[keep], rows[keep], scores[keep]
     ends = np.searchsorted(edge, np.arange(1, len(combines) + 1)).tolist()
-    return [CladeTable(edge_id=eid, kind="internal", costs=costs[a:b],
-                       rows=rows[a:b], scores=scores[a:b], left=left[a:b],
-                       right=right[a:b])
-            for eid, a, b in zip(eids, [0] + ends, ends)]
+    return [CladeTable(costs=costs[a:b], rows=rows[a:b], scores=scores[a:b],
+                       left=left[a:b], right=right[a:b])
+            for a, b in zip([0] + ends, ends)]
 
 
-def _combine_unary(eid: int, child: CladeTable, lam: float,
+def _combine_unary(child: CladeTable, lam: float,
                    disc: Discretization) -> CladeTable:
     """Root edge over a single pendant: rows pass through unchanged."""
     scores = child.scores + lam * disc.grid[child.rows]
     keep = _frontier(child.costs, child.rows, scores)
-    return CladeTable(edge_id=eid, kind="unary", costs=child.costs[keep],
-                      rows=child.rows[keep], scores=scores[keep], left=keep)
+    return CladeTable(costs=child.costs[keep], rows=child.rows[keep],
+                      scores=scores[keep], left=keep)
 
 
 def build_tables(instance: Instance,
@@ -434,17 +405,17 @@ def build_tables(instance: Instance,
         if e.children:
             levels.setdefault(e.height, []).append(e)
     for height in sorted(levels):
-        level = []
+        eids, level = [], []
         for e in levels[height]:
             if len(e.children) == 1:
-                tables[e.eid] = _combine_unary(
-                    e.eid, tables[e.children[0]], e.length, disc)
+                tables[e.eid] = _combine_unary(tables[e.children[0]],
+                                               e.length, disc)
             else:
                 left, right = e.children
-                level.append((e.eid, tables[left], tables[right], e.length))
+                eids.append(e.eid)
+                level.append((tables[left], tables[right], e.length))
         if level:
-            tables.update(zip([c[0] for c in level],
-                              combine_level(level, budget, disc, stats)))
+            tables.update(zip(eids, combine_level(level, budget, disc, stats)))
         stats["fast_combines"] += len(level)
     stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
     return tables, stats
@@ -454,18 +425,18 @@ def backtrace(instance: Instance, tables: dict[int, CladeTable],
               cell: int) -> frozenset[str]:
     """Recover the selection behind root table cell ``cell`` by following
     the stored child-cell indices down to the pendant tables; a pendant
-    cell that spends the taxon's cost conserves it."""
+    cell that spends its taxon's cost conserves it."""
     tree = instance.tree
     selected: list[str] = []
     stack: list[tuple[int, int]] = [(tree.root, int(cell))]
     while stack:
         eid, n = stack.pop()
-        tab = tables[eid]
-        if tab.kind == "pendant":
-            if tab.costs[n] == instance.taxa[tab.taxon].c:
-                selected.append(tab.taxon)
+        edge, tab = tree.edges[eid], tables[eid]
+        if edge.taxon is not None:
+            if tab.costs[n] == instance.taxa[edge.taxon].c:
+                selected.append(edge.taxon)
             continue
-        for child, index in zip(tree.edges[eid].children, (tab.left, tab.right)):
+        for child, index in zip(edge.children, (tab.left, tab.right)):
             stack.append((child, int(index[n])))
     return frozenset(selected)
 

@@ -3,10 +3,11 @@
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, table combines by
 a literal scatter over every (row, row, split) triple of dense tables,
-whose non-dominated cells a combine must reproduce, all tables by one
-combine per edge in postorder, the refusal of a table build by one combine
-at a time in height order, and exhaustive search by scoring every subset
-one at a time. Slow and obviously correct is the point.
+whose non-dominated cells a combine must reproduce, the frontier filter
+by a pairwise dominance check, all tables by one combine per edge in
+postorder, the refusal of a table build by one combine at a time in
+height order, and exhaustive search by scoring every subset one at a
+time. Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -186,17 +187,38 @@ def frontier(scores: np.ndarray) -> list[tuple[int, int, float]]:
     return out
 
 
+def frontier_indices(costs, rows, scores, seg=None) -> list[int]:
+    """Indices of the candidates the frontier filter must keep, found
+    literally. Per (edge, cost, row) the first candidate of the highest
+    score stands for its group; a group is dropped when another group of
+    its edge costs no more, has no larger row and scores at least as much,
+    checked pair by pair. The rest come in (edge, cost, row) order. Without
+    ``seg`` every candidate belongs to one edge."""
+    costs, rows, scores = costs.tolist(), rows.tolist(), scores.tolist()
+    edges = [0] * len(costs) if seg is None else seg.tolist()
+    best: dict[tuple, int] = {}
+    for i, key in enumerate(zip(edges, costs, rows)):
+        if key not in best or scores[i] > scores[best[key]]:
+            best[key] = i
+    keep = []
+    for (e, c, r), i in sorted(best.items()):
+        if not any(f == e and (d, q) != (c, r) and d <= c and q <= r
+                   and scores[j] >= scores[i]
+                   for (f, d, q), j in best.items()):
+            keep.append(i)
+    return keep
+
+
 def cells(tab: CladeTable) -> list[tuple[int, int, float]]:
     """A clade table's (cost, row, score) cells, in stored order."""
     return list(zip(tab.costs.tolist(), tab.rows.tolist(), tab.scores.tolist()))
 
 
-def from_dense(eid: int, kind: str, scores: np.ndarray) -> CladeTable:
+def from_dense(scores: np.ndarray) -> CladeTable:
     """Clade table with one cell of exact cost b per finite entry [b, p] of
     a dense score array, in (b, p) order."""
     b, p = np.nonzero(np.isfinite(scores))
-    return CladeTable(edge_id=eid, kind=kind, costs=b, rows=p,
-                      scores=scores[b, p])
+    return CladeTable(costs=b, rows=p, scores=scores[b, p])
 
 
 def build_tables_postorder(instance: Instance,
@@ -212,10 +234,10 @@ def build_tables_postorder(instance: Instance,
     for e in instance.tree.edges:
         if len(e.children) == 1:
             tables[e.eid] = solver._combine_unary(
-                e.eid, tables[e.children[0]], e.length, disc)
+                tables[e.children[0]], e.length, disc)
         elif len(e.children) == 2:
             left, right = (tables[c] for c in e.children)
-            tables[e.eid] = solver.combine_tables(e.eid, left, right, e.length,
+            tables[e.eid] = solver.combine_tables(left, right, e.length,
                                                   budget, disc, stats)
             stats["fast_combines"] += 1
     stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
@@ -243,18 +265,16 @@ def refuse_by_height(instance: Instance, disc) -> None:
         for e in level:
             if len(e.children) == 1:
                 tables[e.eid] = solver._combine_unary(
-                    e.eid, tables[e.children[0]], e.length, disc)
+                    tables[e.children[0]], e.length, disc)
             else:
                 left, right = (tables[c] for c in e.children)
                 tables[e.eid] = solver.combine_tables(
-                    e.eid, left, right, e.length, budget, disc)
+                    left, right, e.length, budget, disc)
 
 
 def assert_same_table(got: CladeTable, want: CladeTable) -> None:
-    """Equal tables: the same edge, kind and taxon, and every array of the
-    same dtype, shape and bytes."""
-    assert (got.edge_id, got.kind, got.taxon) == (want.edge_id, want.kind,
-                                                  want.taxon)
+    """Equal tables: every array of the same dtype, shape and bytes, and
+    missing backpointers missing in both."""
     for name in ("costs", "rows", "scores", "left", "right"):
         g, w = getattr(got, name), getattr(want, name)
         if w is None:

@@ -330,6 +330,18 @@ def test_bad_epsilon_exits_2(capsys):
     assert code == 2
 
 
+def test_epsilon_below_float_resolution_exits_2(capsys):
+    """At epsilon 1e-300 the grid ratio (1 - epsilon)**(1/(2h)) rounds to
+    1.0: the run ends with exit 2 and an error naming epsilon and the
+    height of the tree, 3."""
+    code, out, err = run(capsys, "solve", data_path("hand.nap.json"),
+                         "--epsilon", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: epsilon 1e-300 is too small for a tree of "
+                          "height 3:")
+
+
 def test_subnormal_b_exits_2(capsys):
     """A taxon with b = 5e-324 needs k = 537 and n**(k+1) overflows: the
     run ends with a parameter error, not a traceback."""

@@ -61,6 +61,16 @@ def test_select_params_rejects_bad_shape():
         select_params(4, 4, 0.5, 0)
 
 
+@pytest.mark.parametrize("eps,height", [(1e-300, 3), (1e-17, 1), (1e-15, 100)])
+def test_select_params_names_an_epsilon_below_float_resolution(eps, height):
+    """When (1 - eps)**(1/(2h)) rounds to 1.0 there is no grid; the error
+    names epsilon and the tree height rather than the ratio alpha."""
+    with pytest.raises(ParameterError) as err:
+        select_params(4, height, eps, 1)
+    assert str(err.value).startswith(
+        f"epsilon {eps!r} is too small for a tree of height {height}:")
+
+
 def test_grid_depth_limit():
     # eps tiny and a tall tree: t explodes past the guard
     with pytest.raises(ParameterError, match="exceeds"):

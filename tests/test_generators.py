@@ -45,7 +45,7 @@ def test_attribute_ranges():
     for e in inst.tree.edges:
         if e.eid != inst.tree.root:
             assert 0.0 < e.length <= 1.0
-    assert inst.tree.root_edge.length == 0.0
+    assert inst.tree.edges[inst.tree.root].length == 0.0
 
 
 def test_default_budget_is_third_of_cost():

@@ -36,7 +36,7 @@ def test_unary_chain_contracts():
     assert len(tree.edges) == 2
     assert tree.edges[0].taxon == "x"
     assert tree.edges[0].length == pytest.approx(9.0)
-    assert tree.root_edge.length == pytest.approx(1.0)
+    assert tree.edges[tree.root].length == pytest.approx(1.0)
 
 
 def test_from_node_only_reads_its_argument():
@@ -58,7 +58,7 @@ def test_from_node_only_reads_its_argument():
 def test_bare_leaf_wrapped():
     tree = PhyloTree.from_node(leaf("only", 5.0))
     assert tree.n_leaves == 1
-    assert tree.root_edge.length == 0.0
+    assert tree.edges[tree.root].length == 0.0
     assert tree.is_binary()
 
 

@@ -1,6 +1,7 @@
 """Tests for the table-building dynamic program and the full solver."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from napx import solver
+from napx.baselines import brute_force
 from napx.discretization import Discretization, derive_k, select_params
 from napx.cli import main
 from napx.errors import InternalError, ParameterError, SizeLimitError
@@ -20,7 +22,7 @@ from napx.solver import (CladeTable, build_pendant_tables, build_tables,
 
 from oracles import (assert_frontier_of_scatter, assert_same_table,
                      build_tables_postorder, cells, exhaustive_best,
-                     from_dense, refuse_by_height)
+                     from_dense, frontier_indices, refuse_by_height)
 from util import (cherry, data_path, fig1_instance, make_instance,
                   polytomy_instance, tie_cherry)
 
@@ -35,8 +37,8 @@ def small_disc() -> Discretization:
 
 def _pendant_cells(instance, disc) -> dict[str, list]:
     """Cells of every pendant table of the instance, keyed by taxon."""
-    return {tab.taxon: cells(tab)
-            for tab in build_pendant_tables(instance, disc).values()}
+    return {instance.tree.edges[eid].taxon: cells(tab)
+            for eid, tab in build_pendant_tables(instance, disc).items()}
 
 
 def test_pendant_table_by_hand():
@@ -139,9 +141,10 @@ def _assert_combines_match_scatter(norm, disc) -> int:
         if len(e.children) != 2:
             continue
         l, r = (tables[c] for c in e.children)
-        got = combine_tables(e.eid, l, r, e.length, norm.budget, disc)
+        got = combine_tables(l, r, e.length, norm.budget, disc)
         assert_frontier_of_scatter(got, l, r, e.length, norm.budget, disc)
-        pendant += "pendant" in (l.kind, r.kind)
+        pendant += any(norm.tree.edges[c].taxon is not None
+                       for c in e.children)
     return pendant
 
 
@@ -172,9 +175,9 @@ def test_combine_matches_scatter_property(topo, n, seed, epsilon, budget):
         *_tables_for(gen(n, seed, budget=budget), epsilon=epsilon))
 
 
-def _table(kind, costs, rows, scores):
-    return CladeTable(edge_id=0, kind=kind, costs=np.array(costs),
-                      rows=np.array(rows), scores=np.array(scores))
+def _table(costs, rows, scores):
+    return CladeTable(costs=np.array(costs), rows=np.array(rows),
+                      scores=np.array(scores))
 
 
 def test_combine_ties_pick_smallest_budget_then_row():
@@ -183,9 +186,9 @@ def test_combine_ties_pick_smallest_budget_then_row():
     from the first left cell (the smaller left row); the same value at
     cost 1 is dominated."""
     d = small_disc()
-    left = _table("internal", [0, 0, 1], [2, 3, 1], [1.0, 1.0, 1.0])
-    right = _table("internal", [0, 1], [0, 0], [0.5, 0.5])
-    got = combine_tables(2, left, right, 0.0, 1, d)
+    left = _table([0, 0, 1], [2, 3, 1], [1.0, 1.0, 1.0])
+    right = _table([0, 1], [0, 0], [0.5, 0.5])
+    got = combine_tables(left, right, 0.0, 1, d)
     assert cells(got) == [(0, 0, 1.5)]
     assert (got.left.tolist(), got.right.tolist()) == ([0], [0])
 
@@ -199,8 +202,7 @@ def test_combine_right_row_ties_pick_smallest_k():
     left[0, 1] = 1.0
     right = np.full((1, d.t + 2), -np.inf)
     right[0, [2, 4]] = 0.5
-    got = combine_tables(2, from_dense(0, "internal", left),
-                         from_dense(1, "internal", right), 0.0, 0, d)
+    got = combine_tables(from_dense(left), from_dense(right), 0.0, 0, d)
     assert cells(got) == [(0, 1, 1.5)]
     assert (got.left.tolist(), got.right.tolist()) == ([0], [0])
 
@@ -211,10 +213,10 @@ def test_tie_rule_by_hand():
     right) index order. A right cell at row 5 (probability 0) leaves every
     left row where it is, and lam = 0 adds nothing."""
     d = small_disc()
-    left = _table("internal", [0, 1, 1, 1, 3], [3, 2, 1, 1, 2],
+    left = _table([0, 1, 1, 1, 3], [3, 2, 1, 1, 2],
                   [1.0, 1.0, 1.0, 1.0, 1.5])
-    right = _table("internal", [0, 0], [5, 5], [0.0, 0.0])
-    got = combine_tables(2, left, right, 0.0, 3, d)
+    right = _table([0, 0], [5, 5], [0.0, 0.0])
+    got = combine_tables(left, right, 0.0, 3, d)
     # (1, 2) is dominated by (1, 1) of equal value; (1, 1) is reached by
     # left cells 2 and 3, each with both right cells: the first pair wins
     assert cells(got) == [(0, 3, 1.0), (1, 1, 1.0), (3, 2, 1.5)]
@@ -222,7 +224,7 @@ def test_tie_rule_by_hand():
     assert got.right.tolist() == [0, 0, 0]
     assert int(np.argmax(got.scores)) == 2
     # without the 1.5 cell the root's best is the cost-0 cell
-    tie = combine_tables(2, left, right, 0.0, 2, d)
+    tie = combine_tables(left, right, 0.0, 2, d)
     assert cells(tie) == [(0, 3, 1.0), (1, 1, 1.0)]
     assert int(np.argmax(tie.scores)) == 0
 
@@ -244,8 +246,8 @@ def test_combine_tie_heavy_tables_match_scatter(case):
     this exercises each level of the tie rule against the reference."""
     budget, left, right = case
     d = small_disc()
-    l, r = from_dense(0, "internal", left), from_dense(1, "internal", right)
-    got = combine_tables(2, l, r, 1.0, budget, d)
+    l, r = from_dense(left), from_dense(right)
+    got = combine_tables(l, r, 1.0, budget, d)
     assert_frontier_of_scatter(got, l, r, 1.0, budget, d)
 
 
@@ -270,6 +272,49 @@ _DISCS = [small_disc(), Discretization.from_alpha_pmin(0.9, 1e-3)]
 
 
 @st.composite
+def _frontier_input(draw):
+    """0-24 candidates of up to four edges, few distinct costs, rows and
+    scores, so that ties on score, on (cost, row) and across edges are
+    common; with or without ``seg``, and a ``PAIR_LIMIT`` that is at times
+    low enough to send a stack of edges down the edge-by-edge route."""
+    n = draw(st.integers(0, 24))
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    costs = np.array(column(st.sampled_from(_COSTS)), dtype=np.int64)
+    rows = np.array(column(st.integers(0, 5)), dtype=np.int64)
+    scores = np.array(column(st.sampled_from([0.0, 0.5, 1.0])
+                             | st.floats(0.0, 100.0)), dtype=np.float64)
+    seg = np.array(sorted(column(st.integers(0, 3))), dtype=np.int64)
+    return (costs, rows, scores, draw(st.sampled_from([seg, None])),
+            draw(st.sampled_from([solver.PAIR_LIMIT, 12, 24, 48])))
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_frontier_input())
+@example((np.array([0, 1, 0, 0]), np.array([0, 0, 0, 1]),
+          np.array([1.0, 2.0, 1.0, 2.0]), np.array([0, 0, 1, 1]), 3))
+def test_frontier_equals_pairwise_dominance(case):
+    """``_frontier`` keeps exactly the candidates of the literal oracle,
+    in (edge, cost, row) order, and refuses exactly when one edge's
+    (distinct cost x distinct row) matrix is above ``PAIR_LIMIT``; a
+    stack of edges above it is filtered edge by edge, as the example
+    does (a stack of 8 cells against a limit of 3, 2 cells an edge)."""
+    costs, rows, scores, seg, limit = case
+    edges = np.zeros_like(costs) if seg is None else seg
+    largest = max((np.unique(costs[edges == e]).size
+                   * np.unique(rows[edges == e]).size
+                   for e in np.unique(edges)), default=0)
+    args = (costs, rows, scores) + (() if seg is None else (seg,))
+    with mock.patch.object(solver, "PAIR_LIMIT", limit):
+        if largest > limit:
+            with pytest.raises(SizeLimitError, match="dominance-matrix"):
+                solver._frontier(*args)
+            return
+        keep = solver._frontier(*args)
+    assert keep.dtype == np.intp
+    assert keep.tolist() == frontier_indices(costs, rows, scores, seg)
+
+
+@st.composite
 def _child_table(draw, disc):
     """A table of 0-5 cells in (cost, row) order, dominated ones too, with
     few distinct costs, rows and scores, so that ties are common."""
@@ -279,8 +324,7 @@ def _child_table(draw, disc):
         st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 100.0)),
         min_size=n, max_size=n)))
     costs, rows, scores = zip(*drawn) if drawn else ((), (), ())
-    return CladeTable(edge_id=-1, kind="internal",
-                      costs=np.array(costs, dtype=np.int64),
+    return CladeTable(costs=np.array(costs, dtype=np.int64),
                       rows=np.array(rows, dtype=np.int64),
                       scores=np.array(scores, dtype=np.float64))
 
@@ -289,23 +333,22 @@ def _child_table(draw, disc):
 def _level(draw):
     disc = draw(st.sampled_from(_DISCS))
     budget = draw(st.sampled_from([0, 1, 3, 6, (1 << 63) - 1]))
-    combines = [(eid, draw(_child_table(disc)), draw(_child_table(disc)),
+    combines = [(draw(_child_table(disc)), draw(_child_table(disc)),
                  draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)))
-                for eid in range(draw(st.integers(2, 6)))]
+                for _ in range(draw(st.integers(2, 6)))]
     return disc, budget, combines
 
 
-_EMPTY = CladeTable(edge_id=-1, kind="internal",
-                    costs=np.empty(0, dtype=np.int64),
+_EMPTY = CladeTable(costs=np.empty(0, dtype=np.int64),
                     rows=np.empty(0, dtype=np.int64), scores=np.empty(0))
-_ONE = CladeTable(edge_id=-1, kind="internal", costs=np.array([0]),
-                  rows=np.array([1]), scores=np.array([0.5]))
+_ONE = CladeTable(costs=np.array([0]), rows=np.array([1]),
+                  scores=np.array([0.5]))
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(_level())
-@example((_DISCS[0], 3, [(0, _EMPTY, _ONE, 1.0), (1, _ONE, _EMPTY, 1.0),
-                         (2, _ONE, _ONE, 0.0), (3, _EMPTY, _EMPTY, 1.0)]))
+@example((_DISCS[0], 3, [(_EMPTY, _ONE, 1.0), (_ONE, _EMPTY, 1.0),
+                         (_ONE, _ONE, 0.0), (_EMPTY, _EMPTY, 1.0)]))
 def test_combine_level_equals_combine_tables(case):
     """Each table of a batched level equals, field for field, the one
     ``combine_tables`` builds for its edge alone; the level counts the
@@ -315,9 +358,9 @@ def test_combine_level_equals_combine_tables(case):
     got = combine_level(combines, budget, disc, stats)
     want_stats = {"candidate_pairs": 0}
     assert len(got) == len(combines)
-    for tab, (eid, left, right, lam) in zip(got, combines):
-        assert_same_table(tab, combine_tables(eid, left, right, lam, budget,
-                                              disc, want_stats))
+    for tab, (left, right, lam) in zip(got, combines):
+        assert_same_table(tab, combine_tables(left, right, lam, budget, disc,
+                                              want_stats))
     assert stats == want_stats
 
 
@@ -489,6 +532,29 @@ def test_solve_invariants_property(topo, n, seed, epsilon, c_hi, budget):
     assert sol.selection.score >= sol.reported_score - 1e-9 * total_pd(inst)
 
 
+@pytest.mark.parametrize("a,b,c", [(0.2, 0.9, 1), (0.2, 0.9, 5),
+                                   (0.4, 0.4, 1)],
+                         ids=["c-within-budget", "c-above-budget", "a-equals-b"])
+@pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.6])
+def test_one_leaf_under_a_unary_root(a, b, c, epsilon):
+    """A single leaf under a root edge of positive length: the root table
+    is unary, and the backtrace finds the leaf's taxon in the tree. The
+    selection is the exhaustive optimum, and the reported bound is at most
+    its exact score."""
+    inst = make_instance(inner(2.0, leaf("x", 1.0)), [("x", a, b, c)],
+                         budget=2)
+    sol = solve(inst, epsilon)
+    norm = normalize(inst)
+    root = norm.tree.edges[norm.tree.root]
+    assert len(root.children) == 1 and root.length == 2.0
+    tab = build_tables(norm, sol.params)[0][root.eid]
+    assert tab.left is not None and tab.right is None
+    best = brute_force(inst)
+    assert sol.selection.selected == best.selected
+    assert repr(sol.selection.score) == repr(best.score)
+    assert sol.reported_score <= sol.selection.score
+
+
 def test_equal_survival_taxon_is_left_out():
     """z has a = b, so conserving it adds nothing. Both {y, z} and {y}
     fit the budget and score the same; the cheaper {y} is returned."""
@@ -529,7 +595,7 @@ def test_pair_limit_refuses_large_combines(monkeypatch, capsys):
     pairs = sum(int(i + beta <= norm.budget) for i in l.costs for beta in r.costs)
     monkeypatch.setattr(solver, "PAIR_LIMIT", pairs - 1)
     with pytest.raises(SizeLimitError, match=f"{pairs} candidate pairs"):
-        combine_tables(root.eid, l, r, root.length, norm.budget, disc)
+        combine_tables(l, r, root.length, norm.budget, disc)
     assert main(["solve", data_path("hand.nap.json"), "--epsilon", "0.3"]) == 3
     assert capsys.readouterr().err.startswith("error:")
 
