@@ -33,14 +33,14 @@ from io import StringIO
 from pathlib import Path
 from time import perf_counter
 
-from .baselines import brute_force, pardi_goldman
+from .baselines import brute_force, check_brute_force_size, pardi_goldman
 from .errors import InputError, NapError, RestrictionError, SizeLimitError
 from .generators import TOPOLOGIES, GenSpec, generate
 from .io import (SolutionDocument, instance_format_for, load_instance,
                  load_solution, save_instance, write_instance, write_solution)
 from .model import Instance, make_conservation_set, validate_instance
 from .newick import fmt_float
-from .solver import solve
+from .solver import check_epsilon, solve
 
 SOLVERS = ("napx", "exact", "pg")
 
@@ -126,6 +126,11 @@ def _solution_doc(solver: str, instance: Instance, name: str | None,
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance, meta = load_instance(args.instance)
+    if args.oracle:
+        # refuse an oracle too large to run before the tables are built,
+        # and a bad epsilon before that, as solve would
+        check_epsilon(args.epsilon)
+        check_brute_force_size(instance)
     t0 = perf_counter()
     sol = solve(instance, epsilon=args.epsilon)
     wall = perf_counter() - t0

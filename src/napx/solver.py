@@ -76,6 +76,7 @@ __all__ = [
     "combine_level",
     "build_tables",
     "backtrace",
+    "check_epsilon",
     "solve",
     "solve_on_grid",
 ]
@@ -459,6 +460,14 @@ class NapxSolution:
     stats: dict
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse, with :class:`ParameterError`, an epsilon that :func:`solve`
+    cannot honour: one outside the open interval (0, 1)."""
+    if not (0.0 < epsilon < 1.0):
+        raise ParameterError(
+            f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
+
+
 def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     """Approximately maximize expected diversity under the budget.
 
@@ -480,9 +489,7 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     exceeds the whole budget are never reported even though normalization
     keeps them around as unconservable placeholders.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(
-            f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
+    check_epsilon(epsilon)
     norm = normalize(instance)
     n = norm.tree.n_leaves
     try:

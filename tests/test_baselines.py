@@ -1,11 +1,14 @@
 """Tests for the exact baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from napx.baselines import (BRUTE_FORCE_LIMIT, _score_block, brute_force,
-                            pardi_goldman)
+import napx.baselines
+from napx.baselines import (BRUTE_FORCE_LIMIT, _block_scores, _gray_tables,
+                            _precedes, _walk, brute_force, pardi_goldman)
 from napx.errors import RestrictionError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.model import expected_pd, inner, leaf
@@ -61,12 +64,14 @@ def test_brute_force_size_limit():
 
 
 @st.composite
-def _tie_heavy_instances(draw):
-    """Up to 10 leaves under polytomies, branch lengths of 0, 0.1, 1 or 2,
-    probabilities from a few values with a = b allowed, costs of 0 to 3,
-    and any budget up to one past the total cost: many subsets tie."""
-    n = draw(st.integers(1, 10))
-    length = st.sampled_from([0.0, 0.1, 1.0, 2.0])
+def _tie_heavy_instances(draw, max_n=10, lengths=(0.0, 0.1, 1.0, 2.0),
+                         certain=False):
+    """Up to ``max_n`` leaves under polytomies, branch lengths drawn from
+    ``lengths``, probabilities from a few values with a = b allowed (or
+    a = 0 and b = 1 if ``certain``), costs of 0 to 3, and any budget up to
+    one past the total cost: many subsets tie."""
+    n = draw(st.integers(1, max_n))
+    length = st.sampled_from(lengths)
     nodes = [leaf(f"t{i:02d}", draw(length)) for i in range(n)]
     while len(nodes) > 1:
         k = draw(st.integers(2, min(4, len(nodes))))
@@ -74,32 +79,91 @@ def _tie_heavy_instances(draw):
         nodes[i:i + k] = [inner(draw(length), *nodes[i:i + k])]
     rows = []
     for i in range(n):
-        a = draw(st.sampled_from([0.0, 0.25, 0.5]))
-        b = max(a, draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])))
+        a, b = 0.0, 1.0
+        if not certain:
+            a = draw(st.sampled_from([0.0, 0.25, 0.5]))
+            b = max(a, draw(st.sampled_from([0.0, 0.5, 0.75, 1.0])))
         rows.append((f"t{i:02d}", a, b, draw(st.integers(0, 3))))
     total = sum(row[3] for row in rows)
     return make_instance(nodes[0], rows, budget=draw(st.integers(0, total + 1)))
 
 
 @settings(deadline=None, max_examples=200, derandomize=True)
-@given(_tie_heavy_instances())
-def test_brute_force_equals_gray_code_loop_property(inst):
+@given(_tie_heavy_instances(), st.integers(1, 10))
+def test_brute_force_equals_gray_code_loop_property(inst, width):
     """Block scoring picks the subset that scoring each subset in turn
     picks, with the same score to the last bit, and every block score is
-    the expected_pd of its subset to the last bit."""
+    the expected_pd of its subset to the last bit, at any block width:
+    blocks with high bits set and blocks read backwards included."""
     got = brute_force(inst)
     want = brute_force_gray(inst)
     assert got.selected == want.selected
     assert repr(got.score) == repr(want.score)
 
     ids = sorted(inst.taxa)
-    codes = np.arange(1 << len(ids), dtype=np.int64)
-    _, scores = _score_block(inst, [e.length for e in inst.tree.edges],
-                             {t: i for i, t in enumerate(ids)},
-                             [inst.taxa[t].c for t in ids], np.int64, codes)
-    for code, score in zip(codes.tolist(), scores.tolist()):
-        subset = [t for i, t in enumerate(ids) if code >> i & 1]
-        assert repr(score) == repr(expected_pd(inst, subset))
+    n = len(ids)
+    width = min(width, n)
+    costs = [inst.taxa[t].c for t in ids]
+    steps, stride = _walk(inst, {t: i for i, t in enumerate(ids)}, width)
+    tables = _gray_tables(stride, costs[:width], np.int64)
+    seen = []
+    for block in range(1 << (n - width)):
+        high = (block ^ block >> 1) << width
+        codes, pos, cost = (t[::-1] for t in tables) if block & 1 else tables
+        scores = _block_scores(steps, width, high)[pos]
+        for code, c, score in zip(codes.tolist(), cost.tolist(), scores.tolist()):
+            subset = [t for i, t in enumerate(ids) if (code | high) >> i & 1]
+            assert repr(score) == repr(expected_pd(inst, subset))
+            assert c == sum(costs[i] for i in range(width) if code >> i & 1)
+            seen.append(code | high)
+    # the blocks walk every subset once, in Gray-code order
+    assert seen == [k ^ k >> 1 for k in range(1 << n)]
+
+
+# lengths around the tie tolerance, with no probability to scale them
+# down, make scores that differ by less than it chain up, so the tie rule's
+# outcome depends on the order in which the subsets come
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(st.one_of(_tie_heavy_instances(max_n=11),
+                 _tie_heavy_instances(max_n=11, lengths=(0.0, 3e-13, 7e-13, 1.1e-12),
+                                      certain=True)),
+       st.integers(1, 4))
+def test_brute_force_across_many_blocks_property(inst, width):
+    """Blocks of 2 to 16 subsets cut an instance of up to 11 leaves into
+    as many as 1024 blocks, half of them read backwards; the tie rule
+    across block boundaries still picks what the one-at-a-time loop
+    picks, in the same order, to the last bit of the score."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(napx.baselines, "_LOW_BITS", width)
+        got = brute_force(inst)
+    want = brute_force_gray(inst)
+    assert got.selected == want.selected
+    assert got.total_cost == want.total_cost
+    assert repr(got.score) == repr(want.score)
+
+
+def test_precedes_is_sorted_tuple_order():
+    """On every pair of subsets of up to 7 ids, the comparison of codes
+    agrees with comparing the sorted id tuples."""
+    for n in range(8):
+        tuples = [tuple(i for i in range(n) if code >> i & 1)
+                  for code in range(1 << n)]
+        for a, ta in enumerate(tuples):
+            for b, tb in enumerate(tuples):
+                assert _precedes(a, b) == (ta < tb), (n, ta, tb)
+
+
+def test_brute_force_memory_stays_small():
+    """Every subset of a 22-leaf tree is affordable, so all 512 blocks are
+    scored; the arrays alive at once must stay well under 1 MB."""
+    inst = gen_yule(22, 1, budget=10**6)
+    tracemalloc.start()
+    try:
+        brute_force(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_brute_force_costs_beyond_int64():

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import napx.cli
+from napx.baselines import BRUTE_FORCE_LIMIT
 from napx.cli import BENCH_COLUMNS, main
 from napx.generators import GenSpec, generate
 from napx.io import (SolutionDocument, load_instance, parse_solution,
@@ -70,6 +72,33 @@ def test_pg_restriction_exit_code(capsys):
     code, _, err = run(capsys, "pg", data_path("hand.nap.json"))
     assert code == 3
     assert "a=0" in err
+
+
+def test_solve_oracle_too_large_is_refused_before_solving(tmp_path, capsys,
+                                                          monkeypatch):
+    """An oracle over more taxa than exhaustive search takes exits 3, with
+    the message of exact, before any table is built; a bad epsilon is
+    still reported first, with exit 2."""
+    n = BRUTE_FORCE_LIMIT + 1
+    path = tmp_path / "big.nap.json"
+    path.write_text(write_instance(generate(GenSpec(n=n, topology="yule", seed=1)),
+                                   "json"))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(napx.cli, "solve", no_solve)
+    code, out, err = run(capsys, "solve", str(path), "--oracle")
+    assert code == 3
+    assert out == ""
+    assert err == (f"error: brute force is capped at {BRUTE_FORCE_LIMIT} taxa, "
+                   f"instance has {n}\n")
+    _, _, exact_err = run(capsys, "exact", str(path))
+    assert exact_err == err
+
+    code, _, err = run(capsys, "solve", str(path), "--oracle", "--epsilon", "1.5")
+    assert code == 2
+    assert "epsilon" in err
 
 
 # ------------------------------------------------------------------------- #
