@@ -231,19 +231,22 @@ def pardi_goldman(instance: Instance) -> ConservationSet:
 
     Raises
     ------
+    ValidationError
+        When the instance is invalid, whether or not it keeps to the
+        restriction.
     RestrictionError
         Naming the offending taxa when any has a != 0 or b != 1. The
-        check runs on the raw instance, before normalization has a chance
-        to rewrite probabilities.
+        check reads the raw instance's taxa, not the normalized ones, whose
+        probabilities normalization may have rewritten.
     SizeLimitError
         When the normalized budget does not fit int64 or a table combine
         exceeds ``napx.solver.PAIR_LIMIT``, as in :func:`napx.solver.solve`.
     """
-    validate_instance(instance)
+    norm = normalize(instance)      # validates
     offending = sorted(t.id for t in instance.taxa.values()
                        if t.a != 0.0 or t.b != 1.0)
     if offending:
         raise RestrictionError(
             "this solver needs a=0 and b=1 for every taxon; violated by: "
             + ", ".join(offending))
-    return solve_on_grid(instance, normalize(instance), _CERTAIN)[0]
+    return solve_on_grid(instance, norm, _CERTAIN)[0]

@@ -248,6 +248,7 @@ def _run_one(solver: str, instance: Instance, epsilon: float) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    check_epsilon(args.epsilon)     # refused before any instance is generated
     sizes = []
     for tok in _csv_list(args.sizes, "size"):
         try:

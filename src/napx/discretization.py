@@ -199,15 +199,27 @@ class Discretization:
         row t rather than the zero row.
         """
         q = np.asarray(p, dtype=np.float64)
+        scalar = q.ndim == 0
+        if scalar:      # a ufunc gives a 0-d array a scalar, which out= refuses
+            q = q.reshape(1)
         # the smallest subnormal keeps log finite; q = 0 lies below the
-        # floor, so its row never reads x
-        x = np.log(np.maximum(q, 5e-324)) / self._log_alpha
-        r = np.round(x)
-        m = np.where(np.abs(x - r) <= _SNAP, r, np.ceil(x))
-        below = self.p_min - q > _SNAP * self.p_min
-        idx = np.where(below, self.t + 1,
-                       np.minimum(np.maximum(m, 0), self.t)).astype(np.int64)
-        return int(idx) if idx.ndim == 0 else idx
+        # floor, so its row never reads x. The steps write in place, and
+        # np.rint stands in for np.round, a Python-level wrapper of it: on
+        # the ~100 pairs of a typical combine, each call's fixed cost is
+        # most of the time
+        x = np.maximum(q, 5e-324)
+        np.log(x, out=x)
+        x /= self._log_alpha
+        r = np.rint(x)
+        m = np.ceil(x)
+        x -= r
+        np.abs(x, out=x)
+        np.copyto(m, r, where=x <= _SNAP)
+        np.maximum(m, 0, out=m)
+        np.minimum(m, self.t, out=m)
+        idx = m.astype(np.int64)
+        np.copyto(idx, self.t + 1, where=self.p_min - q > _SNAP * self.p_min)
+        return idx.item() if scalar else idx
 
     def pi(self, p: float) -> float:
         """Round a probability down onto the grid."""

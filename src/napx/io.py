@@ -110,8 +110,8 @@ def _parse_instance_json(text: str) -> tuple[Instance, dict]:
             raise ParseError(f"taxon {tid!r} must be an object with exactly "
                              "the keys a, b, c")
         try:
-            taxa[tid] = Taxon(tid, _as_float(rec["a"], "a"), _as_float(rec["b"], "b"),
-                              _as_int(rec["c"], "c"))
+            taxa[tid] = Taxon._make((tid, _as_float(rec["a"], "a"),
+                                     _as_float(rec["b"], "b"), _as_int(rec["c"], "c")))
         except ParseError as exc:
             raise ParseError(f"taxon {tid!r}: {exc}") from None
     name = doc.get("name")

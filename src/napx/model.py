@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateInstanceError, InputError, ValidationError
 
@@ -51,9 +51,8 @@ __all__ = [
 #  Taxa
 # ------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Taxon:
-    """One leaf's conservation data.
+class Taxon(NamedTuple):
+    """One leaf's conservation data, an immutable named tuple.
 
     Parameters
     ----------
@@ -102,9 +101,8 @@ def inner(length: float, *children: TreeNode) -> TreeNode:
     return TreeNode(length=float(length), children=list(children))
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One edge of a finished tree.
+class Edge(NamedTuple):
+    """One edge of a finished tree, an immutable named tuple.
 
     ``children`` holds the ids of the edges directly below this one; a
     pendant edge has no children and carries the ``taxon`` id of its leaf.
@@ -152,13 +150,19 @@ class PhyloTree:
         low: list[str] = []     # smallest leaf label below each record
         ends: list[int] = []    # where the unary chain from each record ends
         for i, (tx, ks) in enumerate(zip(taxa, below)):
-            if tx is None and len(ks) == 1:
+            if tx is not None:
+                ends.append(i)
+                low.append(tx)
+            elif len(ks) == 2:      # the common interior record, without min()
+                ends.append(i)
+                first, second = low[ks[0]], low[ks[1]]
+                low.append(first if first <= second else second)
+            elif len(ks) == 1:
                 ends.append(ends[ks[0]])
                 low.append(low[ks[0]])
             else:
                 ends.append(i)
-                low.append(tx if tx is not None
-                           else min(map(low.__getitem__, ks), default=""))
+                low.append(min(map(low.__getitem__, ks), default=""))
 
         def contract(c: int) -> int:
             """The end of the chain from ``c``, given the chain's length."""
@@ -178,20 +182,34 @@ class PhyloTree:
         todo = [top]
         while todo:
             i = todo.pop()
-            ks = [c if c == ends[c] else contract(c) for c in below[i]]
-            ks.sort(key=low.__getitem__)
+            ks = below[i]
+            if len(ks) == 2:
+                a, b = ks
+                if a != ends[a]:
+                    a = contract(a)
+                if b != ends[b]:
+                    b = contract(b)
+                ks = (b, a) if low[b] < low[a] else (a, b)
+            else:
+                ks = [c if c == ends[c] else contract(c) for c in ks]
+                ks.sort(key=low.__getitem__)
             order.append((i, ks))
             todo += ks
         eids, heights = [0] * len(taxa), [0] * len(taxa)
         edges: list[Edge] = []
+        make = Edge._make
         for eid, (i, ks) in enumerate(reversed(order)):
-            if ks:
+            if not ks:
+                height, ids = 1, ()
+            elif len(ks) == 2:
+                a, b = ks
+                ha, hb = heights[a], heights[b]
+                height, ids = (ha if ha >= hb else hb) + 1, (eids[a], eids[b])
+            else:
                 height = 1 + max(map(heights.__getitem__, ks))
                 ids = tuple(map(eids.__getitem__, ks))
-            else:
-                height, ids = 1, ()
             eids[i], heights[i] = eid, height
-            edges.append(Edge(eid, float(length[i]), ids, taxa[i], height))
+            edges.append(make((eid, float(length[i]), ids, taxa[i], height)))
         return PhyloTree(edges=tuple(edges), root=len(edges) - 1)
 
     @staticmethod
@@ -320,7 +338,8 @@ def validate_instance(instance: Instance) -> None:
             problems.append(f"taxon {tx.id!r}: b={tx.b!r} outside [0, 1]")
         if tx.a > tx.b:
             problems.append(f"taxon {tx.id!r}: a={tx.a!r} exceeds b={tx.b!r}")
-        if not isinstance(tx.c, Integral) or isinstance(tx.c, bool) or tx.c < 0:
+        if not (type(tx.c) is int or isinstance(tx.c, Integral)
+                and not isinstance(tx.c, bool)) or tx.c < 0:
             problems.append(f"taxon {tx.id!r}: cost {tx.c!r} is not a non-negative integer")
 
     missing = sorted(set(bound) - set(instance.taxa))
@@ -330,9 +349,10 @@ def validate_instance(instance: Instance) -> None:
     for tid in extra:
         problems.append(f"taxon {tid!r} is not a leaf of the tree")
 
-    if not isinstance(instance.budget, Integral) or isinstance(instance.budget, bool) \
-            or instance.budget < 0:
-        problems.append(f"budget {instance.budget!r} is not a non-negative integer")
+    budget = instance.budget
+    if not (type(budget) is int or isinstance(budget, Integral)
+            and not isinstance(budget, bool)) or budget < 0:
+        problems.append(f"budget {budget!r} is not a non-negative integer")
 
     if problems:
         raise ValidationError(problems)
@@ -454,18 +474,18 @@ def normalize(instance: Instance) -> Instance:
     validate_instance(instance)
     budget = int(instance.budget)
 
-    taxa = {}
-    for tid, tx in instance.taxa.items():
+    taxa = dict(instance.taxa)      # a taxon that is not rewritten is kept
+    for tid, tx in taxa.items():
         if tx.c > budget:
-            taxa[tid] = Taxon(id=tx.id, a=tx.a, b=tx.a, c=0)
-        else:
-            taxa[tid] = Taxon(id=tx.id, a=tx.a, b=tx.b, c=int(tx.c))
+            taxa[tid] = Taxon._make((tx.id, tx.a, tx.a, 0))
+        elif type(tx.c) is not int:
+            taxa[tid] = Taxon._make((tx.id, tx.a, tx.b, int(tx.c)))
 
     positive = [tx.c for tx in taxa.values() if tx.c > 0]
     if positive:
         g = math.gcd(*positive)
         if g > 1:
-            taxa = {tid: Taxon(id=tx.id, a=tx.a, b=tx.b, c=tx.c // g)
+            taxa = {tid: Taxon._make((tx.id, tx.a, tx.b, tx.c // g))
                     for tid, tx in taxa.items()}
             budget //= g
     budget = min(budget, sum(tx.c for tx in taxa.values()))

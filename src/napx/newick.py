@@ -205,8 +205,8 @@ def _read_tree(text: str, pos: int, annotated: bool):
                     _fail(text, f"leaf {label!r}: annotation must have exactly "
                           "the keys a, b, c", pos)
                 try:
-                    taxa[label] = Taxon(label, float(ann["a"]), float(ann["b"]),
-                                        int(ann["c"]))
+                    taxa[label] = Taxon._make((label, float(ann["a"]), float(ann["b"]),
+                                               int(ann["c"])))
                 except ValueError as exc:
                     _fail(text, f"leaf {label!r}: {exc}", pos)
                 colon, number = m.group(6, 7)

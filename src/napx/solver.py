@@ -39,12 +39,16 @@ at one height go through :func:`combine_level` in batches of up to
 edge, rounded in one ``pi_index`` call and filtered by one
 :func:`_frontier`, whose one sort takes the edge as its first key and
 whose dominance matrices, one per edge, are stacked. A numpy call costs
-microseconds however small its array, and most combines hold about a
-hundred pairs, so this pays that fixed cost once per batch rather than
-once per edge. A batch of a single combine, as at every height of a
-caterpillar and at the root, runs :func:`combine_tables` alone, which is
-faster for one edge. Both give the same tables, bit for bit, and a
-refusal names a combine at the lowest height that holds one.
+a microsecond or more however small its array, and most combines hold
+about a hundred pairs, so nearly all of a combine's time is this fixed
+cost: on a 2-core machine a combine of 108 pairs took 67 us at best on
+its own and one of 8 pairs 56 us (81 and 65 us when the kernel still went
+through numpy's Python-level wrappers, such as ``np.repeat``, rather than
+ndarray methods and in-place ufuncs). Batching pays the fixed cost once
+per batch rather than once per edge. A batch of a single combine, as at
+every height of a caterpillar and at the root, runs :func:`combine_tables`
+alone, which is faster for one edge. Both give the same tables, bit for
+bit, and a refusal names a combine at the lowest height that holds one.
 
 Ties resolve deterministically. Among candidates for one (cost, row) the
 highest value wins, then the first pair in (left index, right index) order;
@@ -93,7 +97,7 @@ __all__ = [
 PAIR_LIMIT = 1 << 22
 
 # Most candidate pairs one batch of combines may hold. Batching saves
-# numpy's fixed cost of about 80 calls a combine, some 0.15 ms, which a
+# numpy's fixed cost of about 80 calls a combine, some 0.06 ms, which a
 # combine of thousands of pairs hardly notices, while one sort over a large
 # batch costs more than a sort per combine: on Yule n=2048 at epsilon 0.1
 # the heights of 40 000 pairs and more ran slower as one pass than edge by
@@ -149,41 +153,43 @@ def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
         return np.empty(0, dtype=np.intp)
     keys = (-scores, rows, costs)
     order = np.lexsort(keys if seg is None else keys + (seg,))
-    cost, row = costs[order], rows[order]
+    cost, row = costs.take(order), rows.take(order)
     new_cost = np.empty(n, dtype=bool)
     new_cost[0] = True
     np.not_equal(cost[1:], cost[:-1], out=new_cost[1:])
     if seg is not None:
-        edge = seg[order]
+        edge = seg.take(order)
         new_cost[1:] |= edge[1:] != edge[:-1]
     new = new_cost.copy()
     new[1:] |= row[1:] != row[:-1]
     first = order[new]
-    best = scores[first]
+    best = scores.take(first)
     # cost indices and row ranks start at 1 within each edge: index 0 is a
     # border of -inf that stands for "no smaller cost" and "no smaller row"
-    ci, row = np.cumsum(new_cost[new]), row[new]
+    ci, row = new_cost[new].cumsum(), row[new]
     if seg is None:
         n_edges, at = 1, ci
         distinct, ri = _sorted_ranks(row)
-        n_costs, n_rows = int(ci[-1]), distinct.size
+        n_costs, n_rows = ci.item(-1), distinct.size
         _check_size("dominance-matrix cells", n_costs * n_rows)
     else:
         edge = edge[new]
-        n_edges, width = int(edge[-1]) + 1, int(row.max()) + 1
+        n_edges, width = edge.item(-1) + 1, row.max().item() + 1
         distinct, ri = _sorted_ranks(edge * width + row)
-        row_start = np.searchsorted(distinct, np.arange(n_edges + 1) * width)
-        ri -= row_start[edge]
-        ci -= ci[np.searchsorted(edge, edge)] - 1
-        n_costs, n_rows = int(ci.max()), int(np.diff(row_start).max())
+        row_start = distinct.searchsorted(np.arange(n_edges + 1) * width)
+        ri -= row_start.take(edge)
+        ci -= ci.take(edge.searchsorted(edge)) - 1
+        n_costs = ci.max().item()
+        n_rows = (row_start[1:] - row_start[:-1]).max().item()
         if n_edges * n_costs * n_rows > PAIR_LIMIT:
-            bounds = np.searchsorted(seg, np.arange(n_edges + 1)).tolist()
+            bounds = seg.searchsorted(np.arange(n_edges + 1)).tolist()
             return np.concatenate([lo + _frontier(costs[lo:hi], rows[lo:hi],
                                                   scores[lo:hi])
                                    for lo, hi in zip(bounds[:-1], bounds[1:])])
         # a group's row in the stack: its edge's matrix, then its cost
         at = edge * (n_costs + 1) + ci
-    prefix = np.full((n_edges, n_costs + 1, n_rows + 1), -np.inf)
+    prefix = np.empty((n_edges, n_costs + 1, n_rows + 1))
+    prefix.fill(-np.inf)
     flat = prefix.reshape(-1, n_rows + 1)
     flat[at, ri] = best
     np.maximum.accumulate(prefix, axis=1, out=prefix)
@@ -194,12 +200,13 @@ def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
 def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of x, ascending, and the 1-based rank of each
     value of x among them."""
-    srt = np.sort(x)
+    srt = x.copy()
+    srt.sort()
     new = np.empty(srt.size, dtype=bool)
     new[0] = True
     np.not_equal(srt[1:], srt[:-1], out=new[1:])
     distinct = srt[new]
-    return distinct, np.searchsorted(distinct, x, side="right")
+    return distinct, distinct.searchsorted(x, side="right")
 
 
 def build_pendant_tables(instance: Instance,
@@ -251,19 +258,23 @@ def combine_tables(left: CladeTable, right: CladeTable, lam: float,
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
-    m = np.searchsorted(right.costs, budget - left.costs, side="right")
-    pairs = int(m.sum())
+    m = right.costs.searchsorted(budget - left.costs, side="right")
+    pairs = m.sum().item()
     if stats is not None:
         stats["candidate_pairs"] += pairs
     _check_size("candidate pairs", pairs)
-    li = np.repeat(np.arange(m.size), m)
-    ri = np.arange(pairs) - np.repeat(np.cumsum(m) - m, m)
+    li = np.arange(m.size).repeat(m)
+    start = m.cumsum()
+    start -= m
+    ri = np.arange(pairs)
+    ri -= start.repeat(m)
     costs, rows, scores = _candidates(
         li, (left.costs, left.rows, left.scores),
         ri, (right.costs, right.rows, right.scores), lam, disc)
     keep = _frontier(costs, rows, scores)
-    return CladeTable(costs=costs[keep], rows=rows[keep], scores=scores[keep],
-                      left=li[keep], right=ri[keep])
+    return CladeTable(costs=costs.take(keep), rows=rows.take(keep),
+                      scores=scores.take(keep), left=li.take(keep),
+                      right=ri.take(keep))
 
 
 def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
@@ -273,10 +284,21 @@ def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
     edge length ``lam`` (one per pair in a batch): one copy of the
     arithmetic, so that both combine routes agree bit for bit."""
     (l_costs, l_rows, l_scores), (r_costs, r_rows, r_scores) = left, right
-    vj = disc.grid[l_rows[li]]
-    rows = disc.pi_index(vj + (1.0 - vj) * disc.grid[r_rows[ri]])
-    costs = l_costs[li] + r_costs[ri]
-    scores = (l_scores[li] + r_scores[ri]) + lam * disc.grid[rows]
+    grid = disc.grid
+    # v_j + (1 - v_j) v_k and (s_j + s_k) + lam v_p, each operation in
+    # place and in that order: IEEE addition and multiplication commute
+    vj = grid.take(l_rows.take(li))
+    v = 1.0 - vj
+    v *= grid.take(r_rows.take(ri))
+    v += vj
+    rows = disc.pi_index(v)
+    costs = l_costs.take(li)
+    costs += r_costs.take(ri)
+    scores = l_scores.take(li)
+    scores += r_scores.take(ri)
+    v = grid.take(rows)
+    v *= lam
+    scores += v
     return costs, rows, scores
 
 
@@ -302,9 +324,9 @@ def combine_level(combines: list[tuple[CladeTable, CladeTable, float]],
     """
     if len(combines) == 1:
         return [combine_tables(*combines[0], budget, disc, stats)]
-    prefixes = [np.searchsorted(right.costs, budget - left.costs, side="right")
+    prefixes = [right.costs.searchsorted(budget - left.costs, side="right")
                 for left, right, _ in combines]
-    counts = [int(m.sum()) for m in prefixes]
+    counts = [m.sum().item() for m in prefixes]
     if stats is not None:
         stats["candidate_pairs"] += sum(counts)
     for pairs in counts:
@@ -334,15 +356,18 @@ def _combine_batch(combines: list[tuple[CladeTable, CladeTable, float]],
     ``counts[i]`` their sum."""
     lefts, rights, lams = zip(*combines)
     n_left = [t.costs.size for t in lefts]
-    left_start = np.cumsum([0] + n_left[:-1])
-    right_start = np.cumsum([0] + [t.costs.size for t in rights[:-1]])
+    left_start = np.array([0] + n_left[:-1]).cumsum()
+    right_start = np.array([0] + [t.costs.size for t in rights[:-1]]).cumsum()
     m = np.concatenate(prefixes)
     # pair p of left cell j takes right cell p - (first pair of j) of its
     # combine's right table
-    li = np.repeat(np.arange(m.size), m)
-    ri = np.arange(sum(counts)) - np.repeat(
-        np.cumsum(m) - m - np.repeat(right_start, n_left), m)
-    seg = np.repeat(np.arange(len(combines)), counts)
+    li = np.arange(m.size).repeat(m)
+    start = m.cumsum()
+    start -= m
+    start -= right_start.repeat(n_left)
+    ri = np.arange(sum(counts))
+    ri -= start.repeat(m)
+    seg = np.arange(len(combines)).repeat(counts)
     costs, rows, scores = _candidates(
         li, (np.concatenate([t.costs for t in lefts]),
              np.concatenate([t.rows for t in lefts]),
@@ -350,13 +375,15 @@ def _combine_batch(combines: list[tuple[CladeTable, CladeTable, float]],
         ri, (np.concatenate([t.costs for t in rights]),
              np.concatenate([t.rows for t in rights]),
              np.concatenate([t.scores for t in rights])),
-        np.array(lams)[seg], disc)
+        np.array(lams).take(seg), disc)
     keep = _frontier(costs, rows, scores, seg)
-    edge = seg[keep]
-    left = li[keep] - left_start[edge]
-    right = ri[keep] - right_start[edge]
-    costs, rows, scores = costs[keep], rows[keep], scores[keep]
-    ends = np.searchsorted(edge, np.arange(1, len(combines) + 1)).tolist()
+    edge = seg.take(keep)
+    left = li.take(keep)
+    left -= left_start.take(edge)
+    right = ri.take(keep)
+    right -= right_start.take(edge)
+    costs, rows, scores = costs.take(keep), rows.take(keep), scores.take(keep)
+    ends = edge.searchsorted(np.arange(1, len(combines) + 1)).tolist()
     return [CladeTable(costs=costs[a:b], rows=rows[a:b], scores=scores[a:b],
                        left=left[a:b], right=right[a:b])
             for a, b in zip([0] + ends, ends)]
@@ -434,11 +461,11 @@ def backtrace(instance: Instance, tables: dict[int, CladeTable],
         eid, n = stack.pop()
         edge, tab = tree.edges[eid], tables[eid]
         if edge.taxon is not None:
-            if tab.costs[n] == instance.taxa[edge.taxon].c:
+            if tab.costs.item(n) == instance.taxa[edge.taxon].c:
                 selected.append(edge.taxon)
             continue
         for child, index in zip(edge.children, (tab.left, tab.right)):
-            stack.append((child, int(index[n])))
+            stack.append((child, index.item(n)))
     return frozenset(selected)
 
 
@@ -522,8 +549,8 @@ def solve_on_grid(instance: Instance, norm: Instance,
             "type of the tables")
     tables, stats = build_tables(norm, disc)
     root = tables[norm.tree.root]
-    m = int(np.argmax(root.scores))
-    reported = float(root.scores[m])
+    m = root.scores.argmax().item()
+    reported = root.scores.item(m)
     ids = backtrace(norm, tables, m)
     kept = frozenset(t for t in ids if instance.taxa[t].c <= instance.budget)
     selection = make_conservation_set(instance, kept)

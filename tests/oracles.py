@@ -1,13 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes results through a different route than the
-package: scores by enumerating leaves under each edge, table combines by
-a literal scatter over every (row, row, split) triple of dense tables,
-whose non-dominated cells a combine must reproduce, the frontier filter
-by a pairwise dominance check, all tables by one combine per edge in
-postorder, the refusal of a table build by one combine at a time in
-height order, and exhaustive search by scoring every subset one at a
-time. Slow and obviously correct is the point.
+package: scores by enumerating leaves under each edge, the rounding map
+and the tree builder as they stood before their fast paths, table
+combines by a literal scatter over every (row, row, split) triple of
+dense tables, whose non-dominated cells a combine must reproduce, the
+frontier filter by a pairwise dominance check, all tables by one combine
+per edge in postorder, the refusal of a table build by one combine at a
+time in height order, and exhaustive search by scoring every subset one
+at a time. Slow and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from napx.model import (ConservationSet, Instance, expected_pd,
-                        make_conservation_set)
+from napx.model import (ConservationSet, Edge, Instance, PhyloTree,
+                        expected_pd, make_conservation_set)
 from napx import solver
 from napx.solver import CladeTable
 
@@ -142,6 +143,77 @@ def pi_index_reference(disc, p: float) -> int:
     if abs(x - round(x)) <= 1e-9:
         x = round(x)
     return min(max(math.ceil(x), 0), disc.t)
+
+
+def pi_index_wrappers(disc, p):
+    """The rounding map of :meth:`Discretization.pi_index` written with
+    numpy's Python-level functions (``np.round``, ``np.where``) and a
+    fresh array per step, as it stood before the in-place version: the
+    same bits, type and shape are expected of both."""
+    q = np.asarray(p, dtype=np.float64)
+    x = np.log(np.maximum(q, 5e-324)) / math.log(disc.alpha)
+    r = np.round(x)
+    m = np.where(np.abs(x - r) <= 1e-9, r, np.ceil(x))
+    below = disc.p_min - q > 1e-9 * disc.p_min
+    idx = np.where(below, disc.t + 1,
+                   np.minimum(np.maximum(m, 0), disc.t)).astype(np.int64)
+    return int(idx) if idx.ndim == 0 else idx
+
+
+# ------------------------------------------------------------------------- #
+#  Tree building
+# ------------------------------------------------------------------------- #
+
+def from_records_reference(lengths, children, taxa) -> PhyloTree:
+    """:meth:`PhyloTree.from_records` with one general line per step, for
+    any number of children: ``min``, a keyed sort and ``max`` where the
+    package compares two children directly."""
+    length, below, taxa = [*lengths], [*children], [*taxa]
+    if taxa[-1] is not None:
+        length, below, taxa = length + [0.0], below + [(len(taxa) - 1,)], taxa + [None]
+    top = len(taxa) - 1
+    low: list[str] = []
+    ends: list[int] = []
+    for i, (tx, ks) in enumerate(zip(taxa, below)):
+        if tx is None and len(ks) == 1:
+            ends.append(ends[ks[0]])
+            low.append(low[ks[0]])
+        else:
+            ends.append(i)
+            low.append(tx if tx is not None
+                       else min(map(low.__getitem__, ks), default=""))
+
+    def contract(c: int) -> int:
+        total = length[c]
+        while c != ends[c]:
+            c = below[c][0]
+            total = length[c] + total
+        length[c] = total
+        return c
+
+    if len(below[top]) == 1 and taxa[ends[below[top][0]]] is None:
+        end = contract(below[top][0])
+        length[top] = length[top] + length[end]
+        below[top] = below[end]
+    order: list[tuple[int, list[int]]] = []
+    todo = [top]
+    while todo:
+        i = todo.pop()
+        ks = [c if c == ends[c] else contract(c) for c in below[i]]
+        ks.sort(key=low.__getitem__)
+        order.append((i, ks))
+        todo += ks
+    eids, heights = [0] * len(taxa), [0] * len(taxa)
+    edges: list[Edge] = []
+    for eid, (i, ks) in enumerate(reversed(order)):
+        if ks:
+            height = 1 + max(map(heights.__getitem__, ks))
+            ids = tuple(map(eids.__getitem__, ks))
+        else:
+            height, ids = 1, ()
+        eids[i], heights[i] = eid, height
+        edges.append(Edge(eid, float(length[i]), ids, taxa[i], height))
+    return PhyloTree(edges=tuple(edges), root=len(edges) - 1)
 
 
 # ------------------------------------------------------------------------- #

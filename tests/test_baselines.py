@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import napx.baselines
 from napx.baselines import (BRUTE_FORCE_LIMIT, _block_scores, _gray_tables,
                             _precedes, _walk, brute_force, pardi_goldman)
-from napx.errors import RestrictionError, SizeLimitError
+from napx.errors import RestrictionError, SizeLimitError, ValidationError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.model import expected_pd, inner, leaf
 
@@ -227,6 +227,29 @@ def test_pg_requires_certain_conservation():
     with pytest.raises(RestrictionError) as err:
         pardi_goldman(cherry())
     assert "x" in str(err.value) and "y" in str(err.value)
+
+
+def test_pg_validates_the_instance_once(monkeypatch):
+    """pg leaves validation to normalize, so a restricted instance is
+    validated once, and an invalid one outside the restriction raises
+    ValidationError rather than RestrictionError."""
+    import napx.model
+
+    calls = []
+    real = napx.model.validate_instance
+
+    def counting(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(napx.model, "validate_instance", counting)
+    monkeypatch.setattr(napx.baselines, "validate_instance", counting)
+    assert pardi_goldman(pg_example()).selected == frozenset({"x"})
+    assert len(calls) == 1
+    bad = make_instance(inner(0.0, leaf("x", 1.0), leaf("y", 2.0)),
+                        [("x", 0.9, 0.1, 1), ("y", 0.5, 0.8, 1)], budget=1)
+    with pytest.raises(ValidationError):
+        pardi_goldman(bad)
 
 
 def test_pg_matches_brute_force_on_restricted_instances():

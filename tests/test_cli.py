@@ -74,6 +74,15 @@ def test_pg_restriction_exit_code(capsys):
     assert "a=0" in err
 
 
+def test_pg_invalid_instance_outside_restriction_exits_2(capsys):
+    """An instance that is both invalid (a > b) and outside a = 0, b = 1 is
+    bad input first: exit 2, not the restriction's exit 3."""
+    code, _, err = run(capsys, "pg", data_path("bad_semantics.nap.json"))
+    assert code == 2
+    assert "exceeds" in err
+    assert "violated by" not in err
+
+
 def test_solve_oracle_too_large_is_refused_before_solving(tmp_path, capsys,
                                                           monkeypatch):
     """An oracle over more taxa than exhaustive search takes exits 3, with
@@ -268,6 +277,20 @@ def test_baselines_are_looked_up_at_call_time(monkeypatch, capsys):
     assert run(capsys, "bench", "--sizes", "5", "--topologies", "yule",
                "--seeds", "0", "--solvers", "pg,exact")[0] == 0
     assert calls == ["pg", "exact", "pg", "exact"]
+
+
+@pytest.mark.parametrize("eps", ["2", "0", "1", "-0.5", "nan"])
+def test_bench_refuses_bad_epsilon_before_generating(eps, monkeypatch, capsys):
+    """An epsilon outside (0, 1) is an invalid parameter: exit 2 with the
+    message of solve, and no instance generated or row written."""
+    def no_generate(spec):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(napx.cli, "generate", no_generate)
+    code, out, err = run(capsys, "bench", "--sizes", "5", "--epsilon", eps)
+    assert code == 2
+    assert out == ""
+    assert "error: epsilon must be strictly between 0 and 1" in err
 
 
 def test_bench_rejects_unknown_solver(capsys):

@@ -15,12 +15,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from napx.discretization import (Discretization, derive_k, select_params,
                                  T_LIMIT)
 from napx.errors import ParameterError
 
-from oracles import pi_index_reference
+from oracles import pi_index_reference, pi_index_wrappers
 
 
 # ------------------------------------------------------------------------- #
@@ -147,6 +148,44 @@ def test_pi_index_array_matches_scalar():
         assert all(type(w) is int for w in want)
         assert got.ravel().tolist() == want
         assert want == [pi_index_reference(d, float(p)) for p in arr.ravel()]
+
+
+@st.composite
+def _grid_and_probabilities(draw):
+    """A grid from ``select_params`` and probabilities on or next to its
+    knife edges: grid values, alpha**m * (1 +- 1e-9), p_min * (1 +- 1e-9),
+    0, 1 and the smallest subnormal."""
+    d = select_params(draw(st.integers(1, 64)), draw(st.integers(1, 12)),
+                      draw(st.sampled_from([0.05, 0.1, 0.3, 0.7])),
+                      draw(st.integers(1, 3)))
+    row = st.integers(0, d.t + 1)
+    near = st.sampled_from([1 - 1e-9, 1 + 1e-9])
+    value = st.one_of(
+        row.map(lambda m: float(d.grid[m])),
+        st.builds(lambda m, f: d.alpha ** m * f, row, near),
+        st.sampled_from([d.p_min * (1 - 1e-9), d.p_min * (1 + 1e-9),
+                         0.0, 1.0, 5e-324]))
+    return d, draw(st.lists(value, min_size=1, max_size=12))
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_grid_and_probabilities(), st.integers(1, 3))
+def test_pi_index_matches_wrapper_version_property(drawn, n_rows):
+    """The in-place rounding map gives the bits, type and shape of the one
+    written with numpy's wrappers, for a float, a numpy scalar, 0-d, 1-D
+    and 2-D arrays (a transposed, non-contiguous one included)."""
+    d, values = drawn
+    square = np.array(values * n_rows).reshape(n_rows, -1)
+    for p in (values[0], np.float64(values[0]), np.array(values[0]),
+              np.array(values), square, square.T):
+        got, want = d.pi_index(p), pi_index_wrappers(d, p)
+        assert type(got) is type(want)
+        if type(want) is int:
+            assert got == want
+        else:
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == np.shape(p)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_select_params_overflow_is_parameter_error():

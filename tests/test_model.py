@@ -3,16 +3,17 @@
 import copy
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from napx.errors import DegenerateInstanceError, InputError, ValidationError
 from napx.generators import GenSpec, gen_yule, generate
-from napx.model import (Instance, PhyloTree, Taxon, expected_pd, inner, leaf,
-                        make_conservation_set, min_conserved_survival,
+from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd, inner,
+                        leaf, make_conservation_set, min_conserved_survival,
                         normalize, total_pd, validate_instance)
 
-from oracles import expected_pd_reference
+from oracles import expected_pd_reference, from_records_reference
 from util import cherry, fig1_instance, make_instance, polytomy_instance
 
 
@@ -53,6 +54,67 @@ def test_from_node_only_reads_its_argument():
         (1.0, (), "d"), (1.0, (), "e"), (3.0, (3, 4), None),
         (3.5, (0, 1, 2, 5), None)]
     assert PhyloTree.from_node(top) == tree
+
+
+@st.composite
+def _records(draw):
+    """Flat postorder records as a reader emits them, and more: leaves,
+    unary chains, cherries and polytomies of up to 5 children in any order,
+    labels from a pool of four so that smallest labels tie, now and then an
+    unlabelled leaf or a labelled interior record, and a last record that
+    may be labelled."""
+    lengths, children, taxa = [], [], []
+    label = st.sampled_from("abcd")
+    open_ids: list[int] = []        # records that have no parent yet
+    n = draw(st.integers(1, 16))
+    for i in range(n):
+        if i == n - 1:
+            ks = draw(st.permutations(open_ids))
+        else:
+            k = draw(st.integers(0, min(5, len(open_ids))))
+            ks = draw(st.permutations(open_ids))[:k]
+        open_ids = [c for c in open_ids if c not in ks] + [i]
+        if ks:
+            tx = draw(st.one_of(st.none(), st.none(), st.none(), label))
+        else:
+            tx = draw(st.one_of(label, label, label, st.none()))
+        lengths.append(draw(st.floats(0.0, 10.0)))
+        children.append(tuple(ks) if draw(st.booleans()) else list(ks))
+        taxa.append(tx)
+    return lengths, children, taxa
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_records())
+def test_from_records_matches_general_builder_property(records):
+    """The builder with its two-child fast paths builds the tree of the
+    general one, edge for edge and bit for bit, and only reads its
+    records."""
+    before = copy.deepcopy(records)
+    tree = PhyloTree.from_records(*records)
+    want = from_records_reference(*records)
+    assert records == before
+    assert tree == want
+    for got, ref in zip(tree.edges, want.edges):
+        assert type(got) is Edge
+        assert [repr(x) for x in got] == [repr(x) for x in ref]
+
+
+def test_edge_and_taxon_are_named_tuples():
+    """Edges and taxa are immutable and hashable, unpack, and compare equal
+    to the plain tuple of their fields."""
+    tree = cherry().tree
+    edge = tree.edges[0]
+    eid, length, children, taxon, height = edge
+    assert edge == (eid, length, children, taxon, height) == (0, 1.0, (), "x", 1)
+    assert edge.taxon == "x" and hash(edge) == hash(tuple(edge))
+    tx = Taxon(id="x", a=0.5, b=0.9, c=1)
+    assert tx == ("x", 0.5, 0.9, 1) == Taxon._make(("x", 0.5, 0.9, 1))
+    assert {tx: 1}[("x", 0.5, 0.9, 1)] == 1
+    with pytest.raises(AttributeError):
+        tx.c = 2
+    with pytest.raises(AttributeError):
+        edge.length = 2.0
 
 
 def test_bare_leaf_wrapped():
@@ -164,6 +226,25 @@ def test_validate_accepts_good_instance():
     validate_instance(fig1_instance())
 
 
+def test_validate_integer_costs_and_budget():
+    """Any integral cost or budget passes, a numpy one included; a bool, a
+    float with an integer value and a negative one do not."""
+    inst = cherry()
+    inst.taxa["x"] = Taxon(id="x", a=0.5, b=0.9, c=np.int64(1))
+    inst.budget = np.int64(1)
+    validate_instance(inst)
+    assert type(normalize(inst).taxa["x"].c) is int
+    for bad in (True, 2.0, -1):
+        inst = cherry()
+        inst.taxa["x"] = Taxon(id="x", a=0.5, b=0.9, c=bad)
+        with pytest.raises(ValidationError, match="cost"):
+            validate_instance(inst)
+        inst = cherry()
+        inst.budget = bad
+        with pytest.raises(ValidationError, match="budget"):
+            validate_instance(inst)
+
+
 # ------------------------------------------------------------------------- #
 #  Normalization
 # ------------------------------------------------------------------------- #
@@ -176,7 +257,7 @@ def test_normalize_unaffordable_taxon_neutralized():
     )
     norm = normalize(inst)
     assert norm.taxa["x"] == Taxon(id="x", a=0.3, b=0.3, c=0)
-    assert norm.taxa["y"] == inst.taxa["y"]
+    assert norm.taxa["y"] is inst.taxa["y"]     # a taxon left as it is is kept
 
 
 def test_normalize_gcd_scaling():
