@@ -258,6 +258,11 @@ def parse_solution(text: str) -> SolutionDocument:
     selected = doc["selected"]
     if not isinstance(selected, list) or not all(isinstance(s, str) for s in selected):
         raise ParseError("selected must be a list of taxon ids")
+    seen: set[str] = set()
+    for tid in selected:
+        if tid in seen:
+            raise ParseError(f"selected lists taxon {tid!r} more than once")
+        seen.add(tid)
     params = doc.get("params")
     if params is not None and not isinstance(params, dict):
         raise ParseError("params must be an object or null")

@@ -11,13 +11,20 @@ test are all monotone, so a dominated cell only ever leads to dominated
 cells higher up, and the root optimum over the frontier is the same float
 as over every cell (the Pareto-list knapsack of Nemhauser and Ullmann).
 
+All tables of one build live in a single :class:`CellStore`: five
+parallel arrays of cells (cost, row, score, left, right) in which each
+edge's table is one block, found by its start and size, and of which a
+:class:`CladeTable` is a view. The arrays grow geometrically, so the
+tables of a build take a handful of arrays rather than five per edge.
+
 A pendant edge has at most two cells, one per choice at its leaf:
 
     (0, pi(a), a * length(e))   and   (c, pi(b), b * length(e)).
 
 Normalizing makes every taxon affordable with a <= b, so which of the two
 are non-dominated has a closed form; :func:`build_pendant_tables` builds
-every pendant table at once, rounding all leaves in one array call.
+every pendant table at once, rounding all leaves in one array call, and
+writes them into a new store as one block.
 
 An interior edge e with children l and r pairs every left cell with every
 right cell it can afford (total cost at most B) and collects its own
@@ -36,19 +43,24 @@ Every child sits at a lower height than its parent, so
 :func:`build_tables` builds the tables one height at a time. The combines
 at one height go through :func:`combine_level` in batches of up to
 ``BATCH_PAIRS`` pairs, one pass each: their pairs are laid out edge after
-edge, rounded in one ``pi_index`` call and filtered by one
-:func:`_frontier`, whose one sort takes the edge as its first key and
-whose dominance matrices, one per edge, are stacked. A numpy call costs
+edge as store indices of their left and right cells, which the pass reads
+straight from the store's arrays, rounded in one ``pi_index`` call and
+filtered by one :func:`_frontier`, whose one sort takes the edge as its
+first key and whose dominance matrices, one per edge, are stacked. The
+kept cells of the whole batch go back into the store as one block, with
+their child indices made local to each child's table. A numpy call costs
 a microsecond or more however small its array, and most combines hold
 about a hundred pairs, so nearly all of a combine's time is this fixed
 cost: on a 2-core machine a combine of 108 pairs took 67 us at best on
-its own and one of 8 pairs 56 us (81 and 65 us when the kernel still went
-through numpy's Python-level wrappers, such as ``np.repeat``, rather than
-ndarray methods and in-place ufuncs). Batching pays the fixed cost once
-per batch rather than once per edge. A batch of a single combine, as at
-every height of a caterpillar and at the root, runs :func:`combine_tables`
-alone, which is faster for one edge. Both give the same tables, bit for
-bit, and a refusal names a combine at the lowest height that holds one.
+its own and one of 8 pairs 56 us. Batching pays the fixed cost once per
+batch rather than once per edge, and the store takes the per-edge Python
+out of the batch as well: no table object per edge, no concatenation of
+the children's arrays and no slicing of the output into tables. A batch
+of a single combine, as at every height of a caterpillar and at the
+root, runs :func:`combine_tables` alone on views of the store, which is
+faster for one edge, and its table is copied into the store. Both give
+the same tables, bit for bit, and a refusal names a combine at the
+lowest height that holds one.
 
 Ties resolve deterministically. Among candidates for one (cost, row) the
 highest value wins, then the first pair in (left index, right index) order;
@@ -62,6 +74,7 @@ probabilities), which is what makes the final re-evaluation check in
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +87,7 @@ from .model import (ConservationSet, Instance, make_conservation_set,
 
 __all__ = [
     "CladeTable",
+    "CellStore",
     "NapxSolution",
     "build_pendant_tables",
     "combine_tables",
@@ -104,6 +118,11 @@ PAIR_LIMIT = 1 << 22
 # edge.
 BATCH_PAIRS = 1 << 14
 
+# Cells per edge a store first makes room for. Yule trees of 64 to 1024
+# leaves at epsilon 0.1 store 9 to 17 cells an edge, a 64-leaf caterpillar
+# 32 and a 2048-leaf one 856; a store that runs out doubles.
+RESERVE_PER_EDGE = 8
+
 
 @dataclass
 class CladeTable:
@@ -113,8 +132,14 @@ class CladeTable:
     row ``rows[n]`` and scores ``scores[n]``. Cells are in ascending (cost,
     row) order, and no cell has another one of no greater cost and row and
     no smaller score. ``left[n]`` and ``right[n]`` index the child cells an
-    interior cell was built from; a unary table has only ``left`` and a
-    pendant table neither. The edge, its kind and its taxon are the tree's.
+    interior cell was built from, within each child's table; a unary table
+    has only ``left`` and a pendant table neither. The edge, its kind and
+    its taxon are the tree's.
+
+    The tables of a build are views of the block their edge holds in the
+    build's :class:`CellStore`; :func:`combine_tables` and
+    :func:`_combine_unary` return a table with arrays of its own, which the
+    build then copies into the store.
     """
 
     costs: np.ndarray
@@ -122,6 +147,94 @@ class CladeTable:
     scores: np.ndarray
     left: np.ndarray | None = None
     right: np.ndarray | None = None
+
+
+class CellStore(Mapping):
+    """Every clade table of one build, in five parallel cell arrays.
+
+    ``costs``, ``rows``, ``scores``, ``left`` and ``right`` hold the cells
+    of all tables, each table one block: edge e's cells are
+    ``start[e]`` to ``start[e] + size[e]``, and ``arity[e]`` tells which of
+    ``left`` and ``right`` its table has (0: a pendant, neither; 1: a unary
+    edge, ``left``; 2: both). ``start[e]`` is -1 until e's table is
+    stored. The first ``cells`` entries of the arrays are written; the
+    arrays start with room for ``RESERVE_PER_EDGE`` cells an edge and,
+    when a block does not fit, grow to the larger of twice their length
+    and what the block needs, so that growing copies each cell O(1) times
+    on average. Blocks are only appended and sized once their cells are
+    known, so a block keeps its offsets when the arrays grow, and a table
+    read before a growth still holds its cells.
+
+    As a mapping, ``store[e]`` is edge e's :class:`CladeTable` of views
+    into the arrays, keyed by edge id.
+    """
+
+    def __init__(self, n_edges: int):
+        capacity = RESERVE_PER_EDGE * n_edges
+        self.costs = np.empty(capacity, dtype=np.int64)
+        self.rows = np.empty(capacity, dtype=np.int64)
+        self.scores = np.empty(capacity, dtype=np.float64)
+        self.left = np.empty(capacity, dtype=np.intp)
+        self.right = np.empty(capacity, dtype=np.intp)
+        self.start = np.full(n_edges, -1, dtype=np.intp)
+        self.size = np.zeros(n_edges, dtype=np.intp)
+        self.arity = np.zeros(n_edges, dtype=np.int8)
+        self.cells = 0
+
+    def claim(self, n: int) -> int:
+        """Make room for ``n`` more cells and return the first of them;
+        the caller writes them and records whose they are."""
+        at = self.cells
+        self.cells = end = at + n
+        if end > self.scores.size:
+            capacity = max(end, 2 * self.scores.size)
+            for name in ("costs", "rows", "scores", "left", "right"):
+                old = getattr(self, name)
+                new = np.empty(capacity, dtype=old.dtype)
+                new[:at] = old[:at]
+                setattr(self, name, new)
+        return at
+
+    def add(self, eid: int, table: CladeTable) -> None:
+        """Copy ``table`` into the store as edge ``eid``'s table."""
+        n = table.scores.size
+        at = self.claim(n)
+        end = at + n
+        self.costs[at:end] = table.costs
+        self.rows[at:end] = table.rows
+        self.scores[at:end] = table.scores
+        arity = 0
+        if table.left is not None:
+            self.left[at:end] = table.left
+            arity = 1
+            if table.right is not None:
+                self.right[at:end] = table.right
+                arity = 2
+        self.start[eid], self.size[eid], self.arity[eid] = at, n, arity
+
+    def cells_of(self, eid: int) -> CladeTable:
+        """Edge ``eid``'s cells as views, without backpointers: what a
+        combine reads of a child, at less cost than ``store[eid]``."""
+        at = self.start.item(eid)
+        end = at + self.size.item(eid)
+        return CladeTable(self.costs[at:end], self.rows[at:end],
+                          self.scores[at:end])
+
+    def __getitem__(self, eid: int) -> CladeTable:
+        if not 0 <= eid < self.start.size or (at := self.start.item(eid)) < 0:
+            raise KeyError(eid)
+        end = at + self.size.item(eid)
+        arity = self.arity.item(eid)
+        return CladeTable(self.costs[at:end], self.rows[at:end],
+                          self.scores[at:end],
+                          self.left[at:end] if arity else None,
+                          self.right[at:end] if arity == 2 else None)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(np.flatnonzero(self.start >= 0).tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.start >= 0))
 
 
 def _check_size(what: str, n: int) -> None:
@@ -209,9 +322,8 @@ def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, distinct.searchsorted(x, side="right")
 
 
-def build_pendant_tables(instance: Instance,
-                         disc: Discretization) -> dict[int, CladeTable]:
-    """Tables for every pendant edge, keyed by edge id.
+def build_pendant_tables(instance: Instance, disc: Discretization) -> CellStore:
+    """A new store for the instance's edges, holding every pendant table.
 
     The instance must be normalized: every taxon then has c <= B and
     a <= b, so its two candidates, conserving (c, pi(b), b * lam) and
@@ -219,7 +331,8 @@ def build_pendant_tables(instance: Instance,
     (c = 0) keeps only its conserved cell; a conservation that changes
     neither the row nor the score keeps only the cell that leaves the
     taxon; otherwise both cells stay, leaving first. All pendants are
-    rounded in one ``pi_index`` call.
+    rounded in one ``pi_index`` call, and their cells go into the store
+    as one block, in edge-id order.
     """
     edges = [e for e in instance.tree.edges if e.taxon is not None]
     taxa = [instance.taxa[e.taxon] for e in edges]
@@ -235,13 +348,17 @@ def build_pendant_tables(instance: Instance,
     # column 0 leaves the taxon, column 1 conserves it
     keep = np.stack((c > 0, (c == 0) | (row_a != row_b) | (score_a != score_b)),
                     axis=1)
-    costs = np.stack((np.zeros_like(c), c), axis=1)[keep]
-    rows = np.stack((row_a, row_b), axis=1)[keep]
-    scores = np.stack((score_a, score_b), axis=1)[keep]
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return {e.eid: CladeTable(costs=costs[start:end], rows=rows[start:end],
-                              scores=scores[start:end])
-            for e, start, end in zip(edges, [0] + ends, ends)}
+    size = keep.sum(axis=1)
+    store = CellStore(len(instance.tree.edges))
+    at = store.claim(size.sum().item())
+    end = store.cells
+    store.costs[at:end] = np.stack((np.zeros_like(c), c), axis=1)[keep]
+    store.rows[at:end] = np.stack((row_a, row_b), axis=1)[keep]
+    store.scores[at:end] = np.stack((score_a, score_b), axis=1)[keep]
+    eids = [e.eid for e in edges]
+    store.start[eids] = size.cumsum() - size + at
+    store.size[eids] = size
+    return store
 
 
 def combine_tables(left: CladeTable, right: CladeTable, lam: float,
@@ -302,91 +419,122 @@ def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
     return costs, rows, scores
 
 
-def combine_level(combines: list[tuple[CladeTable, CladeTable, float]],
+def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
                   budget: int, disc: Discretization,
-                  stats: dict | None = None) -> list[CladeTable]:
+                  stats: dict | None = None) -> None:
     """Run independent combines, several at a time, as vectorized passes.
 
-    ``combines`` lists (left table, right table, edge length) triples;
-    the result holds their tables in that order, each equal field for
-    field to what :func:`combine_tables` gives for it alone. Every
-    combine's pair count is checked against ``PAIR_LIMIT`` first, in list
-    order. The combines are then cut, in order, into batches of at most
-    ``BATCH_PAIRS`` pairs, and never more than ``PAIR_LIMIT``. A batch
-    lays its pairs out edge by edge, each edge's in the (left, right)
-    order of :func:`combine_tables`, rounds them all in one ``pi_index``
-    call and filters them in one segmented :func:`_frontier`, which checks
-    the dominance matrices in list order too. A batch of one combine, such
-    as the only combine at a height of a caterpillar, runs
-    :func:`combine_tables`, which is the faster of the two on one edge.
+    ``combines`` lists (edge id, left child id, right child id, edge
+    length) tuples whose children's tables are in ``store``; each edge's
+    table goes into the store, equal field for field to what
+    :func:`combine_tables` gives for it alone. Every combine's pair count
+    is checked against ``PAIR_LIMIT`` first, in list order. The combines
+    are then cut, in order, into batches of at most ``BATCH_PAIRS`` pairs,
+    and never more than ``PAIR_LIMIT``, and each batch runs
+    :func:`_combine_batch`, which checks the dominance matrices in list
+    order too. A batch of one combine, such as the only combine at a
+    height of a caterpillar, runs :func:`combine_tables` on views of the
+    store instead, which is the faster of the two on one edge.
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
     if len(combines) == 1:
-        return [combine_tables(*combines[0], budget, disc, stats)]
-    prefixes = [right.costs.searchsorted(budget - left.costs, side="right")
-                for left, right, _ in combines]
-    counts = [m.sum().item() for m in prefixes]
+        eid, left, right, lam = combines[0]
+        store.add(eid, combine_tables(store.cells_of(left),
+                                      store.cells_of(right), lam, budget,
+                                      disc, stats))
+        return
+    _, lefts, rights, _ = zip(*combines)
+    lefts, rights = np.array(lefts), np.array(rights)
+    costs, start, size = store.costs, store.start, store.size
+    n_left = size.take(lefts)
+    hi = n_left.cumsum()
+    lo = hi - n_left
+    # the store index of every left cell, combine after combine
+    left_cells = np.arange(hi[-1])
+    left_cells += (start.take(lefts) - lo).repeat(n_left)
+    limits = budget - costs.take(left_cells)
+    r_lo = start.take(rights)
+    r_hi = r_lo + size.take(rights)
+    # prefix[j]: how many right cells left cell j affords
+    prefix = np.concatenate([
+        costs[r0:r1].searchsorted(limits[l0:l1], side="right")
+        for l0, l1, r0, r1 in zip(lo.tolist(), hi.tolist(), r_lo.tolist(),
+                                  r_hi.tolist())])
+    summed = np.zeros(prefix.size + 1, dtype=np.intp)
+    prefix.cumsum(out=summed[1:])
+    counts = (summed.take(hi) - summed.take(lo)).tolist()
+    lo = lo.tolist()
     if stats is not None:
         stats["candidate_pairs"] += sum(counts)
     for pairs in counts:
         _check_size("candidate pairs", pairs)
     most = min(BATCH_PAIRS, PAIR_LIMIT)
-    out: list[CladeTable] = []
-    lo = 0
-    while lo < len(combines):
-        hi, total = lo + 1, counts[lo]
-        while hi < len(combines) and total + counts[hi] <= most:
-            total += counts[hi]
-            hi += 1
-        if hi - lo == 1:
-            out.append(combine_tables(*combines[lo], budget, disc))
+    a = 0
+    while a < len(combines):
+        b, total = a + 1, counts[a]
+        while b < len(combines) and total + counts[b] <= most:
+            total += counts[b]
+            b += 1
+        if b - a == 1:
+            eid, left, right, lam = combines[a]
+            store.add(eid, combine_tables(store.cells_of(left),
+                                          store.cells_of(right), lam, budget,
+                                          disc))
         else:
-            out += _combine_batch(combines[lo:hi], prefixes[lo:hi],
-                                  counts[lo:hi], disc)
-        lo = hi
-    return out
+            cut = slice(lo[a], lo[b] if b < len(combines) else None)
+            _combine_batch(store, combines[a:b], left_cells[cut],
+                           prefix[cut], counts[a:b], disc)
+        a = b
 
 
-def _combine_batch(combines: list[tuple[CladeTable, CladeTable, float]],
-                   prefixes: list[np.ndarray], counts: list[int],
-                   disc: Discretization) -> list[CladeTable]:
-    """The pass of :func:`combine_level` over one batch; ``prefixes[i][j]``
-    is how many right cells left cell j of combine i affords and
-    ``counts[i]`` their sum."""
-    lefts, rights, lams = zip(*combines)
-    n_left = [t.costs.size for t in lefts]
-    left_start = np.array([0] + n_left[:-1]).cumsum()
-    right_start = np.array([0] + [t.costs.size for t in rights[:-1]]).cumsum()
-    m = np.concatenate(prefixes)
+def _combine_batch(store: CellStore,
+                   combines: list[tuple[int, int, int, float]],
+                   left_cells: np.ndarray, prefix: np.ndarray,
+                   counts: list[int], disc: Discretization) -> None:
+    """The pass of :func:`combine_level` over one batch. ``left_cells``
+    holds the store index of every left cell of the batch, combine after
+    combine, ``prefix[j]`` how many right cells left cell
+    ``left_cells[j]`` affords, and ``counts[i]`` the pairs of combine i.
+
+    The pairs are laid out edge by edge, each edge's in the (left, right)
+    order of :func:`combine_tables`, and read their cells from the store by
+    index; one segmented :func:`_frontier` filters them all, and the kept
+    cells go into the store as one block, with child indices made local to
+    each child's table.
+    """
+    eids, lefts, rights, lams = (np.array(x) for x in zip(*combines))
+    l_start, r_start = store.start.take(lefts), store.start.take(rights)
     # pair p of left cell j takes right cell p - (first pair of j) of its
-    # combine's right table
-    li = np.arange(m.size).repeat(m)
-    start = m.cumsum()
-    start -= m
-    start -= right_start.repeat(n_left)
-    ri = np.arange(sum(counts))
-    ri -= start.repeat(m)
-    seg = np.arange(len(combines)).repeat(counts)
-    costs, rows, scores = _candidates(
-        li, (np.concatenate([t.costs for t in lefts]),
-             np.concatenate([t.rows for t in lefts]),
-             np.concatenate([t.scores for t in lefts])),
-        ri, (np.concatenate([t.costs for t in rights]),
-             np.concatenate([t.rows for t in rights]),
-             np.concatenate([t.scores for t in rights])),
-        np.array(lams).take(seg), disc)
+    # combine's right table, as a store index
+    li = left_cells.repeat(prefix)
+    start = prefix.cumsum()
+    start -= prefix
+    start -= r_start.repeat(store.size.take(lefts))
+    ri = np.arange(li.size)
+    ri -= start.repeat(prefix)
+    seg = np.arange(eids.size).repeat(counts)
+    table = (store.costs, store.rows, store.scores)
+    costs, rows, scores = _candidates(li, table, ri, table, lams.take(seg),
+                                      disc)
     keep = _frontier(costs, rows, scores, seg)
     edge = seg.take(keep)
-    left = li.take(keep)
-    left -= left_start.take(edge)
-    right = ri.take(keep)
-    right -= right_start.take(edge)
-    costs, rows, scores = costs.take(keep), rows.take(keep), scores.take(keep)
-    ends = edge.searchsorted(np.arange(1, len(combines) + 1)).tolist()
-    return [CladeTable(costs=costs[a:b], rows=rows[a:b], scores=scores[a:b],
-                       left=left[a:b], right=right[a:b])
-            for a, b in zip([0] + ends, ends)]
+    at = store.claim(keep.size)
+    end = store.cells
+    costs.take(keep, out=store.costs[at:end])
+    rows.take(keep, out=store.rows[at:end])
+    scores.take(keep, out=store.scores[at:end])
+    left = li.take(keep, out=store.left[at:end])
+    left -= l_start.take(edge)
+    right = ri.take(keep, out=store.right[at:end])
+    right -= r_start.take(edge)
+    size = np.bincount(edge, minlength=eids.size)
+    first = size.cumsum()
+    first -= size
+    first += at
+    store.start[eids] = first
+    store.size[eids] = size
+    store.arity[eids] = 2
 
 
 def _combine_unary(child: CladeTable, lam: float,
@@ -399,8 +547,8 @@ def _combine_unary(child: CladeTable, lam: float,
 
 
 def build_tables(instance: Instance,
-                 disc: Discretization) -> tuple[dict[int, CladeTable], dict]:
-    """Build every edge's table, one tree height at a time.
+                 disc: Discretization) -> tuple[CellStore, dict]:
+    """Build every edge's table, one tree height at a time, into one store.
 
     Each child sits at a lower height than its parent, so the combines at
     one height are independent, and :func:`combine_level` runs them, in
@@ -412,16 +560,16 @@ def build_tables(instance: Instance,
     is.
 
     The instance must be normalized (binary tree, costs within budget).
-    Returns the tables keyed by edge id and work counters:
+    Returns the :class:`CellStore` of all tables and work counters:
     ``fast_combines`` counts the binary combines (``general_combines``
     stays 0; both keys are kept for readers of solution ``stats`` and the
     bench CSV), ``candidate_pairs`` the affordable (left cell, right cell)
     pairs they enumerate and ``table_cells`` the frontier cells stored
-    over all tables.
+    over all tables, the store's size.
     """
     tree = instance.tree
     budget = int(instance.budget)
-    tables = build_pendant_tables(instance, disc)
+    store = build_pendant_tables(instance, disc)
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
     levels: dict[int, list] = {}
@@ -433,39 +581,42 @@ def build_tables(instance: Instance,
         if e.children:
             levels.setdefault(e.height, []).append(e)
     for height in sorted(levels):
-        eids, level = [], []
+        level = []
         for e in levels[height]:
             if len(e.children) == 1:
-                tables[e.eid] = _combine_unary(tables[e.children[0]],
-                                               e.length, disc)
+                store.add(e.eid, _combine_unary(store[e.children[0]],
+                                                e.length, disc))
             else:
-                left, right = e.children
-                eids.append(e.eid)
-                level.append((tables[left], tables[right], e.length))
+                level.append((e.eid, *e.children, e.length))
         if level:
-            tables.update(zip(eids, combine_level(level, budget, disc, stats)))
+            combine_level(store, level, budget, disc, stats)
         stats["fast_combines"] += len(level)
-    stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
-    return tables, stats
+    stats["table_cells"] = store.cells
+    return store, stats
 
 
-def backtrace(instance: Instance, tables: dict[int, CladeTable],
+def backtrace(instance: Instance, store: CellStore,
               cell: int) -> frozenset[str]:
     """Recover the selection behind root table cell ``cell`` by following
     the stored child-cell indices down to the pendant tables; a pendant
     cell that spends its taxon's cost conserves it."""
-    tree = instance.tree
+    edges, taxa = instance.tree.edges, instance.taxa
+    start = store.start.tolist()
+    costs, left, right = store.costs, store.left, store.right
     selected: list[str] = []
-    stack: list[tuple[int, int]] = [(tree.root, int(cell))]
+    stack: list[tuple[int, int]] = [(instance.tree.root, int(cell))]
     while stack:
         eid, n = stack.pop()
-        edge, tab = tree.edges[eid], tables[eid]
+        edge = edges[eid]
+        at = start[eid] + n
         if edge.taxon is not None:
-            if tab.costs.item(n) == instance.taxa[edge.taxon].c:
+            if costs.item(at) == taxa[edge.taxon].c:
                 selected.append(edge.taxon)
             continue
-        for child, index in zip(edge.children, (tab.left, tab.right)):
-            stack.append((child, index.item(n)))
+        children = edge.children
+        stack.append((children[0], left.item(at)))
+        if len(children) == 2:
+            stack.append((children[1], right.item(at)))
     return frozenset(selected)
 
 
@@ -547,11 +698,11 @@ def solve_on_grid(instance: Instance, norm: Instance,
         raise SizeLimitError(
             f"normalized budget {norm.budget} does not fit the 64-bit cost "
             "type of the tables")
-    tables, stats = build_tables(norm, disc)
-    root = tables[norm.tree.root]
+    store, stats = build_tables(norm, disc)
+    root = store[norm.tree.root]
     m = root.scores.argmax().item()
     reported = root.scores.item(m)
-    ids = backtrace(norm, tables, m)
+    ids = backtrace(norm, store, m)
     kept = frozenset(t for t in ids if instance.taxa[t].c <= instance.budget)
     selection = make_conservation_set(instance, kept)
     if selection.total_cost > instance.budget:

@@ -6,9 +6,10 @@ and the tree builder as they stood before their fast paths, table
 combines by a literal scatter over every (row, row, split) triple of
 dense tables, whose non-dominated cells a combine must reproduce, the
 frontier filter by a pairwise dominance check, all tables by one combine
-per edge in postorder, the refusal of a table build by one combine at a
-time in height order, and exhaustive search by scoring every subset one
-at a time. Slow and obviously correct is the point.
+per edge in postorder into a dict of tables, the backtrace over such a
+dict, the refusal of a table build by one combine at a time in height
+order, and exhaustive search by scoring every subset one at a time. Slow
+and obviously correct is the point.
 """
 
 from __future__ import annotations
@@ -300,7 +301,7 @@ def build_tables_postorder(instance: Instance,
     :func:`napx.solver.build_tables`. A refused combine raises the first
     refusal in postorder."""
     budget = int(instance.budget)
-    tables = solver.build_pendant_tables(instance, disc)
+    tables = dict(solver.build_pendant_tables(instance, disc))
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
     for e in instance.tree.edges:
@@ -316,6 +317,27 @@ def build_tables_postorder(instance: Instance,
     return tables, stats
 
 
+def backtrace_tables(instance: Instance, tables: dict[int, CladeTable],
+                     cell: int) -> frozenset[str]:
+    """The selection behind root cell ``cell`` of a dict of tables keyed by
+    edge id, such as :func:`build_tables_postorder` gives: follow each
+    table's ``left`` and ``right`` down to the pendant tables, where a cell
+    that spends its taxon's cost conserves it."""
+    tree = instance.tree
+    selected: list[str] = []
+    stack: list[tuple[int, int]] = [(tree.root, int(cell))]
+    while stack:
+        eid, n = stack.pop()
+        edge, tab = tree.edges[eid], tables[eid]
+        if edge.taxon is not None:
+            if tab.costs.item(n) == instance.taxa[edge.taxon].c:
+                selected.append(edge.taxon)
+            continue
+        for child, index in zip(edge.children, (tab.left, tab.right)):
+            stack.append((child, index.item(n)))
+    return frozenset(selected)
+
+
 def refuse_by_height(instance: Instance, disc) -> None:
     """Raise the refusal :func:`napx.solver.build_tables` must raise, if
     any: at the lowest height that holds a refused combine, the first
@@ -325,7 +347,7 @@ def refuse_by_height(instance: Instance, disc) -> None:
     refuses on its own. Heights are visited from the leaves up, edges by
     id within a height, each combine built alone."""
     budget = int(instance.budget)
-    tables = solver.build_pendant_tables(instance, disc)
+    tables = dict(solver.build_pendant_tables(instance, disc))
     edges = [e for e in instance.tree.edges if e.children]   # in id order
     for height in sorted({e.height for e in edges}):
         level = [e for e in edges if e.height == height]

@@ -178,6 +178,20 @@ def test_eval_infeasible_exit_code(tmp_path, capsys):
     assert "feasible: no" in out
 
 
+def test_eval_rejects_a_repeated_id(tmp_path, capsys):
+    """A solution that lists one taxon twice is malformed, not the set
+    without the repeat: eval names the id and exits 2."""
+    sol = tmp_path / "sol.json"
+    run(capsys, "solve", data_path("hand.nap.json"), "--out", str(sol))
+    doc = json.loads(sol.read_text())
+    doc["selected"] = ["u", "v", "u"]
+    sol.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", data_path("hand.nap.json"), str(sol))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "'u' more than once" in err
+
+
 @pytest.mark.parametrize("verb", ["solve", "exact"])
 def test_eval_untouched_solution_prints_no_note(verb, tmp_path, capsys):
     """Branch lengths near 1e5 put the score past 12 significant digits of

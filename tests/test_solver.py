@@ -17,12 +17,14 @@ from napx.generators import gen_caterpillar, gen_yule
 from napx.io import load_instance, save_instance
 from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
                         min_conserved_survival, normalize, total_pd)
-from napx.solver import (CladeTable, build_pendant_tables, build_tables,
-                         combine_level, combine_tables, solve)
+from napx.solver import (CellStore, CladeTable, backtrace,
+                         build_pendant_tables, build_tables, combine_level,
+                         combine_tables, solve)
 
 from oracles import (assert_frontier_of_scatter, assert_same_table,
-                     build_tables_postorder, cells, exhaustive_best,
-                     from_dense, frontier_indices, refuse_by_height)
+                     backtrace_tables, build_tables_postorder, cells,
+                     exhaustive_best, from_dense, frontier_indices,
+                     refuse_by_height)
 from util import (cherry, data_path, fig1_instance, make_instance,
                   polytomy_instance, tie_cherry)
 
@@ -331,12 +333,14 @@ def _child_table(draw, disc):
 
 @st.composite
 def _level(draw):
+    """Combines of drawn child tables, and the order in which the children
+    go into the store, so that a child's cells may sit anywhere in it."""
     disc = draw(st.sampled_from(_DISCS))
     budget = draw(st.sampled_from([0, 1, 3, 6, (1 << 63) - 1]))
     combines = [(draw(_child_table(disc)), draw(_child_table(disc)),
                  draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0)))
                 for _ in range(draw(st.integers(2, 6)))]
-    return disc, budget, combines
+    return disc, budget, combines, draw(st.permutations(range(2 * len(combines))))
 
 
 _EMPTY = CladeTable(costs=np.empty(0, dtype=np.int64),
@@ -348,20 +352,30 @@ _ONE = CladeTable(costs=np.array([0]), rows=np.array([1]),
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(_level())
 @example((_DISCS[0], 3, [(_EMPTY, _ONE, 1.0), (_ONE, _EMPTY, 1.0),
-                         (_ONE, _ONE, 0.0), (_EMPTY, _EMPTY, 1.0)]))
+                         (_ONE, _ONE, 0.0), (_EMPTY, _EMPTY, 1.0)],
+          [7, 0, 5, 2, 3, 4, 1, 6]))
 def test_combine_level_equals_combine_tables(case):
-    """Each table of a batched level equals, field for field, the one
-    ``combine_tables`` builds for its edge alone; the level counts the
-    same candidate pairs."""
-    disc, budget, combines = case
+    """Each table a batched level puts into the store equals, field for
+    field, the one ``combine_tables`` builds for its edge alone, wherever
+    its children sit in the store; the level counts the same candidate
+    pairs and leaves the children's tables as they were."""
+    disc, budget, combines, order = case
+    children = [tab for left, right, _ in combines for tab in (left, right)]
+    store = CellStore(3 * len(combines))
+    for eid in order:
+        store.add(eid, children[eid])
+    level = [(2 * len(combines) + i, 2 * i, 2 * i + 1, lam)
+             for i, (_, _, lam) in enumerate(combines)]
     stats = {"candidate_pairs": 0}
-    got = combine_level(combines, budget, disc, stats)
+    combine_level(store, level, budget, disc, stats)
     want_stats = {"candidate_pairs": 0}
-    assert len(got) == len(combines)
-    for tab, (left, right, lam) in zip(got, combines):
-        assert_same_table(tab, combine_tables(left, right, lam, budget, disc,
-                                              want_stats))
+    assert len(store) == 3 * len(combines)
+    for (eid, *_), (left, right, lam) in zip(level, combines):
+        assert_same_table(store[eid], combine_tables(left, right, lam, budget,
+                                                     disc, want_stats))
     assert stats == want_stats
+    for eid, tab in enumerate(children):
+        assert cells(store[eid]) == cells(tab)
 
 
 def _random_polytomy(seed: int):
@@ -398,12 +412,52 @@ def test_build_tables_equals_a_postorder_loop(monkeypatch, instance, epsilon,
     also when small batches cut most heights into several passes."""
     monkeypatch.setattr(solver, "BATCH_PAIRS", batch_pairs)
     norm, disc = _tables_for(instance, epsilon)
-    tables, stats = build_tables(norm, disc)
+    store, stats = build_tables(norm, disc)
     want, want_stats = build_tables_postorder(norm, disc)
-    assert tables.keys() == want.keys()
+    assert set(store) == set(want)
     for eid in want:
-        assert_same_table(tables[eid], want[eid])
+        assert_same_table(store[eid], want[eid])
     assert stats == want_stats
+
+
+@pytest.mark.parametrize("instance", [
+    gen_yule(40, 0), gen_caterpillar(40, 1),
+    gen_yule(64, 1, c_range=(1, 40), budget=200), polytomy_instance(),
+], ids=lambda inst: f"n{len(inst.taxa)}h{inst.tree.height}")
+@pytest.mark.parametrize("reserve", [0, 1])
+def test_build_tables_grows_its_store(monkeypatch, instance, reserve):
+    """A store that starts with room for at most one cell an edge grows
+    after its pendant block, while the combines fill it, and every table
+    still equals the postorder loop's; its size is the stats'
+    ``table_cells``."""
+    monkeypatch.setattr(solver, "RESERVE_PER_EDGE", reserve)
+    norm, disc = _tables_for(instance, 0.1)
+    store, stats = build_tables(norm, disc)
+    want, want_stats = build_tables_postorder(norm, disc)
+    assert build_pendant_tables(norm, disc).scores.size < store.cells
+    assert store.cells == stats["table_cells"] <= store.scores.size
+    assert set(store) == set(want)
+    for eid in want:
+        assert_same_table(store[eid], want[eid])
+    assert stats == want_stats
+
+
+@pytest.mark.parametrize("instance", [
+    *(gen_yule(n, seed) for n in (9, 40) for seed in range(2)),
+    gen_caterpillar(40, 0), gen_yule(64, 1, c_range=(1, 40), budget=200),
+    polytomy_instance(),
+    make_instance(inner(2.0, leaf("x", 1.0)), [("x", 0.2, 0.9, 1)], budget=2),
+], ids=lambda inst: f"n{len(inst.taxa)}h{inst.tree.height}")
+def test_backtrace_equals_the_per_edge_backtrace(instance):
+    """From every root cell, the store's backtrace selects the taxa that
+    the backtrace over the postorder loop's dict of tables does."""
+    norm, disc = _tables_for(instance, 0.1)
+    store, _ = build_tables(norm, disc)
+    want, _ = build_tables_postorder(norm, disc)
+    root = norm.tree.root
+    for cell in range(store[root].scores.size):
+        assert backtrace(norm, store, cell) == backtrace_tables(norm, want,
+                                                                cell)
 
 
 def _sizes_of_combines(monkeypatch, norm, disc) -> list[int]:
@@ -452,7 +506,7 @@ def test_batches_refuse_nothing_the_edge_loop_solves(monkeypatch):
         monkeypatch.setattr(solver, name, recorded(name, getattr(solver, name)))
     monkeypatch.setattr(solver, "PAIR_LIMIT", largest)
     after = solve(inst, 0.3)
-    batch_pairs = [sum(args[2]) for _, args in calls["_combine_batch"]]
+    batch_pairs = [sum(args[4]) for _, args in calls["_combine_batch"]]
     assert batch_pairs and max(batch_pairs) <= largest
     # a segmented filter whose stacked matrices did not fit filtered its
     # edges one at a time, each through an unsegmented filter of its own
