@@ -42,7 +42,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Discretization", "derive_k", "select_params", "T_LIMIT"]
+__all__ = ["Discretization", "check_epsilon", "derive_k", "select_params",
+           "T_LIMIT"]
 
 # Refuse grids deeper than T_LIMIT rows: the run would not finish. Only
 # extreme epsilon/height combinations reach it.
@@ -81,6 +82,15 @@ def derive_k(n: int, min_b: float) -> int:
     return max(1, math.ceil(_snap_arr(need)))
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse, with :class:`ParameterError`, an epsilon that
+    :func:`napx.solver.solve` cannot honour: one outside the open interval
+    (0, 1)."""
+    if not (0.0 < epsilon < 1.0):
+        raise ParameterError(
+            f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
+
+
 def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretization":
     """Choose grid parameters for an (1 - epsilon) guarantee.
 
@@ -103,8 +113,7 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
         overflows a float (a taxon's conserved survival is far too small to
         resolve), or when the implied grid depth t exceeds ``T_LIMIT``.
     """
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
+    check_epsilon(epsilon)
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
     if height < 1:

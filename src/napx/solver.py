@@ -47,7 +47,7 @@ edge as store indices of their left and right cells, which the pass reads
 straight from the store's arrays, rounded in one ``pi_index`` call and
 filtered by one :func:`_frontier`, whose one sort takes the edge as its
 first key and whose dominance matrices, one per edge, are stacked. The
-kept cells of the whole batch go back into the store as one block, with
+kept cells of the whole batch go into the store as one block, with
 their child indices made local to each child's table. A numpy call costs
 a microsecond or more however small its array, and most combines hold
 about a hundred pairs, so nearly all of a combine's time is this fixed
@@ -57,10 +57,10 @@ batch rather than once per edge, and the store takes the per-edge Python
 out of the batch as well: no table object per edge, no concatenation of
 the children's arrays and no slicing of the output into tables. A batch
 of a single combine, as at every height of a caterpillar and at the
-root, runs :func:`combine_tables` alone on views of the store, which is
-faster for one edge, and its table is copied into the store. Both give
-the same tables, bit for bit, and a refusal names a combine at the
-lowest height that holds one.
+root, runs :func:`combine_tables` alone, which is faster for one edge;
+it reads its children as slices of the store's arrays and writes its
+kept cells as one block too. Both give the same tables, bit for bit,
+and a refusal names a combine at the lowest height that holds one.
 
 Ties resolve deterministically. Among candidates for one (cost, row) the
 highest value wins, then the first pair in (left index, right index) order;
@@ -79,9 +79,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Discretization, derive_k, select_params
-from .errors import (DegenerateInstanceError, InternalError, ParameterError,
-                     SizeLimitError)
+from .discretization import (Discretization, check_epsilon, derive_k,
+                             select_params)
+from .errors import DegenerateInstanceError, InternalError, SizeLimitError
 from .model import (ConservationSet, Instance, make_conservation_set,
                     min_conserved_survival, normalize, total_pd)
 
@@ -136,10 +136,8 @@ class CladeTable:
     has only ``left`` and a pendant table neither. The edge, its kind and
     its taxon are the tree's.
 
-    The tables of a build are views of the block their edge holds in the
-    build's :class:`CellStore`; :func:`combine_tables` and
-    :func:`_combine_unary` return a table with arrays of its own, which the
-    build then copies into the store.
+    A table is the view that ``store[e]`` gives of the block edge e holds
+    in its build's :class:`CellStore`.
     """
 
     costs: np.ndarray
@@ -164,6 +162,11 @@ class CellStore(Mapping):
     on average. Blocks are only appended and sized once their cells are
     known, so a block keeps its offsets when the arrays grow, and a table
     read before a growth still holds its cells.
+
+    Every builder makes one block at a time: it claims room for its cells
+    with :meth:`claim`, writes them and records the edge's start, size and
+    arity. ``claim`` may replace the arrays, so a builder reads them from
+    the store after it, never from a reference taken before.
 
     As a mapping, ``store[e]`` is edge e's :class:`CladeTable` of views
     into the arrays, keyed by edge id.
@@ -194,31 +197,6 @@ class CellStore(Mapping):
                 new[:at] = old[:at]
                 setattr(self, name, new)
         return at
-
-    def add(self, eid: int, table: CladeTable) -> None:
-        """Copy ``table`` into the store as edge ``eid``'s table."""
-        n = table.scores.size
-        at = self.claim(n)
-        end = at + n
-        self.costs[at:end] = table.costs
-        self.rows[at:end] = table.rows
-        self.scores[at:end] = table.scores
-        arity = 0
-        if table.left is not None:
-            self.left[at:end] = table.left
-            arity = 1
-            if table.right is not None:
-                self.right[at:end] = table.right
-                arity = 2
-        self.start[eid], self.size[eid], self.arity[eid] = at, n, arity
-
-    def cells_of(self, eid: int) -> CladeTable:
-        """Edge ``eid``'s cells as views, without backpointers: what a
-        combine reads of a child, at less cost than ``store[eid]``."""
-        at = self.start.item(eid)
-        end = at + self.size.item(eid)
-        return CladeTable(self.costs[at:end], self.rows[at:end],
-                          self.scores[at:end])
 
     def __getitem__(self, eid: int) -> CladeTable:
         if not 0 <= eid < self.start.size or (at := self.start.item(eid)) < 0:
@@ -361,21 +339,27 @@ def build_pendant_tables(instance: Instance, disc: Discretization) -> CellStore:
     return store
 
 
-def combine_tables(left: CladeTable, right: CladeTable, lam: float,
-                   budget: int, disc: Discretization,
-                   stats: dict | None = None) -> CladeTable:
-    """Combine two child tables into the frontier of their affordable pairs.
+def combine_tables(store: CellStore, eid: int, left: int, right: int,
+                   lam: float, budget: int, disc: Discretization,
+                   stats: dict | None = None) -> None:
+    """Combine the tables of edges ``left`` and ``right`` in ``store`` into
+    the frontier of their affordable pairs, stored as edge ``eid``'s table.
 
     Right cells ascend in cost, so the cells a left cell can afford are a
     prefix of them; the pairs are laid out left cell by left cell, each
     followed by its prefix, which is the (left, right) index order of the
     tie rule. Their count is checked against ``PAIR_LIMIT`` before any
     pair array exists. Each pair's survival ``v_j + (1 - v_j) v_k`` is
-    rounded on its own, all pairs in one ``pi_index`` call.
+    rounded on its own, all pairs in one ``pi_index`` call. The kept cells
+    are gathered out of the pair arrays before the store makes room for
+    them, so that the pair arrays are gone when the store grows.
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
-    m = right.costs.searchsorted(budget - left.costs, side="right")
+    l0, r0 = store.start.item(left), store.start.item(right)
+    ls = slice(l0, l0 + store.size.item(left))
+    rs = slice(r0, r0 + store.size.item(right))
+    m = store.costs[rs].searchsorted(budget - store.costs[ls], side="right")
     pairs = m.sum().item()
     if stats is not None:
         stats["candidate_pairs"] += pairs
@@ -386,12 +370,19 @@ def combine_tables(left: CladeTable, right: CladeTable, lam: float,
     ri = np.arange(pairs)
     ri -= start.repeat(m)
     costs, rows, scores = _candidates(
-        li, (left.costs, left.rows, left.scores),
-        ri, (right.costs, right.rows, right.scores), lam, disc)
+        li, (store.costs[ls], store.rows[ls], store.scores[ls]),
+        ri, (store.costs[rs], store.rows[rs], store.scores[rs]), lam, disc)
     keep = _frontier(costs, rows, scores)
-    return CladeTable(costs=costs.take(keep), rows=rows.take(keep),
-                      scores=scores.take(keep), left=li.take(keep),
-                      right=ri.take(keep))
+    costs, rows, scores = costs.take(keep), rows.take(keep), scores.take(keep)
+    li, ri = li.take(keep), ri.take(keep)
+    at = store.claim(keep.size)
+    end = store.cells
+    store.costs[at:end] = costs
+    store.rows[at:end] = rows
+    store.scores[at:end] = scores
+    store.left[at:end] = li
+    store.right[at:end] = ri
+    store.start[eid], store.size[eid], store.arity[eid] = at, keep.size, 2
 
 
 def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
@@ -433,16 +424,13 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
     and never more than ``PAIR_LIMIT``, and each batch runs
     :func:`_combine_batch`, which checks the dominance matrices in list
     order too. A batch of one combine, such as the only combine at a
-    height of a caterpillar, runs :func:`combine_tables` on views of the
-    store instead, which is the faster of the two on one edge.
+    height of a caterpillar, runs :func:`combine_tables` instead, which is
+    the faster of the two on one edge.
 
     With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
     """
     if len(combines) == 1:
-        eid, left, right, lam = combines[0]
-        store.add(eid, combine_tables(store.cells_of(left),
-                                      store.cells_of(right), lam, budget,
-                                      disc, stats))
+        combine_tables(store, *combines[0], budget, disc, stats)
         return
     _, lefts, rights, _ = zip(*combines)
     lefts, rights = np.array(lefts), np.array(rights)
@@ -477,10 +465,7 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
             total += counts[b]
             b += 1
         if b - a == 1:
-            eid, left, right, lam = combines[a]
-            store.add(eid, combine_tables(store.cells_of(left),
-                                          store.cells_of(right), lam, budget,
-                                          disc))
+            combine_tables(store, *combines[a], budget, disc)
         else:
             cut = slice(lo[a], lo[b] if b < len(combines) else None)
             _combine_batch(store, combines[a:b], left_cells[cut],
@@ -537,13 +522,22 @@ def _combine_batch(store: CellStore,
     store.arity[eids] = 2
 
 
-def _combine_unary(child: CladeTable, lam: float,
-                   disc: Discretization) -> CladeTable:
+def _combine_unary(store: CellStore, eid: int, child: int, lam: float,
+                   disc: Discretization) -> None:
     """Root edge over a single pendant: rows pass through unchanged."""
-    scores = child.scores + lam * disc.grid[child.rows]
-    keep = _frontier(child.costs, child.rows, scores)
-    return CladeTable(costs=child.costs[keep], rows=child.rows[keep],
-                      scores=scores[keep], left=keep)
+    at = store.start.item(child)
+    end = at + store.size.item(child)
+    costs, rows = store.costs[at:end], store.rows[at:end]
+    scores = store.scores[at:end] + lam * disc.grid[rows]
+    keep = _frontier(costs, rows, scores)
+    costs, rows, scores = costs[keep], rows[keep], scores[keep]
+    at = store.claim(keep.size)
+    end = store.cells
+    store.costs[at:end] = costs
+    store.rows[at:end] = rows
+    store.scores[at:end] = scores
+    store.left[at:end] = keep
+    store.start[eid], store.size[eid], store.arity[eid] = at, keep.size, 1
 
 
 def build_tables(instance: Instance,
@@ -569,28 +563,29 @@ def build_tables(instance: Instance,
     """
     tree = instance.tree
     budget = int(instance.budget)
-    store = build_pendant_tables(instance, disc)
-    stats = {"fast_combines": 0, "general_combines": 0,
-             "candidate_pairs": 0, "table_cells": 0}
-    levels: dict[int, list] = {}
-    for e in tree.edges:
-        if len(e.children) > 2:
-            raise InternalError(
-                f"edge {e.eid} has {len(e.children)} children; "
-                "tables need a normalized binary tree")
-        if e.children:
-            levels.setdefault(e.height, []).append(e)
-    for height in sorted(levels):
-        level = []
-        for e in levels[height]:
-            if len(e.children) == 1:
-                store.add(e.eid, _combine_unary(store[e.children[0]],
-                                                e.length, disc))
-            else:
-                level.append((e.eid, *e.children, e.length))
-        if level:
-            combine_level(store, level, budget, disc, stats)
-        stats["fast_combines"] += len(level)
+    # Python floats overflow to inf silently, and so must the tables
+    with np.errstate(over="ignore"):
+        store = build_pendant_tables(instance, disc)
+        stats = {"fast_combines": 0, "general_combines": 0,
+                 "candidate_pairs": 0, "table_cells": 0}
+        levels: dict[int, list] = {}
+        for e in tree.edges:
+            if len(e.children) > 2:
+                raise InternalError(
+                    f"edge {e.eid} has {len(e.children)} children; "
+                    "tables need a normalized binary tree")
+            if e.children:
+                levels.setdefault(e.height, []).append(e)
+        for height in sorted(levels):
+            level = []
+            for e in levels[height]:
+                if len(e.children) == 1:
+                    _combine_unary(store, e.eid, e.children[0], e.length, disc)
+                else:
+                    level.append((e.eid, *e.children, e.length))
+            if level:
+                combine_level(store, level, budget, disc, stats)
+            stats["fast_combines"] += len(level)
     stats["table_cells"] = store.cells
     return store, stats
 
@@ -636,14 +631,6 @@ class NapxSolution:
     epsilon: float
     params: Discretization | None
     stats: dict
-
-
-def check_epsilon(epsilon: float) -> None:
-    """Refuse, with :class:`ParameterError`, an epsilon that :func:`solve`
-    cannot honour: one outside the open interval (0, 1)."""
-    if not (0.0 < epsilon < 1.0):
-        raise ParameterError(
-            f"epsilon must be strictly between 0 and 1, got {epsilon!r}")
 
 
 def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:

@@ -6,8 +6,8 @@ and the tree builder as they stood before their fast paths, table
 combines by a literal scatter over every (row, row, split) triple of
 dense tables, whose non-dominated cells a combine must reproduce, the
 frontier filter by a pairwise dominance check, all tables by one combine
-per edge in postorder into a dict of tables, the backtrace over such a
-dict, the refusal of a table build by one combine at a time in height
+per edge in postorder into a store, the backtrace over such tables, the
+refusal of a table build by one combine at a time in height
 order, and exhaustive search by scoring every subset one at a time. Slow
 and obviously correct is the point.
 """
@@ -15,6 +15,7 @@ and obviously correct is the point.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from napx.model import (ConservationSet, Edge, Instance, PhyloTree,
                         expected_pd, make_conservation_set)
 from napx import solver
-from napx.solver import CladeTable
+from napx.solver import CellStore, CladeTable
 
 
 # ------------------------------------------------------------------------- #
@@ -295,32 +296,30 @@ def from_dense(scores: np.ndarray) -> CladeTable:
 
 
 def build_tables_postorder(instance: Instance,
-                           disc) -> tuple[dict[int, CladeTable], dict]:
+                           disc) -> tuple[CellStore, dict]:
     """Every table of a normalized instance, built one edge at a time in
-    postorder with :func:`napx.solver.combine_tables`, and the stats of
-    :func:`napx.solver.build_tables`. A refused combine raises the first
-    refusal in postorder."""
+    postorder into a store with :func:`napx.solver.combine_tables`, and the
+    stats of :func:`napx.solver.build_tables`. A refused combine raises
+    the first refusal in postorder."""
     budget = int(instance.budget)
-    tables = dict(solver.build_pendant_tables(instance, disc))
+    store = solver.build_pendant_tables(instance, disc)
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
     for e in instance.tree.edges:
         if len(e.children) == 1:
-            tables[e.eid] = solver._combine_unary(
-                tables[e.children[0]], e.length, disc)
+            solver._combine_unary(store, e.eid, e.children[0], e.length, disc)
         elif len(e.children) == 2:
-            left, right = (tables[c] for c in e.children)
-            tables[e.eid] = solver.combine_tables(left, right, e.length,
-                                                  budget, disc, stats)
+            solver.combine_tables(store, e.eid, *e.children, e.length,
+                                  budget, disc, stats)
             stats["fast_combines"] += 1
-    stats["table_cells"] = sum(int(t.scores.size) for t in tables.values())
-    return tables, stats
+    stats["table_cells"] = sum(int(t.scores.size) for t in store.values())
+    return store, stats
 
 
-def backtrace_tables(instance: Instance, tables: dict[int, CladeTable],
+def backtrace_tables(instance: Instance, tables: Mapping[int, CladeTable],
                      cell: int) -> frozenset[str]:
-    """The selection behind root cell ``cell`` of a dict of tables keyed by
-    edge id, such as :func:`build_tables_postorder` gives: follow each
+    """The selection behind root cell ``cell`` of tables keyed by edge
+    id, such as :func:`build_tables_postorder` gives: follow each
     table's ``left`` and ``right`` down to the pendant tables, where a cell
     that spends its taxon's cost conserves it."""
     tree = instance.tree
@@ -347,23 +346,44 @@ def refuse_by_height(instance: Instance, disc) -> None:
     refuses on its own. Heights are visited from the leaves up, edges by
     id within a height, each combine built alone."""
     budget = int(instance.budget)
-    tables = dict(solver.build_pendant_tables(instance, disc))
+    store = solver.build_pendant_tables(instance, disc)
     edges = [e for e in instance.tree.edges if e.children]   # in id order
     for height in sorted({e.height for e in edges}):
         level = [e for e in edges if e.height == height]
         for e in level:
             if len(e.children) == 2:
-                left, right = (tables[c].costs for c in e.children)
+                left, right = (store[c].costs for c in e.children)
                 solver._check_size("candidate pairs", int(
                     (left[:, None] + right[None, :] <= budget).sum()))
         for e in level:
             if len(e.children) == 1:
-                tables[e.eid] = solver._combine_unary(
-                    tables[e.children[0]], e.length, disc)
+                solver._combine_unary(store, e.eid, e.children[0], e.length,
+                                      disc)
             else:
-                left, right = (tables[c] for c in e.children)
-                tables[e.eid] = solver.combine_tables(
-                    left, right, e.length, budget, disc)
+                solver.combine_tables(store, e.eid, *e.children, e.length,
+                                      budget, disc)
+
+
+def store_table(store: CellStore, eid: int, tab: CladeTable) -> None:
+    """Write a table's cells, without backpointers, into ``store`` as edge
+    ``eid``'s: one block, claimed and written as a build writes one."""
+    n = tab.scores.size
+    at = store.claim(n)
+    store.costs[at:at + n] = tab.costs
+    store.rows[at:at + n] = tab.rows
+    store.scores[at:at + n] = tab.scores
+    store.start[eid], store.size[eid] = at, n
+
+
+def combine_alone(left: CladeTable, right: CladeTable, lam: float,
+                  budget: int, disc, stats: dict | None = None) -> CladeTable:
+    """:func:`napx.solver.combine_tables` of two drawn tables: they go into
+    a three-edge store as edges 0 and 1, and edge 2's table comes back."""
+    store = CellStore(3)
+    store_table(store, 0, left)
+    store_table(store, 1, right)
+    solver.combine_tables(store, 2, 0, 1, lam, budget, disc, stats)
+    return store[2]
 
 
 def assert_same_table(got: CladeTable, want: CladeTable) -> None:

@@ -20,9 +20,10 @@ from napx.generators import GenSpec, gen_caterpillar, gen_yule, generate
 from napx.io import parse_instance, write_instance
 from napx.model import (Instance, Taxon, expected_pd, min_conserved_survival,
                         normalize)
-from napx.solver import build_tables, combine_tables, solve
+from napx.solver import build_tables, solve
 
-from oracles import assert_frontier_of_scatter, per_clade_greedy
+from oracles import (assert_frontier_of_scatter, combine_alone,
+                     per_clade_greedy)
 from util import fig1_instance
 
 
@@ -111,7 +112,7 @@ def test_acceptance_03_combine_matches_scatter(capsys):
             if len(e.children) != 2:
                 continue
             l, r = (tables[c] for c in e.children)
-            got = combine_tables(l, r, e.length, norm.budget, disc)
+            got = combine_alone(l, r, e.length, norm.budget, disc)
             cells_seen += assert_frontier_of_scatter(got, l, r, e.length,
                                                      norm.budget, disc)
             edges += 1

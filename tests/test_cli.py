@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -452,6 +453,23 @@ def test_big_costs_restricted(verb, code, capsys):
     doc = json.loads(out)
     assert doc["selected"] == ["t1", "t2"]
     assert doc["evaluated_score"] == 5.5
+
+
+@pytest.mark.parametrize("verb", ["solve", "pg"])
+def test_lengths_near_the_float_range_solve_silently(verb, tmp_path, capsys):
+    """Lengths of 1e308 make the table scores overflow to inf, as Python
+    floats do, with no numpy warning: with warnings turned into errors
+    the run still exits 0, writes nothing to stderr and picks an
+    affordable selection, as ``exact`` does on the same instance."""
+    path = tmp_path / "big.nap.nwk"
+    path.write_text("[&budget=2]\n((x[&a=0,b=1,c=1]:1e308,y[&a=0,b=1,c=1]:1e308)"
+                    ":1e308,z[&a=0,b=1,c=1]:1.0);\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, verb, str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["selected"] and doc["total_cost"] <= doc["budget"] == 2
 
 
 def test_pg_budget_beyond_int64(tmp_path, capsys):

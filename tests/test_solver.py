@@ -23,8 +23,8 @@ from napx.solver import (CellStore, CladeTable, backtrace,
 
 from oracles import (assert_frontier_of_scatter, assert_same_table,
                      backtrace_tables, build_tables_postorder, cells,
-                     exhaustive_best, from_dense, frontier_indices,
-                     refuse_by_height)
+                     combine_alone, exhaustive_best, from_dense,
+                     frontier_indices, refuse_by_height, store_table)
 from util import (cherry, data_path, fig1_instance, make_instance,
                   polytomy_instance, tie_cherry)
 
@@ -143,7 +143,7 @@ def _assert_combines_match_scatter(norm, disc) -> int:
         if len(e.children) != 2:
             continue
         l, r = (tables[c] for c in e.children)
-        got = combine_tables(l, r, e.length, norm.budget, disc)
+        got = combine_alone(l, r, e.length, norm.budget, disc)
         assert_frontier_of_scatter(got, l, r, e.length, norm.budget, disc)
         pendant += any(norm.tree.edges[c].taxon is not None
                        for c in e.children)
@@ -190,7 +190,7 @@ def test_combine_ties_pick_smallest_budget_then_row():
     d = small_disc()
     left = _table([0, 0, 1], [2, 3, 1], [1.0, 1.0, 1.0])
     right = _table([0, 1], [0, 0], [0.5, 0.5])
-    got = combine_tables(left, right, 0.0, 1, d)
+    got = combine_alone(left, right, 0.0, 1, d)
     assert cells(got) == [(0, 0, 1.5)]
     assert (got.left.tolist(), got.right.tolist()) == ([0], [0])
 
@@ -204,7 +204,7 @@ def test_combine_right_row_ties_pick_smallest_k():
     left[0, 1] = 1.0
     right = np.full((1, d.t + 2), -np.inf)
     right[0, [2, 4]] = 0.5
-    got = combine_tables(from_dense(left), from_dense(right), 0.0, 0, d)
+    got = combine_alone(from_dense(left), from_dense(right), 0.0, 0, d)
     assert cells(got) == [(0, 1, 1.5)]
     assert (got.left.tolist(), got.right.tolist()) == ([0], [0])
 
@@ -218,7 +218,7 @@ def test_tie_rule_by_hand():
     left = _table([0, 1, 1, 1, 3], [3, 2, 1, 1, 2],
                   [1.0, 1.0, 1.0, 1.0, 1.5])
     right = _table([0, 0], [5, 5], [0.0, 0.0])
-    got = combine_tables(left, right, 0.0, 3, d)
+    got = combine_alone(left, right, 0.0, 3, d)
     # (1, 2) is dominated by (1, 1) of equal value; (1, 1) is reached by
     # left cells 2 and 3, each with both right cells: the first pair wins
     assert cells(got) == [(0, 3, 1.0), (1, 1, 1.0), (3, 2, 1.5)]
@@ -226,7 +226,7 @@ def test_tie_rule_by_hand():
     assert got.right.tolist() == [0, 0, 0]
     assert int(np.argmax(got.scores)) == 2
     # without the 1.5 cell the root's best is the cost-0 cell
-    tie = combine_tables(left, right, 0.0, 2, d)
+    tie = combine_alone(left, right, 0.0, 2, d)
     assert cells(tie) == [(0, 3, 1.0), (1, 1, 1.0)]
     assert int(np.argmax(tie.scores)) == 0
 
@@ -249,7 +249,7 @@ def test_combine_tie_heavy_tables_match_scatter(case):
     budget, left, right = case
     d = small_disc()
     l, r = from_dense(left), from_dense(right)
-    got = combine_tables(l, r, 1.0, budget, d)
+    got = combine_alone(l, r, 1.0, budget, d)
     assert_frontier_of_scatter(got, l, r, 1.0, budget, d)
 
 
@@ -363,7 +363,7 @@ def test_combine_level_equals_combine_tables(case):
     children = [tab for left, right, _ in combines for tab in (left, right)]
     store = CellStore(3 * len(combines))
     for eid in order:
-        store.add(eid, children[eid])
+        store_table(store, eid, children[eid])
     level = [(2 * len(combines) + i, 2 * i, 2 * i + 1, lam)
              for i, (_, _, lam) in enumerate(combines)]
     stats = {"candidate_pairs": 0}
@@ -371,11 +371,43 @@ def test_combine_level_equals_combine_tables(case):
     want_stats = {"candidate_pairs": 0}
     assert len(store) == 3 * len(combines)
     for (eid, *_), (left, right, lam) in zip(level, combines):
-        assert_same_table(store[eid], combine_tables(left, right, lam, budget,
-                                                     disc, want_stats))
+        assert_same_table(store[eid], combine_alone(left, right, lam, budget,
+                                                    disc, want_stats))
     assert stats == want_stats
     for eid, tab in enumerate(children):
         assert cells(store[eid]) == cells(tab)
+
+
+def _fields(tab: CladeTable) -> tuple:
+    return tuple(None if x is None else (x.dtype, x.shape, x.tobytes())
+                 for x in (tab.costs, tab.rows, tab.scores, tab.left, tab.right))
+
+
+@pytest.mark.parametrize("reserve", [solver.RESERVE_PER_EDGE, 0])
+def test_combine_tables_appends_one_block(monkeypatch, reserve):
+    """Each ``combine_tables`` call appends its edge's table to the store
+    as one block: the store grows by the table's size, the table's
+    backpointers index its children's tables, and every other edge's
+    table keeps its fields, also when the store grows mid-combine, as it
+    does at once when it starts with no room beyond the pendant block."""
+    monkeypatch.setattr(solver, "RESERVE_PER_EDGE", reserve)
+    norm, disc = _tables_for(gen_yule(40, 0), 0.1)
+    store = build_pendant_tables(norm, disc)
+    grew = 0
+    for e in norm.tree.edges:
+        if len(e.children) != 2:
+            continue
+        before = {eid: _fields(store[eid]) for eid in store}
+        used, room = store.cells, store.scores.size
+        combine_tables(store, e.eid, *e.children, e.length, norm.budget, disc)
+        tab = store[e.eid]
+        assert store.start[e.eid] == used
+        assert store.cells == used + tab.scores.size
+        l, r = (store[c] for c in e.children)
+        assert np.array_equal(l.costs[tab.left] + r.costs[tab.right], tab.costs)
+        assert {eid: _fields(store[eid]) for eid in before} == before
+        grew += store.scores.size > room
+    assert grew > 0 or reserve > 0
 
 
 def _random_polytomy(seed: int):
@@ -649,7 +681,8 @@ def test_pair_limit_refuses_large_combines(monkeypatch, capsys):
     pairs = sum(int(i + beta <= norm.budget) for i in l.costs for beta in r.costs)
     monkeypatch.setattr(solver, "PAIR_LIMIT", pairs - 1)
     with pytest.raises(SizeLimitError, match=f"{pairs} candidate pairs"):
-        combine_tables(l, r, root.length, norm.budget, disc)
+        combine_tables(tables, root.eid, *root.children, root.length,
+                       norm.budget, disc)
     assert main(["solve", data_path("hand.nap.json"), "--epsilon", "0.3"]) == 3
     assert capsys.readouterr().err.startswith("error:")
 
