@@ -41,7 +41,7 @@ BRUTE_FORCE_LIMIT = 25
 # Any grid holds both values without rounding (1 on row 0, 0 on row
 # t + 1), so the table program is exact on this one, and a cell's score is
 # the float sum of the lengths of the edges above its conserved leaves.
-_CERTAIN = Discretization(alpha=0.5, p_min=0.5, t=1)
+_CERTAIN = Discretization(alpha=0.5, p_min=0.5)
 
 _TIE_TOL = 1e-12
 
@@ -174,7 +174,7 @@ def brute_force(instance: Instance) -> ConservationSet:
     the tolerance, changes nothing; only the others are fed to the rule,
     in the same order, with their block scores, and id tuples are
     compared by :func:`_precedes` on codes. The winner's score is that of
-    ``expected_pd``.
+    ``expected_pd``. Validation keeps every block sum finite.
     """
     validate_instance(instance)
     check_brute_force_size(instance)
@@ -199,9 +199,7 @@ def brute_force(instance: Instance) -> ConservationSet:
         if room < 0:
             continue
         codes, pos, cost = (t[::-1] for t in tables) if block & 1 else tables
-        # Python floats overflow to inf silently, and so must the blocks
-        with np.errstate(over="ignore"):
-            score = _block_scores(steps, width, high)[pos]
+        score = _block_scores(steps, width, high)[pos]
         score[cost > room] = -math.inf
         top = np.maximum.accumulate(score)
         np.maximum(top, best_score, out=top)

@@ -35,7 +35,7 @@ float error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -131,16 +131,18 @@ def select_params(n: int, height: int, epsilon: float, k: int) -> "Discretizatio
         raise ParameterError(
             f"grid floor n**-(k+1) underflows for n={n}, k={k}; some taxon's "
             "conserved survival b is too small to resolve") from None
-    return Discretization.from_alpha_pmin(alpha, p_min, k=k)
+    return Discretization(alpha, p_min, k=k)
 
 
 @dataclass(frozen=True)
 class Discretization:
-    """A fixed geometric probability grid.
+    """A fixed geometric probability grid, given by ``alpha`` and ``p_min``.
 
-    The grid has t + 2 rows. Row 0 holds probability 1, row m holds
-    ``alpha**m`` for 1 <= m <= t, and row t + 1 holds 0. Each row m owns a
-    half-open probability interval [lower(m), upper(m)):
+    The grid has t + 2 rows, t being derived: the steps from 1 down to
+    ``p_min``, at least 1, and refused above ``T_LIMIT``. ``k`` records the
+    :func:`derive_k` value they were chosen for, if any. Row 0 holds 1, row
+    m holds ``alpha**m`` for 1 <= m <= t, and row t + 1 holds 0. Each row m
+    owns a half-open probability interval [lower(m), upper(m)):
 
         row 0:      {1}
         row m:      [alpha**m, alpha**(m-1))      for 1 <= m < t
@@ -155,7 +157,7 @@ class Discretization:
 
     alpha: float
     p_min: float
-    t: int
+    t: int = field(init=False)
     k: int | None = None
 
     def __post_init__(self):
@@ -163,23 +165,12 @@ class Discretization:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not (0.0 < self.p_min < 1.0):
             raise ParameterError(f"p_min must be in (0, 1), got {self.p_min!r}")
-        if self.t < 1:
-            raise ParameterError(f"t must be at least 1, got {self.t}")
-
-    @classmethod
-    def from_alpha_pmin(cls, alpha: float, p_min: float, *,
-                        k: int | None = None) -> "Discretization":
-        """Build a grid from its two defining constants, deriving t."""
-        if not (0.0 < alpha < 1.0):
-            raise ParameterError(f"alpha must be in (0, 1), got {alpha!r}")
-        if not (0.0 < p_min < 1.0):
-            raise ParameterError(f"p_min must be in (0, 1), got {p_min!r}")
-        t = math.ceil(_snap_arr(math.log(p_min) / math.log(alpha)))
+        t = math.ceil(_snap_arr(math.log(self.p_min) / math.log(self.alpha)))
         if t > T_LIMIT:
             raise ParameterError(
                 f"grid depth t={t} exceeds the limit of {T_LIMIT}; "
                 "use a larger epsilon or a shallower tree")
-        return cls(alpha=alpha, p_min=p_min, t=max(t, 1), k=k)
+        object.__setattr__(self, "t", max(t, 1))    # the dataclass is frozen
 
     # -- derived structures, computed once ---------------------------------
 

@@ -11,7 +11,7 @@ Instances travel in two canonical formats:
 
 Both writers emit the same instance identically every time: keys sorted,
 floats at 12 significant digits, children in canonical order. Solutions
-are JSON only.
+are JSON only. JSON is read as strict RFC 8259, with no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -82,9 +82,14 @@ def _check_doc(doc, expected_format: str, allowed: set[str], required: set[str])
         raise ParseError("missing keys: " + ", ".join(missing))
 
 
+def _refuse_constant(name: str):
+    raise ParseError(f"{name} is not a JSON number (RFC 8259)")
+
+
 def _loads(text: str):
+    """Strict JSON: json's NaN, Infinity and -Infinity are refused."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     except (ValueError, RecursionError) as exc:  # too many digits, too deep

@@ -22,6 +22,7 @@ leaf's taxon id.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Integral
@@ -310,7 +311,8 @@ def validate_instance(instance: Instance) -> None:
     Raises
     ------
     ValidationError
-        Listing all problems found: negative branch lengths, probabilities
+        Listing all problems found: negative or non-finite branch lengths,
+        or else lengths summing above half the largest float, probabilities
         out of range or ordered a > b, non-integer or negative costs, a
         non-integer or negative budget, and any mismatch between the
         tree's leaf labels and the taxon table.
@@ -328,6 +330,13 @@ def validate_instance(instance: Instance) -> None:
             problems.append(f"edge {e.eid}: negative or non-finite length {e.length!r}")
         if e.taxon is None and not e.children:
             problems.append(f"edge {e.eid}: interior edge with no children")
+    # a score (a table cell, expected_pd, an exhaustive-search block) is a
+    # float sum of non-negative terms, each at most one edge's length, so it
+    # tops the total by a relative n * 2**-53 at most, and under this bound
+    # cannot overflow
+    if not problems and (total := total_pd(instance)) > sys.float_info.max / 2:
+        problems.append(f"branch lengths sum to {total!r}, above "
+                        f"{sys.float_info.max / 2!r}, half the largest float")
 
     for tid, tx in instance.taxa.items():
         if tid != tx.id:

@@ -340,8 +340,7 @@ def build_pendant_tables(instance: Instance, disc: Discretization) -> CellStore:
 
 
 def combine_tables(store: CellStore, eid: int, left: int, right: int,
-                   lam: float, budget: int, disc: Discretization,
-                   stats: dict | None = None) -> None:
+                   lam: float, budget: int, disc: Discretization) -> int:
     """Combine the tables of edges ``left`` and ``right`` in ``store`` into
     the frontier of their affordable pairs, stored as edge ``eid``'s table.
 
@@ -354,15 +353,13 @@ def combine_tables(store: CellStore, eid: int, left: int, right: int,
     are gathered out of the pair arrays before the store makes room for
     them, so that the pair arrays are gone when the store grows.
 
-    With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
+    Returns the number of affordable pairs.
     """
     l0, r0 = store.start.item(left), store.start.item(right)
     ls = slice(l0, l0 + store.size.item(left))
     rs = slice(r0, r0 + store.size.item(right))
     m = store.costs[rs].searchsorted(budget - store.costs[ls], side="right")
     pairs = m.sum().item()
-    if stats is not None:
-        stats["candidate_pairs"] += pairs
     _check_size("candidate pairs", pairs)
     li = np.arange(m.size).repeat(m)
     start = m.cumsum()
@@ -383,6 +380,7 @@ def combine_tables(store: CellStore, eid: int, left: int, right: int,
     store.left[at:end] = li
     store.right[at:end] = ri
     store.start[eid], store.size[eid], store.arity[eid] = at, keep.size, 2
+    return pairs
 
 
 def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
@@ -411,8 +409,7 @@ def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
 
 
 def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
-                  budget: int, disc: Discretization,
-                  stats: dict | None = None) -> None:
+                  budget: int, disc: Discretization) -> int:
     """Run independent combines, several at a time, as vectorized passes.
 
     ``combines`` lists (edge id, left child id, right child id, edge
@@ -427,11 +424,10 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
     height of a caterpillar, runs :func:`combine_tables` instead, which is
     the faster of the two on one edge.
 
-    With ``stats``, its ``candidate_pairs`` grows by the affordable pairs.
+    Returns the number of affordable pairs over all the combines.
     """
     if len(combines) == 1:
-        combine_tables(store, *combines[0], budget, disc, stats)
-        return
+        return combine_tables(store, *combines[0], budget, disc)
     _, lefts, rights, _ = zip(*combines)
     lefts, rights = np.array(lefts), np.array(rights)
     costs, start, size = store.costs, store.start, store.size
@@ -453,8 +449,6 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
     prefix.cumsum(out=summed[1:])
     counts = (summed.take(hi) - summed.take(lo)).tolist()
     lo = lo.tolist()
-    if stats is not None:
-        stats["candidate_pairs"] += sum(counts)
     for pairs in counts:
         _check_size("candidate pairs", pairs)
     most = min(BATCH_PAIRS, PAIR_LIMIT)
@@ -471,6 +465,7 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
             _combine_batch(store, combines[a:b], left_cells[cut],
                            prefix[cut], counts[a:b], disc)
         a = b
+    return sum(counts)
 
 
 def _combine_batch(store: CellStore,
@@ -553,7 +548,8 @@ def build_tables(instance: Instance,
     pairs are above it, or failing that the first whose dominance matrix
     is.
 
-    The instance must be normalized (binary tree, costs within budget).
+    The instance must be normalized (binary tree, costs within budget),
+    and so validated: its total length keeps every sum here finite.
     Returns the :class:`CellStore` of all tables and work counters:
     ``fast_combines`` counts the binary combines (``general_combines``
     stays 0; both keys are kept for readers of solution ``stats`` and the
@@ -563,31 +559,33 @@ def build_tables(instance: Instance,
     """
     tree = instance.tree
     budget = int(instance.budget)
-    # Python floats overflow to inf silently, and so must the tables
-    with np.errstate(over="ignore"):
-        store = build_pendant_tables(instance, disc)
-        stats = {"fast_combines": 0, "general_combines": 0,
-                 "candidate_pairs": 0, "table_cells": 0}
-        levels: dict[int, list] = {}
-        for e in tree.edges:
-            if len(e.children) > 2:
-                raise InternalError(
-                    f"edge {e.eid} has {len(e.children)} children; "
-                    "tables need a normalized binary tree")
-            if e.children:
-                levels.setdefault(e.height, []).append(e)
-        for height in sorted(levels):
-            level = []
-            for e in levels[height]:
-                if len(e.children) == 1:
-                    _combine_unary(store, e.eid, e.children[0], e.length, disc)
-                else:
-                    level.append((e.eid, *e.children, e.length))
-            if level:
-                combine_level(store, level, budget, disc, stats)
-            stats["fast_combines"] += len(level)
-    stats["table_cells"] = store.cells
-    return store, stats
+    store = build_pendant_tables(instance, disc)
+    combines = pairs = 0
+    levels: dict[int, list] = {}
+    for e in tree.edges:
+        if len(e.children) > 2:
+            raise InternalError(
+                f"edge {e.eid} has {len(e.children)} children; "
+                "tables need a normalized binary tree")
+        if e.children:
+            levels.setdefault(e.height, []).append(e)
+    for height in sorted(levels):
+        level = []
+        for e in levels[height]:
+            if len(e.children) == 1:
+                _combine_unary(store, e.eid, e.children[0], e.length, disc)
+            else:
+                level.append((e.eid, *e.children, e.length))
+        if level:
+            pairs += combine_level(store, level, budget, disc)
+        combines += len(level)
+    return store, _stats(combines, pairs, store.cells)
+
+
+def _stats(combines: int = 0, pairs: int = 0, cells: int = 0) -> dict:
+    """The work counters of :func:`build_tables`."""
+    return {"fast_combines": combines, "general_combines": 0,
+            "candidate_pairs": pairs, "table_cells": cells}
 
 
 def backtrace(instance: Instance, store: CellStore,
@@ -662,9 +660,7 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     except DegenerateInstanceError:
         sel = make_conservation_set(instance, frozenset())
         return NapxSolution(selection=sel, reported_score=sel.score,
-                            epsilon=epsilon, params=None,
-                            stats={"fast_combines": 0, "general_combines": 0,
-                                   "candidate_pairs": 0, "table_cells": 0})
+                            epsilon=epsilon, params=None, stats=_stats())
     k = derive_k(n, min_b)
     disc = select_params(n, norm.tree.height, epsilon, k)
     selection, reported, stats = solve_on_grid(instance, norm, disc)

@@ -309,8 +309,8 @@ def build_tables_postorder(instance: Instance,
         if len(e.children) == 1:
             solver._combine_unary(store, e.eid, e.children[0], e.length, disc)
         elif len(e.children) == 2:
-            solver.combine_tables(store, e.eid, *e.children, e.length,
-                                  budget, disc, stats)
+            stats["candidate_pairs"] += solver.combine_tables(
+                store, e.eid, *e.children, e.length, budget, disc)
             stats["fast_combines"] += 1
     stats["table_cells"] = sum(int(t.scores.size) for t in store.values())
     return store, stats
@@ -376,13 +376,13 @@ def store_table(store: CellStore, eid: int, tab: CladeTable) -> None:
 
 
 def combine_alone(left: CladeTable, right: CladeTable, lam: float,
-                  budget: int, disc, stats: dict | None = None) -> CladeTable:
+                  budget: int, disc) -> CladeTable:
     """:func:`napx.solver.combine_tables` of two drawn tables: they go into
     a three-edge store as edges 0 and 1, and edge 2's table comes back."""
     store = CellStore(3)
     store_table(store, 0, left)
     store_table(store, 1, right)
-    solver.combine_tables(store, 2, 0, 1, lam, budget, disc, stats)
+    solver.combine_tables(store, 2, 0, 1, lam, budget, disc)
     return store[2]
 
 

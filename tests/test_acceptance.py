@@ -127,7 +127,7 @@ def test_acceptance_04_grid_laws(capsys):
     and the same sandwich for every combined pair of grid rows (j, k):
     with q = g_j + (1 - g_j) g_k, grid[pi_index(q)] <= q, and
     alpha*q <= grid[pi_index(q)] whenever q >= p_min."""
-    disc = Discretization.from_alpha_pmin(0.9, 0.002)
+    disc = Discretization(0.9, 0.002)
     assert disc.t == 59
     ps = np.linspace(disc.p_min, 1.0, 10_000)
     sandwich = all(

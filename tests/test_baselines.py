@@ -1,6 +1,8 @@
 """Tests for the exact baselines."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -181,18 +183,21 @@ def test_brute_force_costs_beyond_int64():
 
 
 def test_brute_force_lengths_near_the_float_range():
-    """Scores of lengths near 1e308 overflow to inf; every affordable
-    subset then goes through the tie rule, as in the one-at-a-time loop,
-    and no block sum warns."""
+    """Lengths that sum to 8.8e307, just under the validation bound of half
+    the largest float, give finite block scores with no warning, and the
+    selection and score of the one-at-a-time loop."""
     inst = make_instance(
-        inner(1e308, leaf("x", 1e308), leaf("y", 1e308), leaf("z", 1.0)),
+        inner(8e306, leaf("x", 4e307), leaf("y", 4e307), leaf("z", 1.0)),
         [("x", 0.1, 0.9, 1), ("y", 0.1, 0.9, 1), ("z", 0.1, 0.9, 1)],
         budget=2,
     )
-    got = brute_force(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = brute_force(inst)
     want = brute_force_gray(inst)
     assert got.selected == want.selected
     assert repr(got.score) == repr(want.score)
+    assert math.isfinite(got.score)
 
 
 def test_expected_pd_adds_in_edge_order():

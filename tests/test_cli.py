@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,18 +360,25 @@ def test_file_not_utf8_exits_2(argv, tmp_path, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("raw", ["9" * 400, "9" * 5000, "[" * 100_000],
-                         ids=["float-overflow", "int-digits", "deep-nesting"])
+_JSON_CONSTANTS = ["NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("raw", ["9" * 400, "9" * 5000, "[" * 100_000,
+                                 *_JSON_CONSTANTS],
+                         ids=["float-overflow", "int-digits", "deep-nesting",
+                              "nan", "inf", "minus-inf"])
 @pytest.mark.parametrize("argv", [
     ["solve", "BAD.nap.json"], ["exact", "BAD.nap.json"], ["pg", "BAD.nap.json"],
     ["eval", "BAD.nap.json", "SOLUTION"], ["eval", "INSTANCE", "BAD.json"],
 ], ids=["solve", "exact", "pg", "eval-instance", "eval-solution"])
 def test_unreadable_json_exits_2(raw, argv, tmp_path, capsys):
     """A float field holding an integer too large for a float, an integer
-    of more digits than Python's JSON reader takes, and nesting deeper
-    than the recursion limit are bad input with an error line, in every
-    file a verb reads. The value stands for a taxon's ``a`` in an instance
-    and for ``reported_score`` in a solution."""
+    of more digits than Python's JSON reader takes, nesting deeper than
+    the recursion limit, and the NaN, Infinity and -Infinity that Python's
+    JSON reader takes but RFC 8259 does not, are bad input with an error
+    line, in every file a verb reads. The value stands for a taxon's ``a``
+    in an instance and for both scores in a solution. A constant fails to
+    parse, with its own message, before validation sees it."""
     sol = tmp_path / "sol.json"
     run(capsys, "solve", data_path("hand.nap.json"), "--out", str(sol))
     paths = {"INSTANCE": data_path("hand.nap.json"), "SOLUTION": str(sol)}
@@ -382,13 +390,15 @@ def test_unreadable_json_exits_2(raw, argv, tmp_path, capsys):
             if instance:
                 doc["taxa"][sorted(doc["taxa"])[0]]["a"] = "RAW"
             else:
-                doc["reported_score"] = "RAW"
+                doc["reported_score"] = doc["evaluated_score"] = "RAW"
             paths[arg] = str(tmp_path / arg)
             (tmp_path / arg).write_text(json.dumps(doc).replace('"RAW"', raw))
     code, out, err = run(capsys, argv[0], *[paths[a] for a in argv[1:]])
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+    if raw in _JSON_CONSTANTS:
+        assert err == f"error: {raw} is not a JSON number (RFC 8259)\n"
 
 
 def test_bad_epsilon_exits_2(capsys):
@@ -455,21 +465,54 @@ def test_big_costs_restricted(verb, code, capsys):
     assert doc["evaluated_score"] == 5.5
 
 
-@pytest.mark.parametrize("verb", ["solve", "pg"])
-def test_lengths_near_the_float_range_solve_silently(verb, tmp_path, capsys):
-    """Lengths of 1e308 make the table scores overflow to inf, as Python
-    floats do, with no numpy warning: with warnings turned into errors
-    the run still exits 0, writes nothing to stderr and picks an
-    affordable selection, as ``exact`` does on the same instance."""
+def _big_tree(tmp_path, length: str, above: str, survival: str) -> str:
+    """The newick instance ((x, y), z) of budget 2: x and y of the given
+    length under an edge of length ``above``, z of length 1, and every
+    taxon of cost 1 with the ``survival`` a and b."""
     path = tmp_path / "big.nap.nwk"
-    path.write_text("[&budget=2]\n((x[&a=0,b=1,c=1]:1e308,y[&a=0,b=1,c=1]:1e308)"
-                    ":1e308,z[&a=0,b=1,c=1]:1.0);\n")
+    path.write_text(f"[&budget=2]\n((x[&{survival},c=1]:{length},"
+                    f"y[&{survival},c=1]:{length}):{above},"
+                    f"z[&{survival},c=1]:1.0);\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["solve", "pg", "exact", "eval"])
+def test_lengths_above_the_float_bound_exit_2(verb, tmp_path, capsys):
+    """Lengths of 1e308 sum past half the largest float, where a score
+    could overflow: every verb refuses the instance at validation, with
+    one error line that names the total and no output, and no warning."""
+    path = _big_tree(tmp_path, "1e308", "1e308", "a=0,b=1")
+    sol = tmp_path / "sol.json"
+    sol.write_text(write_solution(SolutionDocument(
+        solver="napx", budget=2, selected=("x",), total_cost=1,
+        reported_score=1.0, evaluated_score=1.0)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, verb, str(path))
+        code, out, err = run(capsys, verb, path,
+                             *([str(sol)] if verb == "eval" else []))
+    assert (code, out) == (2, "")
+    assert err == ("error: invalid instance: branch lengths sum to inf, above "
+                   f"{sys.float_info.max / 2!r}, half the largest float\n")
+
+
+@pytest.mark.parametrize("verb,survival", [
+    ("solve", "a=0.1,b=0.9"), ("exact", "a=0.1,b=0.9"), ("pg", "a=0,b=1")])
+def test_lengths_near_the_float_bound_solve(verb, survival, tmp_path, capsys):
+    """Lengths that sum to 8.8e307, just under the bound, solve with no
+    warning and finite scores, into a document that the strict reader
+    takes and that eval accepts."""
+    path = _big_tree(tmp_path, "4e307", "8e306", survival)
+    sol = tmp_path / "sol.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, verb, path, "--out", str(sol)) == (0, "", "")
+        doc = parse_solution(sol.read_text())
+        assert doc.selected == ("x", "y")
+        assert math.isfinite(doc.reported_score)
+        assert math.isfinite(doc.evaluated_score) and doc.evaluated_score > 7e307
+        code, out, err = run(capsys, "eval", path, str(sol))
     assert (code, err) == (0, "")
-    doc = json.loads(out)
-    assert doc["selected"] and doc["total_cost"] <= doc["budget"] == 2
+    assert out.endswith("feasible: yes\n")
 
 
 def test_pg_budget_beyond_int64(tmp_path, capsys):

@@ -84,7 +84,7 @@ def test_grid_depth_limit():
 # ------------------------------------------------------------------------- #
 
 def test_grid_values():
-    d = Discretization.from_alpha_pmin(0.5, 0.1)
+    d = Discretization(0.5, 0.1)
     assert d.t == 4
     assert list(d.grid) == [1.0, 0.5, 0.25, 0.125, 0.0625, 0.0]
 
@@ -92,7 +92,7 @@ def test_grid_values():
 def test_pi_rounds_down_and_brackets():
     """pi(p) <= p for p in [p_min, 1], and never loses more than alpha:
     the guarantee alpha * p <= pi(p) that the approximation proof needs."""
-    d = Discretization.from_alpha_pmin(0.9, 0.002)
+    d = Discretization(0.9, 0.002)
     assert d.t == 59
     ps = np.linspace(d.p_min, 1.0, 10_000)
     for p in ps:
@@ -102,7 +102,7 @@ def test_pi_rounds_down_and_brackets():
 
 
 def test_pi_boundary_rows():
-    d = Discretization.from_alpha_pmin(0.5, 0.1)
+    d = Discretization(0.5, 0.1)
     assert d.pi_index(1.0) == 0
     assert d.pi_index(2.0) == 0          # clamps above
     assert d.pi_index(0.5) == 1          # exact grid point
@@ -114,7 +114,7 @@ def test_pi_boundary_rows():
 
 
 def test_alpha_t_brackets_p_min():
-    d = Discretization.from_alpha_pmin(0.9, 0.002)
+    d = Discretization(0.9, 0.002)
     assert d.alpha ** d.t <= d.p_min < d.alpha ** (d.t - 1)
 
 
@@ -124,7 +124,7 @@ def test_pi_index_keeps_grid_values_on_their_rows(alpha, p_min):
     """Every grid value except alpha**t rounds to its own row, although
     alpha**m carries float error: the knife-edge snap absorbs it. Row t's
     value may lie below p_min, so it is left out."""
-    d = Discretization.from_alpha_pmin(alpha, p_min)
+    d = Discretization(alpha, p_min)
     for m in list(range(d.t)) + [d.t + 1]:
         assert d.pi_index(float(d.grid[m])) == m, m
     assert d.pi_index(d.p_min * (1 - 1e-12)) == d.t
@@ -133,7 +133,7 @@ def test_pi_index_keeps_grid_values_on_their_rows(alpha, p_min):
 def test_pi_index_array_matches_scalar():
     """Arrays round elementwise, floats give plain ints, and both agree
     with a one-float-at-a-time reference."""
-    d = Discretization.from_alpha_pmin(0.97, 1e-4)
+    d = Discretization(0.97, 1e-4)
     rng = np.random.default_rng(5)
     g = d.grid
     pairs = g[:, None] + (1.0 - g[:, None]) * g[None, ::37]

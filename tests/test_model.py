@@ -2,6 +2,7 @@
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -243,6 +244,44 @@ def test_validate_integer_costs_and_budget():
         inst.budget = bad
         with pytest.raises(ValidationError, match="budget"):
             validate_instance(inst)
+
+
+_HALF_MAX = sys.float_info.max / 2
+
+
+def _two_leaves(x: float, y: float) -> Instance:
+    return make_instance(inner(0.0, leaf("x", x), leaf("y", y)),
+                         [("x", 0.1, 0.9, 1), ("y", 0.1, 0.9, 1)], budget=1)
+
+
+def test_validate_accepts_total_length_at_the_bound():
+    """Lengths that sum to exactly half the largest float pass."""
+    validate_instance(_two_leaves(_HALF_MAX / 2, _HALF_MAX / 2))
+    validate_instance(_two_leaves(_HALF_MAX, 0.0))
+
+
+def test_validate_refuses_total_length_above_the_bound():
+    """The next float above the bound is refused, and the message names
+    the total and the bound."""
+    above = math.nextafter(_HALF_MAX, math.inf)
+    with pytest.raises(ValidationError) as err:
+        validate_instance(_two_leaves(above, 0.0))
+    assert err.value.problems == [
+        f"branch lengths sum to {above!r}, above {_HALF_MAX!r}, half the "
+        "largest float"]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_validate_bad_length_is_not_also_a_total(bad):
+    """A negative or non-finite length reports its own problem only, even
+    when the other lengths sum above the bound."""
+    with pytest.raises(ValidationError) as err:
+        validate_instance(make_instance(
+            inner(0.0, leaf("x", bad), leaf("y", _HALF_MAX),
+                  leaf("z", _HALF_MAX)),
+            [(t, 0.1, 0.9, 1) for t in "xyz"], budget=1))
+    assert err.value.problems == [
+        f"edge 0: negative or non-finite length {bad!r}"]
 
 
 # ------------------------------------------------------------------------- #

@@ -30,7 +30,7 @@ from util import (cherry, data_path, fig1_instance, make_instance,
 
 
 def small_disc() -> Discretization:
-    return Discretization.from_alpha_pmin(0.5, 0.1)   # grid 1,.5,.25,.125,.0625,0
+    return Discretization(0.5, 0.1)   # grid 1,.5,.25,.125,.0625,0
 
 
 # ------------------------------------------------------------------------- #
@@ -91,7 +91,7 @@ _BRANCHES = [(0.2, 0.9, 0, 1.0), (0.3, 0.3, 2, 1.0), (0.2, 0.9, 1, 0.0),
 def test_pendant_tables_equal_the_frontier_of_both_choices(taxa, alpha):
     """Every batched pendant table holds exactly the cells the frontier
     filter keeps of its two candidates, conserving listed first."""
-    d = Discretization.from_alpha_pmin(alpha, 0.01)
+    d = Discretization(alpha, 0.01)
     ids = [f"t{i}" for i in range(len(taxa))]
     leaves = [leaf(tid, lam) for tid, (_, _, _, lam) in zip(ids, taxa)]
     inst = make_instance(leaves[0] if len(leaves) == 1 else inner(0.0, *leaves),
@@ -270,7 +270,7 @@ def test_wide_cost_combines_match_scatter():
 # costs near 2**62, whose affordable sums still fit int64 under the largest
 # budget
 _COSTS = [0, 0, 1, 2, 3, (1 << 62) - 3, 1 << 62, (1 << 62) + 3]
-_DISCS = [small_disc(), Discretization.from_alpha_pmin(0.9, 1e-3)]
+_DISCS = [small_disc(), Discretization(0.9, 1e-3)]
 
 
 @st.composite
@@ -357,8 +357,8 @@ _ONE = CladeTable(costs=np.array([0]), rows=np.array([1]),
 def test_combine_level_equals_combine_tables(case):
     """Each table a batched level puts into the store equals, field for
     field, the one ``combine_tables`` builds for its edge alone, wherever
-    its children sit in the store; the level counts the same candidate
-    pairs and leaves the children's tables as they were."""
+    its children sit in the store; the level returns the number of
+    affordable pairs and leaves the children's tables as they were."""
     disc, budget, combines, order = case
     children = [tab for left, right, _ in combines for tab in (left, right)]
     store = CellStore(3 * len(combines))
@@ -366,14 +366,13 @@ def test_combine_level_equals_combine_tables(case):
         store_table(store, eid, children[eid])
     level = [(2 * len(combines) + i, 2 * i, 2 * i + 1, lam)
              for i, (_, _, lam) in enumerate(combines)]
-    stats = {"candidate_pairs": 0}
-    combine_level(store, level, budget, disc, stats)
-    want_stats = {"candidate_pairs": 0}
+    pairs = combine_level(store, level, budget, disc)
     assert len(store) == 3 * len(combines)
     for (eid, *_), (left, right, lam) in zip(level, combines):
         assert_same_table(store[eid], combine_alone(left, right, lam, budget,
-                                                    disc, want_stats))
-    assert stats == want_stats
+                                                    disc))
+    assert pairs == sum(c + d <= budget for left, right, _ in combines
+                        for c in left.costs.tolist() for d in right.costs.tolist())
     for eid, tab in enumerate(children):
         assert cells(store[eid]) == cells(tab)
 
