@@ -15,6 +15,12 @@ Verbs:
 ``eval``
     Re-score a solution file against an instance and check feasibility.
 
+``solve``, ``exact`` and ``pg`` share one handler, and every solver run,
+those verbs' and each ``bench`` row's, goes through :func:`_run`. It times
+the solver call alone into ``stats["wall_s"]`` (parsing, ``--oracle`` and
+writing are outside it) and builds the solution document; a bench row
+takes its fields from that document.
+
 Exit codes: 0 success, 2 bad input (syntax, validation, parameters),
 3 refused work (restriction violated, instance too large for the method,
 infeasible solution in ``eval``), 4 internal error. ``eval`` validates the
@@ -36,8 +42,8 @@ from time import perf_counter
 from .baselines import brute_force, check_brute_force_size, pardi_goldman
 from .errors import InputError, NapError, RestrictionError, SizeLimitError
 from .generators import TOPOLOGIES, GenSpec, generate
-from .io import (SolutionDocument, instance_format_for, load_instance,
-                 load_solution, save_instance, write_instance, write_solution)
+from .io import (SolutionDocument, load_instance, load_solution,
+                 save_instance, write_instance, write_solution)
 from .model import Instance, make_conservation_set, validate_instance
 from .newick import fmt_float
 from .solver import check_epsilon, solve
@@ -103,17 +109,31 @@ def _ratio(evaluated: float, oracle: float) -> float:
     return evaluated / oracle if oracle > 0 else 1.0
 
 
-def _solution_doc(solver: str, instance: Instance, name: str | None,
-                  selected, total_cost: int, reported: float,
-                  evaluated: float, params: dict | None,
-                  stats: dict | None) -> SolutionDocument:
+def _run(solver: str, instance: Instance, epsilon: float | None,
+         name: str | None = None) -> SolutionDocument:
+    """Run one solver on ``instance`` into its solution document, with the
+    time of the solver call alone in ``stats["wall_s"]``. ``epsilon`` is
+    for ``napx``; the exact solvers take none and report no params."""
+    t0 = perf_counter()
+    result = (solve(instance, epsilon=epsilon) if solver == "napx"
+              else _baseline(solver)(instance))
+    wall = perf_counter() - t0
+    if solver == "napx":
+        chosen, reported = result.selection, result.reported_score
+        params: dict | None = {"epsilon": float(result.epsilon)}
+        if result.params is not None:
+            params.update(alpha=result.params.alpha, p_min=result.params.p_min,
+                          t=result.params.t, k=result.params.k)
+        stats = {**result.stats, "wall_s": wall}
+    else:
+        chosen, reported, params, stats = result, result.score, None, {"wall_s": wall}
     return SolutionDocument(
         solver=solver,
         budget=int(instance.budget),
-        selected=tuple(sorted(selected)),
-        total_cost=int(total_cost),
+        selected=tuple(sorted(chosen.selected)),
+        total_cost=int(chosen.total_cost),
         reported_score=float(reported),
-        evaluated_score=float(evaluated),
+        evaluated_score=float(chosen.score),
         instance=name,
         params=params,
         stats=stats,
@@ -124,44 +144,19 @@ def _solution_doc(solver: str, instance: Instance, name: str | None,
 #  Verbs
 # ------------------------------------------------------------------------- #
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``solve``, ``exact`` and ``pg``: run ``args.solver`` on one file."""
     instance, meta = load_instance(args.instance)
     if args.oracle:
         # refuse an oracle too large to run before the tables are built,
         # and a bad epsilon before that, as solve would
         check_epsilon(args.epsilon)
         check_brute_force_size(instance)
-    t0 = perf_counter()
-    sol = solve(instance, epsilon=args.epsilon)
-    wall = perf_counter() - t0
-
-    params: dict = {"epsilon": float(sol.epsilon)}
-    if sol.params is not None:
-        params.update(alpha=sol.params.alpha, p_min=sol.params.p_min,
-                      t=sol.params.t, k=sol.params.k)
-    stats: dict = dict(sol.stats)
-    stats["wall_s"] = wall
+    doc = _run(args.solver, instance, args.epsilon, meta.get("name"))
     if args.oracle:
         oracle = brute_force(instance)
-        stats["oracle_score"] = oracle.score
-        stats["ratio"] = _ratio(sol.selection.score, oracle.score)
-
-    doc = _solution_doc("napx", instance, meta.get("name"),
-                        sol.selection.selected, sol.selection.total_cost,
-                        sol.reported_score, sol.selection.score,
-                        params, stats)
-    _emit(write_solution(doc), args.out)
-    return 0
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    instance, meta = load_instance(args.instance)
-    t0 = perf_counter()
-    best = _baseline(args.command)(instance)
-    wall = perf_counter() - t0
-    doc = _solution_doc(args.command, instance, meta.get("name"),
-                        best.selected, best.total_cost, best.score,
-                        best.score, None, {"wall_s": wall})
+        doc.stats["oracle_score"] = oracle.score
+        doc.stats["ratio"] = _ratio(doc.evaluated_score, oracle.score)
     _emit(write_solution(doc), args.out)
     return 0
 
@@ -211,40 +206,24 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 #  Benchmark sweep
 # ------------------------------------------------------------------------- #
 
-def _bench_row(**kw) -> dict:
-    row = {col: "" for col in BENCH_COLUMNS}
-    row["schema_version"] = BENCH_SCHEMA_VERSION
-    row.update(kw)
-    return row
-
-
 def _run_one(solver: str, instance: Instance, epsilon: float) -> dict:
     """Run one solver on one instance; returns partial row fields."""
     t0 = perf_counter()
     try:
-        if solver == "napx":
-            sol = solve(instance, epsilon=epsilon)
-            wall = perf_counter() - t0
-            out = {
-                "wall_s": fmt_float(wall),
-                "reported_score": fmt_float(sol.reported_score),
-                "evaluated_score": fmt_float(sol.selection.score),
-                "fast_path": str(sol.stats.get("fast_combines", 0)),
-            }
-            if sol.params is not None:
-                out["k"] = str(sol.params.k)
-                out["t"] = str(sol.params.t)
-            return out
-        best = _baseline(solver)(instance)
-        wall = perf_counter() - t0
-        return {
-            "wall_s": fmt_float(wall),
-            "reported_score": fmt_float(best.score),
-            "evaluated_score": fmt_float(best.score),
-        }
+        doc = _run(solver, instance, epsilon)
     except NapError as exc:
-        wall = perf_counter() - t0
-        return {"wall_s": fmt_float(wall), "error": str(exc)}
+        return {"wall_s": fmt_float(perf_counter() - t0), "error": str(exc)}
+    out = {
+        "wall_s": fmt_float(doc.stats["wall_s"]),
+        "reported_score": fmt_float(doc.reported_score),
+        "evaluated_score": fmt_float(doc.evaluated_score),
+    }
+    if solver == "napx":
+        out["fast_path"] = str(doc.stats["fast_combines"])
+        if "k" in doc.params:
+            out["k"] = str(doc.params["k"])
+            out["t"] = str(doc.params["t"])
+    return out
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -273,6 +252,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 spec = GenSpec(n=n, topology=topo, seed=seed)
                 instance = generate(spec)
                 base = {
+                    "schema_version": BENCH_SCHEMA_VERSION,
                     "instance": spec.name,
                     "topology": topo,
                     "n": str(n),
@@ -283,18 +263,17 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 batch: list[dict] = []
                 oracle: float | None = None
                 for solver in solvers:
-                    result = _run_one(solver, instance, args.epsilon)
-                    row = _bench_row(solver=solver, **base, **result)
+                    row = {**base, "solver": solver,
+                           **_run_one(solver, instance, args.epsilon)}
                     batch.append(row)
-                    if solver == "exact" and not row["error"]:
+                    if solver == "exact" and "error" not in row:
                         oracle = float(row["evaluated_score"])
                 if oracle is not None:
                     for row in batch:
-                        if row["error"] or not row["evaluated_score"]:
-                            continue
-                        row["oracle_score"] = fmt_float(oracle)
-                        row["ratio"] = fmt_float(
-                            _ratio(float(row["evaluated_score"]), oracle))
+                        if "error" not in row:
+                            row["oracle_score"] = fmt_float(oracle)
+                            row["ratio"] = fmt_float(
+                                _ratio(float(row["evaluated_score"]), oracle))
                 rows.extend(batch)
 
     buf = StringIO()
@@ -324,14 +303,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="solution file (default stdout)")
     p.add_argument("--oracle", action="store_true",
                    help="also run exhaustive search and report the ratio")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_run, solver="napx")
 
     for verb, help_text in (("exact", "run exhaustive search"),
                             ("pg", "run the exact solver for a=0, b=1")):
         p = sub.add_parser(verb, help=help_text)
         p.add_argument("instance")
         p.add_argument("--out", default=None)
-        p.set_defaults(func=_cmd_baseline)
+        p.set_defaults(func=_cmd_run, solver=verb, epsilon=None, oracle=False)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--topology", choices=TOPOLOGIES, required=True)

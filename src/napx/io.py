@@ -17,6 +17,7 @@ are JSON only. JSON is read as strict RFC 8259, with no NaN or Infinity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,12 +58,17 @@ def _as_int(value, what: str) -> int:
 
 
 def _as_float(value, what: str) -> float:
+    """A finite float: json reads a literal such as 1e999 as inf, and an
+    int beyond the float range raises OverflowError; both are refused."""
     if type(value) is not float and type(value) is not int:
         raise ParseError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
-        raise ParseError(f"{what} is too large for a float") from None
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{what} is too large for a float")
+    return number
 
 
 def _check_doc(doc, expected_format: str, allowed: set[str], required: set[str]) -> None:

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import napx.cli
 from napx.baselines import BRUTE_FORCE_LIMIT
 from napx.cli import BENCH_COLUMNS, main
+from napx.errors import InternalError
 from napx.generators import GenSpec, generate
 from napx.io import (SolutionDocument, load_instance, parse_solution,
                      write_instance, write_solution)
@@ -315,6 +316,17 @@ def test_bench_rejects_unknown_solver(capsys):
     assert "magic" in err
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["--sizes", ""], "empty size list: ''"),
+    (["--sizes", "x"], "bad size 'x'"),
+    (["--sizes", "5", "--seeds", "5-3"], "bad seed token '5-3'; use N or LO-HI"),
+    (["--sizes", "5", "--seeds", "a"], "bad seed token 'a'; use N or LO-HI"),
+    (["--sizes", "5", "--topologies", "tree"], "unknown topology 'tree'"),
+], ids=["empty-sizes", "bad-size", "reversed-seeds", "bad-seed", "bad-topology"])
+def test_bench_refuses_bad_lists(argv, line, capsys):
+    assert run(capsys, "bench", *argv) == (2, "", f"error: {line}\n")
+
+
 # ------------------------------------------------------------------------- #
 #  Exit codes
 # ------------------------------------------------------------------------- #
@@ -361,24 +373,28 @@ def test_file_not_utf8_exits_2(argv, tmp_path, capsys):
 
 
 _JSON_CONSTANTS = ["NaN", "Infinity", "-Infinity"]
+_FLOAT_OVERFLOWS = ["9" * 400, "1e999", "-1e999"]
 
 
 @pytest.mark.parametrize("raw", ["9" * 400, "9" * 5000, "[" * 100_000,
-                                 *_JSON_CONSTANTS],
+                                 *_JSON_CONSTANTS, "1e999", "-1e999"],
                          ids=["float-overflow", "int-digits", "deep-nesting",
-                              "nan", "inf", "minus-inf"])
+                              "nan", "inf", "minus-inf", "literal-overflow",
+                              "minus-literal-overflow"])
 @pytest.mark.parametrize("argv", [
     ["solve", "BAD.nap.json"], ["exact", "BAD.nap.json"], ["pg", "BAD.nap.json"],
     ["eval", "BAD.nap.json", "SOLUTION"], ["eval", "INSTANCE", "BAD.json"],
 ], ids=["solve", "exact", "pg", "eval-instance", "eval-solution"])
 def test_unreadable_json_exits_2(raw, argv, tmp_path, capsys):
-    """A float field holding an integer too large for a float, an integer
-    of more digits than Python's JSON reader takes, nesting deeper than
-    the recursion limit, and the NaN, Infinity and -Infinity that Python's
-    JSON reader takes but RFC 8259 does not, are bad input with an error
-    line, in every file a verb reads. The value stands for a taxon's ``a``
-    in an instance and for both scores in a solution. A constant fails to
-    parse, with its own message, before validation sees it."""
+    """A float field holding a number beyond the float range (an integer
+    or a literal such as 1e999, which Python's JSON reader turns into
+    inf), an integer of more digits than Python's JSON reader takes,
+    nesting deeper than the recursion limit, and the NaN, Infinity and
+    -Infinity that Python's JSON reader takes but RFC 8259 does not, are
+    bad input with an error line, in every file a verb reads. The value
+    stands for a taxon's ``a`` in an instance and for both scores in a
+    solution. A constant or an overflow fails to parse, with its own
+    message, before validation sees it."""
     sol = tmp_path / "sol.json"
     run(capsys, "solve", data_path("hand.nap.json"), "--out", str(sol))
     paths = {"INSTANCE": data_path("hand.nap.json"), "SOLUTION": str(sol)}
@@ -399,6 +415,61 @@ def test_unreadable_json_exits_2(raw, argv, tmp_path, capsys):
     assert out == ""
     if raw in _JSON_CONSTANTS:
         assert err == f"error: {raw} is not a JSON number (RFC 8259)\n"
+    if raw in _FLOAT_OVERFLOWS:
+        assert err.endswith(" is too large for a float\n")
+
+
+@pytest.mark.parametrize("doc,edit,message", [
+    ("instance", lambda d: [d], "top level must be a JSON object"),
+    ("instance", lambda d: {**d, "newick": 5}, "newick must be a string"),
+    ("instance", lambda d: {**d, "taxa": []}, "taxa must be an object"),
+    ("instance", lambda d: {**d, "name": 5}, "name must be a string, got 5"),
+    ("solution", lambda d: {**d, "selected": [1]},
+     "selected must be a list of taxon ids"),
+    ("solution", lambda d: {**d, "params": []}, "params must be an object or null"),
+    ("solution", lambda d: {**d, "stats": 1}, "stats must be an object or null"),
+    ("solution", lambda d: {**d, "instance": 5}, "instance must be a string or null"),
+], ids=["instance-array", "newick", "taxa", "name",
+        "selected", "params", "stats", "solution-instance"])
+def test_misshapen_document_exits_2(doc, edit, message, tmp_path, capsys):
+    """A document of the right syntax whose top level or fields have the
+    wrong JSON type is bad input, refused with the reader's message: an
+    instance through solve and eval, a solution through eval."""
+    paths = {"instance": data_path("hand.nap.json"), "solution": str(tmp_path / "sol.json")}
+    run(capsys, "solve", paths["instance"], "--out", paths["solution"])
+    bad = tmp_path / ("bad.nap.json" if doc == "instance" else "bad.json")
+    bad.write_text(json.dumps(edit(json.loads(Path(paths[doc]).read_text()))))
+    paths[doc] = str(bad)
+    runs = [["eval", paths["instance"], paths["solution"]]]
+    if doc == "instance":
+        runs.append(["solve", paths["instance"]])
+    for argv in runs:
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    """An --out that names a directory cannot be written: solve and gen
+    exit 2 with an error line that names the path."""
+    code, out, err = run(capsys, "solve", data_path("hand.nap.json"),
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    target = tmp_path / "x.nap.json"
+    target.mkdir()
+    code, out, err = run(capsys, "gen", "--topology", "yule", "-n", "4",
+                         "--seed", "1", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    """A broken invariant is reported as an internal error, exit 4."""
+    def broken(*args, **kwargs):
+        raise InternalError("invariant failed")
+
+    monkeypatch.setattr(napx.cli, "solve", broken)
+    assert run(capsys, "solve", data_path("hand.nap.json")) == (
+        4, "", "internal error: invariant failed\n")
 
 
 def test_bad_epsilon_exits_2(capsys):
