@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .model import Instance, Taxon
+from .model import Instance, Taxon, new_taxon
 from .newick import (format_annotated, format_newick, parse_annotated,
                      parse_newick, round12)
 
@@ -121,8 +121,8 @@ def _parse_instance_json(text: str) -> tuple[Instance, dict]:
             raise ParseError(f"taxon {tid!r} must be an object with exactly "
                              "the keys a, b, c")
         try:
-            taxa[tid] = Taxon._make((tid, _as_float(rec["a"], "a"),
-                                     _as_float(rec["b"], "b"), _as_int(rec["c"], "c")))
+            taxa[tid] = new_taxon((tid, _as_float(rec["a"], "a"),
+                                   _as_float(rec["b"], "b"), _as_int(rec["c"], "c")))
         except ParseError as exc:
             raise ParseError(f"taxon {tid!r}: {exc}") from None
     name = doc.get("name")
@@ -266,6 +266,9 @@ def parse_solution(text: str) -> SolutionDocument:
     _check_doc(doc, FORMAT_SOLUTION, _SOLUTION_KEYS,
                {"format", "version", "solver", "budget", "selected",
                 "total_cost", "reported_score", "evaluated_score"})
+    solver = doc["solver"]
+    if not isinstance(solver, str):
+        raise ParseError(f"solver must be a string, got {solver!r}")
     selected = doc["selected"]
     if not isinstance(selected, list) or not all(isinstance(s, str) for s in selected):
         raise ParseError("selected must be a list of taxon ids")
@@ -284,7 +287,7 @@ def parse_solution(text: str) -> SolutionDocument:
     if name is not None and not isinstance(name, str):
         raise ParseError("instance must be a string or null")
     return SolutionDocument(
-        solver=str(doc["solver"]),
+        solver=solver,
         budget=_as_int(doc["budget"], "budget"),
         selected=tuple(sorted(selected)),
         total_cost=_as_int(doc["total_cost"], "total_cost"),

@@ -27,9 +27,16 @@ annotation takes one match per ``key=value`` entry; the last also takes
 the length after it. No part after the leading trivia is required, so a
 match never fails and the first missing group marks the offset of an
 error. Only offsets are kept; a :class:`ParseError` works out its line and
-column when raised. The reader emits flat postorder records (length,
-child record ids, leaf label) to :meth:`PhyloTree.from_records`, and
-drops interior labels.
+column when raised. The reader keeps flat postorder records (length,
+child record ids, leaf label) and drops interior labels.
+
+Who builds the tree: text in canonical order, as every napx writer
+emits it (each group two children, the one with the smaller leaf label
+first, under an unlabelled top), is already the canonical postorder, so
+the reader builds its edges in its own pass. Any other text, such as a
+polytomy, a unary chain, children out of label order or a lone leaf,
+goes to :meth:`PhyloTree.from_records`, which builds the same tree from
+any records.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import re
 
 from .errors import InputError, ParseError
-from .model import Instance, PhyloTree, Taxon
+from .model import Instance, PhyloTree, Taxon, new_edge, new_taxon
 
 __all__ = [
     "parse_newick",
@@ -153,12 +160,20 @@ def _annotation(text: str, at: int) -> tuple[dict[str, str], re.Match]:
 
 def _read_tree(text: str, pos: int, annotated: bool):
     """Read the tree from ``pos`` to the end of ``text`` as flat postorder
-    records, and build it; returns the tree and the leaf annotations' taxa."""
+    records, and build it; returns the tree and the leaf annotations' taxa.
+
+    While every group read has two children in label order, the records
+    are already the canonical postorder of :meth:`PhyloTree.from_records`,
+    and the reader keeps each record's height and smallest leaf label to
+    build the edges itself; other records go to ``from_records``."""
     step = _STEP_RE[annotated].match
     comments = not annotated
     lengths: list[float] = []
     children: list[tuple[int, ...]] = []
     labels: list[str | None] = []
+    low: list[str] = []      # smallest leaf label below each record, while canonical
+    heights: list[int] = []  # and its height
+    canonical = True
     taxa: dict[str, Taxon] = {}
     done: list[int] = []     # ids of the subtrees read in the open groups
     opened: list[int] = []   # for each open group, where its subtrees start in done
@@ -172,6 +187,10 @@ def _read_tree(text: str, pos: int, annotated: bool):
                 _stray(text, m.start(4), False, bool(opened), comments)
             if pos < len(text):
                 _fail(text, "trailing text after ';'", pos, comments)
+            if canonical and labels[-1] is None:    # a lone leaf needs a root edge
+                edges = tuple(map(new_edge, zip(range(len(labels)), lengths,
+                                                children, labels, heights)))
+                return PhyloTree(edges=edges, root=len(edges) - 1), taxa
             return PhyloTree.from_records(lengths, children, labels), taxa
         if close is not None:
             if not (after and opened):
@@ -182,6 +201,13 @@ def _read_tree(text: str, pos: int, annotated: bool):
             start = opened.pop()
             kids = tuple(done[start:])
             del done[start:]
+            if canonical:
+                if len(kids) == 2 and low[kids[0]] <= low[kids[1]]:
+                    first, second = heights[kids[0]], heights[kids[1]]
+                    heights.append((first if first >= second else second) + 1)
+                    low.append(low[kids[0]])
+                else:
+                    canonical = False
         else:
             if comma is not None:
                 if not (after and opened):
@@ -205,8 +231,8 @@ def _read_tree(text: str, pos: int, annotated: bool):
                     _fail(text, f"leaf {label!r}: annotation must have exactly "
                           "the keys a, b, c", pos)
                 try:
-                    taxa[label] = Taxon._make((label, float(ann["a"]), float(ann["b"]),
-                                               int(ann["c"])))
+                    taxa[label] = new_taxon((label, float(ann["a"]), float(ann["b"]),
+                                             int(ann["c"])))
                 except ValueError as exc:
                     _fail(text, f"leaf {label!r}: {exc}", pos)
                 colon, number = m.group(6, 7)
@@ -214,6 +240,9 @@ def _read_tree(text: str, pos: int, annotated: bool):
             else:
                 colon, number = m.group(8, 9)
             kids = ()
+            if canonical:
+                heights.append(1)
+                low.append(label)
         lengths.append(float(number) if number is not None
                        else _no_length(text, colon, pos, comments))
         children.append(kids)

@@ -265,9 +265,9 @@ def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
         _check_size("dominance-matrix cells", n_costs * n_rows)
     else:
         edge = edge[new]
-        n_edges, width = edge.item(-1) + 1, row.max().item() + 1
-        distinct, ri = _sorted_ranks(edge * width + row)
-        row_start = distinct.searchsorted(np.arange(n_edges + 1) * width)
+        n_edges, span = edge.item(-1) + 1, row.max().item() + 1
+        distinct, ri = _sorted_ranks(edge * span + row)
+        row_start = distinct.searchsorted(np.arange(n_edges + 1) * span)
         ri -= row_start.take(edge)
         ci -= ci.take(edge.searchsorted(edge)) - 1
         n_costs = ci.max().item()
@@ -279,13 +279,18 @@ def _frontier(costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
                                    for lo, hi in zip(bounds[:-1], bounds[1:])])
         # a group's row in the stack: its edge's matrix, then its cost
         at = edge * (n_costs + 1) + ci
-    prefix = np.empty((n_edges, n_costs + 1, n_rows + 1))
-    prefix.fill(-np.inf)
-    flat = prefix.reshape(-1, n_rows + 1)
-    flat[at, ri] = best
+    # the stack addressed by one flat cell index, so that the scatter and
+    # the two reads each take one index array
+    width = n_rows + 1
+    flat = np.empty(n_edges * (n_costs + 1) * width)
+    flat.fill(-np.inf)
+    cell = at * width
+    cell += ri
+    flat[cell] = best
+    prefix = flat.reshape(n_edges, n_costs + 1, width)
     np.maximum.accumulate(prefix, axis=1, out=prefix)
     np.maximum.accumulate(prefix, axis=2, out=prefix)
-    return first[(best > flat[at - 1, ri]) & (best > flat[at, ri - 1])]
+    return first[(best > flat.take(cell - width)) & (best > flat.take(cell - 1))]
 
 
 def _sorted_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,28 +317,38 @@ def build_pendant_tables(instance: Instance, disc: Discretization) -> CellStore:
     rounded in one ``pi_index`` call, and their cells go into the store
     as one block, in edge-id order.
     """
-    edges = [e for e in instance.tree.edges if e.taxon is not None]
-    taxa = [instance.taxa[e.taxon] for e in edges]
-    a = np.array([tx.a for tx in taxa], dtype=np.float64)
-    b = np.array([tx.b for tx in taxa], dtype=np.float64)
-    c = np.array([tx.c for tx in taxa], dtype=np.int64)
-    lam = np.array([e.length for e in edges], dtype=np.float64)
-    if np.any(c > instance.budget) or np.any(a > b):
+    taxa = instance.taxa
+    eids, ab, lam, c = [], [], [], []
+    for e in instance.tree.edges:
+        if e.taxon is not None:
+            tx = taxa[e.taxon]
+            eids.append(e.eid)
+            ab += (tx.a, tx.b)
+            lam.append(e.length)
+            c.append(tx.c)
+    # cell 2i leaves pendant i's taxon and cell 2i + 1 conserves it
+    ab = np.array(ab, dtype=np.float64)
+    c = np.array(c, dtype=np.int64)
+    lam = np.array(lam, dtype=np.float64)
+    if (c > instance.budget).any() or (ab[0::2] > ab[1::2]).any():
         raise InternalError("pendant tables need a normalized instance "
                             "(every c within the budget, a <= b)")
-    row_a, row_b = np.split(disc.pi_index(np.concatenate((a, b))), 2)
-    score_a, score_b = a * lam, b * lam
-    # column 0 leaves the taxon, column 1 conserves it
-    keep = np.stack((c > 0, (c == 0) | (row_a != row_b) | (score_a != score_b)),
-                    axis=1)
-    size = keep.sum(axis=1)
+    rows = disc.pi_index(ab)
+    scores = (ab.reshape(-1, 2) * lam[:, None]).reshape(-1)
+    costs = np.zeros(ab.size, dtype=np.int64)
+    costs[1::2] = c
+    keep = np.empty(ab.size, dtype=bool)
+    np.greater(c, 0, out=keep[0::2])
+    conserve = np.not_equal(rows[0::2], rows[1::2], out=keep[1::2])
+    conserve |= scores[0::2] != scores[1::2]
+    conserve |= c == 0
+    size = np.add(keep[0::2], conserve, dtype=np.intp)
     store = CellStore(len(instance.tree.edges))
     at = store.claim(size.sum().item())
     end = store.cells
-    store.costs[at:end] = np.stack((np.zeros_like(c), c), axis=1)[keep]
-    store.rows[at:end] = np.stack((row_a, row_b), axis=1)[keep]
-    store.scores[at:end] = np.stack((score_a, score_b), axis=1)[keep]
-    eids = [e.eid for e in edges]
+    costs.compress(keep, out=store.costs[at:end])
+    rows.compress(keep, out=store.rows[at:end])
+    scores.compress(keep, out=store.scores[at:end])
     store.start[eids] = size.cumsum() - size + at
     store.size[eids] = size
     return store

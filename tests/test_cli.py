@@ -429,8 +429,12 @@ def test_unreadable_json_exits_2(raw, argv, tmp_path, capsys):
     ("solution", lambda d: {**d, "params": []}, "params must be an object or null"),
     ("solution", lambda d: {**d, "stats": 1}, "stats must be an object or null"),
     ("solution", lambda d: {**d, "instance": 5}, "instance must be a string or null"),
+    ("solution", lambda d: {**d, "solver": None}, "solver must be a string, got None"),
+    ("solution", lambda d: {**d, "solver": ["x"]},
+     "solver must be a string, got ['x']"),
 ], ids=["instance-array", "newick", "taxa", "name",
-        "selected", "params", "stats", "solution-instance"])
+        "selected", "params", "stats", "solution-instance", "solver-null",
+        "solver-list"])
 def test_misshapen_document_exits_2(doc, edit, message, tmp_path, capsys):
     """A document of the right syntax whose top level or fields have the
     wrong JSON type is bad input, refused with the reader's message: an

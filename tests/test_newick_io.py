@@ -10,10 +10,11 @@ from napx.generators import gen_caterpillar, gen_yule
 from napx.io import (SolutionDocument, instance_format_for, load_instance,
                      parse_instance, parse_solution, write_instance,
                      write_solution)
-from napx.model import Instance, PhyloTree, Taxon, TreeNode
+from napx.model import Edge, Instance, PhyloTree, Taxon, TreeNode
 from napx.newick import (fmt_float, format_annotated, format_newick,
                          parse_annotated, parse_newick, round12)
 
+from oracles import from_records_reference
 from util import data_path, fig1_instance
 
 
@@ -186,17 +187,93 @@ def _shuffled(node: TreeNode, rnd) -> TreeNode:
     return TreeNode(length=node.length, children=children, taxon=node.taxon)
 
 
+def _records_of(top: TreeNode) -> tuple[list, list, list]:
+    """Flat postorder records of a builder tree, children before parents."""
+    nodes = [top]
+    for node in nodes:
+        nodes += node.children
+    nodes.reverse()
+    ids = {id(node): i for i, node in enumerate(nodes)}
+    return ([node.length for node in nodes],
+            [tuple(ids[id(ch)] for ch in node.children) for node in nodes],
+            [node.taxon for node in nodes])
+
+
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(top=builder_trees(), rnd=st.randoms(use_true_random=False))
 def test_every_path_builds_the_same_tree(top, rnd):
     """from_node, with the children in any order, and both readers on the
-    writers' output give one and the same tree: they share one builder."""
+    writers' output give one and the same tree, edge for edge and bit for
+    bit the general builder's, and of named tuples: a plain tuple would
+    compare equal to an edge."""
+    want = from_records_reference(*_records_of(top))
     tree = PhyloTree.from_node(top)
-    assert PhyloTree.from_node(_shuffled(top, rnd)) == tree
-    assert parse_newick(format_newick(tree)) == tree
     taxa = {t: Taxon(id=t, a=0.25, b=0.75, c=1) for t in tree.leaf_edges}
     back, back_taxa, _ = parse_annotated(format_annotated(Instance(tree, taxa, 1)))
-    assert back == tree and back_taxa == taxa
+    assert back_taxa == taxa
+    assert all(type(tx) is Taxon for tx in back_taxa.values())
+    for got in (tree, PhyloTree.from_node(_shuffled(top, rnd)),
+                parse_newick(format_newick(tree)), back):
+        assert got == want
+        for edge, ref in zip(got.edges, want.edges):
+            assert type(edge) is Edge
+            assert [repr(x) for x in edge] == [repr(x) for x in ref]
+
+
+@pytest.mark.parametrize("topo", ["yule", "caterpillar"])
+@pytest.mark.parametrize("fmt", ["json", "nwk"])
+def test_readers_build_written_trees_without_from_records(topo, fmt, monkeypatch):
+    """Every file napx writes lists its children in label order, so both
+    readers build its tree in their own pass and never call the general
+    builder; it stays the one builder of any other text (next test)."""
+    gen = gen_yule if topo == "yule" else gen_caterpillar
+    instances = [gen(n, seed) for n in range(2, 65) for seed in (1, 2)]
+    texts = [write_instance(inst, fmt) for inst in instances]
+
+    def refuse(*records):
+        raise AssertionError("from_records was called")
+    monkeypatch.setattr(PhyloTree, "from_records", staticmethod(refuse))
+    for inst, text in zip(instances, texts):
+        back, _ = parse_instance(text, fmt)
+        assert back == inst
+        assert all(type(e) is Edge for e in back.tree.edges)
+        assert all(type(tx) is Taxon for tx in back.taxa.values())
+
+
+_LEAF = "[&a=0,b=1,c=1]"
+
+
+@pytest.mark.parametrize("dialect,text,edges", [
+    ("plain", "(b:2,a:1);", [(1.0, (), "a"), (2.0, (), "b"), (0.0, (0, 1), None)]),
+    ("plain", "(c:3,a:1,b:2);",
+     [(1.0, (), "a"), (2.0, (), "b"), (3.0, (), "c"), (0.0, (0, 1, 2), None)]),
+    ("plain", "(((a:1):2,b:3):0.5,c:4);",
+     [(3.0, (), "a"), (3.0, (), "b"), (0.5, (0, 1), None), (4.0, (), "c"),
+      (0.0, (2, 3), None)]),
+    ("plain", "a:1;", [(1.0, (), "a"), (0.0, (0,), None)]),
+    ("annotated", f"[&budget=1]\nz{_LEAF}:2;", [(2.0, (), "z"), (0.0, (0,), None)]),
+    ("annotated", f"[&budget=1]\n((b{_LEAF}:2,c{_LEAF}:3):1,a{_LEAF}:1);",
+     [(1.0, (), "a"), (2.0, (), "b"), (3.0, (), "c"), (1.0, (1, 2), None),
+      (0.0, (0, 3), None)]),
+], ids=["out-of-order", "polytomy", "unary-chain", "lone-leaf",
+        "annotated-lone-leaf", "annotated-out-of-order"])
+def test_other_texts_reach_the_general_builder(dialect, text, edges, monkeypatch):
+    """Text whose records are not the canonical postorder (children out of
+    label order, a polytomy, a unary chain, or a lone leaf, whose labelled
+    top record goes under a root edge) is built by from_records alone."""
+    parse = parse_newick if dialect == "plain" else (lambda t: parse_annotated(t)[0])
+    tree = parse(text)
+    assert [(e.length, e.children, e.taxon) for e in tree.edges] == edges
+    assert all(type(e) is Edge for e in tree.edges)
+
+    class Called(Exception):
+        pass
+
+    def refuse(*records):
+        raise Called
+    monkeypatch.setattr(PhyloTree, "from_records", staticmethod(refuse))
+    with pytest.raises(Called):
+        parse(text)
 
 
 # ------------------------------------------------------------------------- #
