@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 _LABEL = r"[A-Za-z0-9_.\-|]"
-_NUMBER = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_NUMBER = r"[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
 _SPACE = r"[ \t\r\n]*"
 _TRIVIA = r"(?:[ \t\r\n]|\[[^\]]*\])*"   # plain newick skips comments too
 
@@ -81,6 +81,7 @@ _ENTRY_RE = re.compile(rf"{_SPACE}([A-Za-z_]*){_SPACE}(=?){_SPACE}([^,\]\s]*)"
 _COMMENT_RE = re.compile(r"\[[^\]]*\]")
 _LABEL_RE = re.compile(_LABEL + "+")
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_GRAMMAR = {float: re.compile(_NUMBER), int: re.compile(r"[-+]?[0-9]+")}
 
 
 def fmt_float(x: float) -> str:
@@ -123,6 +124,18 @@ def _stray(text: str, at: int, after: bool, nested: bool, comments: bool):
     else:
         message = f"unexpected character {ch!r}"
     _fail(text, message, at, comments)
+
+
+def _value(ann: dict[str, str], key: str, kind: type) -> int | float:
+    """Annotation value ``key`` as ``kind``, refused outside the number
+    grammar: ``int`` and ``float`` alone also take ``1_0``, ``nan`` and
+    non-ASCII digits."""
+    value = ann[key]
+    number = kind(value)
+    if not _GRAMMAR[kind].fullmatch(value):
+        raise ValueError(f"{key}={value} is not a decimal "
+                         f"{'integer' if kind is int else 'number'}")
+    return number
 
 
 def _no_length(text: str, colon: str | None, at: int, comments: bool) -> float:
@@ -231,8 +244,9 @@ def _read_tree(text: str, pos: int, annotated: bool):
                     _fail(text, f"leaf {label!r}: annotation must have exactly "
                           "the keys a, b, c", pos)
                 try:
-                    taxa[label] = new_taxon((label, float(ann["a"]), float(ann["b"]),
-                                             int(ann["c"])))
+                    taxa[label] = new_taxon((label, _value(ann, "a", float),
+                                             _value(ann, "b", float),
+                                             _value(ann, "c", int)))
                 except ValueError as exc:
                     _fail(text, f"leaf {label!r}: {exc}", pos)
                 colon, number = m.group(6, 7)
@@ -278,8 +292,8 @@ def parse_annotated(text: str) -> tuple[PhyloTree, dict[str, Taxon], dict]:
     if "budget" not in ann:
         _fail(text, "header is missing the budget", at)
     try:
-        budget = int(ann["budget"])
-        seed = int(ann["seed"]) if "seed" in ann else None
+        budget = _value(ann, "budget", int)
+        seed = _value(ann, "seed", int) if "seed" in ann else None
     except ValueError as exc:
         _fail(text, f"header: {exc}", at)
     name = ann.get("name")

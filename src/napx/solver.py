@@ -14,8 +14,9 @@ as over every cell (the Pareto-list knapsack of Nemhauser and Ullmann).
 All tables of one build live in a single :class:`CellStore`: five
 parallel arrays of cells (cost, row, score, left, right) in which each
 edge's table is one block, found by its start and size, and of which a
-:class:`CladeTable` is a view. The arrays grow geometrically, so the
-tables of a build take a handful of arrays rather than five per edge.
+:class:`CladeTable` is a view; :meth:`CellStore.put` is their one
+writer. The arrays grow geometrically, so the tables of a build take a
+handful of arrays rather than five per edge.
 
 A pendant edge has at most two cells, one per choice at its leaf:
 
@@ -24,7 +25,7 @@ A pendant edge has at most two cells, one per choice at its leaf:
 Normalizing makes every taxon affordable with a <= b, so which of the two
 are non-dominated has a closed form; :func:`build_pendant_tables` builds
 every pendant table at once, rounding all leaves in one array call, and
-writes them into a new store as one block.
+puts them into a new store as one block.
 
 An interior edge e with children l and r pairs every left cell with every
 right cell it can afford (total cost at most B) and collects its own
@@ -58,7 +59,7 @@ out of the batch as well: no table object per edge, no concatenation of
 the children's arrays and no slicing of the output into tables. A batch
 of a single combine, as at every height of a caterpillar and at the
 root, runs :func:`combine_tables` alone, which is faster for one edge;
-it reads its children as slices of the store's arrays and writes its
+it reads its children as slices of the store's arrays and puts its
 kept cells as one block too. Both give the same tables, bit for bit,
 and a refusal names a combine at the lowest height that holds one.
 
@@ -159,14 +160,10 @@ class CellStore(Mapping):
     arrays start with room for ``RESERVE_PER_EDGE`` cells an edge and,
     when a block does not fit, grow to the larger of twice their length
     and what the block needs, so that growing copies each cell O(1) times
-    on average. Blocks are only appended and sized once their cells are
-    known, so a block keeps its offsets when the arrays grow, and a table
-    read before a growth still holds its cells.
-
-    Every builder makes one block at a time: it claims room for its cells
-    with :meth:`claim`, writes them and records the edge's start, size and
-    arity. ``claim`` may replace the arrays, so a builder reads them from
-    the store after it, never from a reference taken before.
+    on average. Blocks are only appended, by :meth:`put`, the one writer
+    of the arrays and of the per-edge records, so a block keeps its
+    offsets when the arrays grow, and a table read before a growth still
+    holds its cells.
 
     As a mapping, ``store[e]`` is edge e's :class:`CladeTable` of views
     into the arrays, keyed by edge id.
@@ -184,11 +181,18 @@ class CellStore(Mapping):
         self.arity = np.zeros(n_edges, dtype=np.int8)
         self.cells = 0
 
-    def claim(self, n: int) -> int:
-        """Make room for ``n`` more cells and return the first of them;
-        the caller writes them and records whose they are."""
+    def put(self, eid: int | np.ndarray, size: int | np.ndarray,
+            costs: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+            left: np.ndarray | None = None,
+            right: np.ndarray | None = None) -> None:
+        """Append one block of cells: edge ``eid``'s table of ``size``
+        cells, or, for an array of edge ids and one of their sizes, those
+        edges' tables one after another. An edge's arity is the number of
+        backpointer arrays given. A block that does not fit replaces the
+        arrays by larger ones before its cells are copied in, and whatever
+        the caller still holds then adds to the peak."""
         at = self.cells
-        self.cells = end = at + n
+        self.cells = end = at + costs.size
         if end > self.scores.size:
             capacity = max(end, 2 * self.scores.size)
             for name in ("costs", "rows", "scores", "left", "right"):
@@ -196,7 +200,16 @@ class CellStore(Mapping):
                 new = np.empty(capacity, dtype=old.dtype)
                 new[:at] = old[:at]
                 setattr(self, name, new)
-        return at
+        self.costs[at:end] = costs
+        self.rows[at:end] = rows
+        self.scores[at:end] = scores
+        arity = (left is not None) + (right is not None)
+        if arity:
+            self.left[at:end] = left
+        if arity == 2:
+            self.right[at:end] = right
+        first = at if isinstance(size, int) else size.cumsum() - size + at
+        self.start[eid], self.size[eid], self.arity[eid] = first, size, arity
 
     def __getitem__(self, eid: int) -> CladeTable:
         if not 0 <= eid < self.start.size or (at := self.start.item(eid)) < 0:
@@ -344,13 +357,8 @@ def build_pendant_tables(instance: Instance, disc: Discretization) -> CellStore:
     conserve |= c == 0
     size = np.add(keep[0::2], conserve, dtype=np.intp)
     store = CellStore(len(instance.tree.edges))
-    at = store.claim(size.sum().item())
-    end = store.cells
-    costs.compress(keep, out=store.costs[at:end])
-    rows.compress(keep, out=store.rows[at:end])
-    scores.compress(keep, out=store.scores[at:end])
-    store.start[eids] = size.cumsum() - size + at
-    store.size[eids] = size
+    store.put(eids, size, costs.compress(keep), rows.compress(keep),
+              scores.compress(keep))
     return store
 
 
@@ -365,8 +373,10 @@ def combine_tables(store: CellStore, eid: int, left: int, right: int,
     tie rule. Their count is checked against ``PAIR_LIMIT`` before any
     pair array exists. Each pair's survival ``v_j + (1 - v_j) v_k`` is
     rounded on its own, all pairs in one ``pi_index`` call. The kept cells
-    are gathered out of the pair arrays before the store makes room for
-    them, so that the pair arrays are gone when the store grows.
+    are gathered, and the pair arrays dropped, before :meth:`CellStore.put`
+    takes them, so that the pair arrays are gone when the store grows:
+    gathering in the call raised Yule n=2048's peak at epsilon 0.1 from
+    188 to 195 MB.
 
     Returns the number of affordable pairs.
     """
@@ -387,14 +397,7 @@ def combine_tables(store: CellStore, eid: int, left: int, right: int,
     keep = _frontier(costs, rows, scores)
     costs, rows, scores = costs.take(keep), rows.take(keep), scores.take(keep)
     li, ri = li.take(keep), ri.take(keep)
-    at = store.claim(keep.size)
-    end = store.cells
-    store.costs[at:end] = costs
-    store.rows[at:end] = rows
-    store.scores[at:end] = scores
-    store.left[at:end] = li
-    store.right[at:end] = ri
-    store.start[eid], store.size[eid], store.arity[eid] = at, keep.size, 2
+    store.put(eid, keep.size, costs, rows, scores, li, ri)
     return pairs
 
 
@@ -514,40 +517,22 @@ def _combine_batch(store: CellStore,
                                       disc)
     keep = _frontier(costs, rows, scores, seg)
     edge = seg.take(keep)
-    at = store.claim(keep.size)
-    end = store.cells
-    costs.take(keep, out=store.costs[at:end])
-    rows.take(keep, out=store.rows[at:end])
-    scores.take(keep, out=store.scores[at:end])
-    left = li.take(keep, out=store.left[at:end])
+    left = li.take(keep)
     left -= l_start.take(edge)
-    right = ri.take(keep, out=store.right[at:end])
+    right = ri.take(keep)
     right -= r_start.take(edge)
-    size = np.bincount(edge, minlength=eids.size)
-    first = size.cumsum()
-    first -= size
-    first += at
-    store.start[eids] = first
-    store.size[eids] = size
-    store.arity[eids] = 2
+    store.put(eids, np.bincount(edge, minlength=eids.size), costs.take(keep),
+              rows.take(keep), scores.take(keep), left, right)
 
 
 def _combine_unary(store: CellStore, eid: int, child: int, lam: float,
                    disc: Discretization) -> None:
     """Root edge over a single pendant: rows pass through unchanged."""
-    at = store.start.item(child)
-    end = at + store.size.item(child)
-    costs, rows = store.costs[at:end], store.rows[at:end]
-    scores = store.scores[at:end] + lam * disc.grid[rows]
-    keep = _frontier(costs, rows, scores)
-    costs, rows, scores = costs[keep], rows[keep], scores[keep]
-    at = store.claim(keep.size)
-    end = store.cells
-    store.costs[at:end] = costs
-    store.rows[at:end] = rows
-    store.scores[at:end] = scores
-    store.left[at:end] = keep
-    store.start[eid], store.size[eid], store.arity[eid] = at, keep.size, 1
+    tab = store[child]
+    scores = tab.scores + lam * disc.grid[tab.rows]
+    keep = _frontier(tab.costs, tab.rows, scores)
+    store.put(eid, keep.size, tab.costs[keep], tab.rows[keep], scores[keep],
+              keep)
 
 
 def build_tables(instance: Instance,

@@ -366,13 +366,8 @@ def refuse_by_height(instance: Instance, disc) -> None:
 
 def store_table(store: CellStore, eid: int, tab: CladeTable) -> None:
     """Write a table's cells, without backpointers, into ``store`` as edge
-    ``eid``'s: one block, claimed and written as a build writes one."""
-    n = tab.scores.size
-    at = store.claim(n)
-    store.costs[at:at + n] = tab.costs
-    store.rows[at:at + n] = tab.rows
-    store.scores[at:at + n] = tab.scores
-    store.start[eid], store.size[eid] = at, n
+    ``eid``'s: one block, put as a build puts one."""
+    store.put(eid, tab.scores.size, tab.costs, tab.rows, tab.scores)
 
 
 def combine_alone(left: CladeTable, right: CladeTable, lam: float,

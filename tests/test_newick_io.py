@@ -95,6 +95,43 @@ def test_annotated_rejects_unknown_header_key():
         parse_annotated(text)
 
 
+@pytest.mark.parametrize("text,line,column,message", [
+    ("(a:١٢,b:2);", 1, 4, "expected a branch length after ':'"),
+    ("(a:1,b:2e٣);", 1, 9, "unexpected 'e' after a complete subtree"),
+    ("[&budget=1]\n(a[&a=0,b=1,c=1]:١);", 2, 18,
+     "expected a branch length after ':'"),
+    ("[&budget=1]\n(a[&a=1_0,b=1,c=1]:1);", 2, 3,
+     "leaf 'a': a=1_0 is not a decimal number"),
+    ("[&budget=1]\n(a[&a=nan,b=1,c=1]:1);", 2, 3,
+     "leaf 'a': a=nan is not a decimal number"),
+    ("[&budget=1]\n(a[&a=0,b=Infinity,c=1]:1);", 2, 3,
+     "leaf 'a': b=Infinity is not a decimal number"),
+    ("[&budget=1]\n(a[&a=0,b=1,c=٣]:1);", 2, 3,
+     "leaf 'a': c=٣ is not a decimal integer"),
+    ("[&budget=1_0]\n(a[&a=0,b=1,c=1]:1);", 1, 1,
+     "header: budget=1_0 is not a decimal integer"),
+    ("[&budget=1,seed=1_0]\n(a[&a=0,b=1,c=1]:1);", 1, 1,
+     "header: seed=1_0 is not a decimal integer"),
+], ids=["length-arabic", "exponent-arabic", "annotated-length-arabic",
+        "a-underscore", "a-nan", "b-infinity", "c-arabic", "budget-underscore",
+        "seed-underscore"])
+def test_numbers_outside_the_grammar_are_refused(text, line, column, message):
+    """Numbers take ASCII digits only, a and b the branch-length grammar
+    and c, budget and seed ``[-+]?[0-9]+``, as the JSON format's numbers
+    do: Python's ``int`` and ``float`` also read ``1_0``, non-ASCII digits,
+    ``nan`` and ``Infinity``, which are refused with their position."""
+    parse = parse_annotated if text.startswith("[&") else parse_newick
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    tree, taxa, header = parse_annotated(
+        "[&budget=+3,seed=-3]\n(a[&a=.5,b=1.,c=+2]:1E0,b[&a=0,b=1,c=0]:2);")
+    assert [e.length for e in tree.edges] == [1.0, 2.0, 0.0]
+    assert taxa["a"] == Taxon(id="a", a=0.5, b=1.0, c=2)
+    assert (header["budget"], header["seed"]) == (3, -3)
+
+
 def test_annotated_rejects_bad_name_charset():
     text = "[&budget=1,name=sp ace]\n(a[&a=0,b=1,c=1]:1,b[&a=0,b=1,c=1]:2);"
     with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 """Tests for the table-building dynamic program and the full solver."""
 
 import dataclasses
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -384,29 +385,84 @@ def _fields(tab: CladeTable) -> tuple:
 
 @pytest.mark.parametrize("reserve", [solver.RESERVE_PER_EDGE, 0])
 def test_combine_tables_appends_one_block(monkeypatch, reserve):
-    """Each ``combine_tables`` call appends its edge's table to the store
-    as one block: the store grows by the table's size, the table's
-    backpointers index its children's tables, and every other edge's
-    table keeps its fields, also when the store grows mid-combine, as it
-    does at once when it starts with no room beyond the pendant block."""
+    """Every writer appends through ``CellStore.put``, one block a call:
+    the pendant block, each lone ``combine_tables`` call, each batched
+    level, the unary root of a one-leaf tree and ``store_table``. Each
+    put appends its edges' tables one after another at the store's end,
+    in call order, and grows the store by their sizes; an edge's arity is
+    the number of backpointer arrays given; every earlier table keeps its
+    fields, also when the store grows, as it does at once when it starts
+    with no room beyond the pendant block. A combined table's
+    backpointers index its children's tables, and a build's sizes sum to
+    its cells, the stats' ``table_cells``."""
     monkeypatch.setattr(solver, "RESERVE_PER_EDGE", reserve)
+    put, calls = CellStore.put, []
+
+    def checked_put(store, eid, size, costs, rows, scores, left=None,
+                    right=None):
+        before = {e: _fields(store[e]) for e in store}
+        used, room = store.cells, store.scores.size
+        put(store, eid, size, costs, rows, scores, left, right)
+        eids, sizes = np.atleast_1d(eid), np.atleast_1d(size)
+        assert store.cells == used + sizes.sum() == used + costs.size
+        assert store.start[eids].tolist() == (used + sizes.cumsum()
+                                              - sizes).tolist()
+        assert store.size[eids].tolist() == sizes.tolist()
+        arity = 0 if left is None else 1 if right is None else 2
+        assert set(store.arity[eids].tolist()) <= {arity}
+        for name, given in zip(("costs", "rows", "scores", "left", "right"),
+                               (costs, rows, scores, left, right)):
+            if given is not None:
+                assert np.array_equal(getattr(store, name)[used:store.cells],
+                                      given)
+        assert {e: _fields(store[e]) for e in before} == before
+        calls.append((np.ndim(eid), arity, store.scores.size > room))
+
+    monkeypatch.setattr(CellStore, "put", checked_put)
     norm, disc = _tables_for(gen_yule(40, 0), 0.1)
     store = build_pendant_tables(norm, disc)
-    grew = 0
     for e in norm.tree.edges:
-        if len(e.children) != 2:
-            continue
-        before = {eid: _fields(store[eid]) for eid in store}
-        used, room = store.cells, store.scores.size
-        combine_tables(store, e.eid, *e.children, e.length, norm.budget, disc)
-        tab = store[e.eid]
-        assert store.start[e.eid] == used
-        assert store.cells == used + tab.scores.size
-        l, r = (store[c] for c in e.children)
-        assert np.array_equal(l.costs[tab.left] + r.costs[tab.right], tab.costs)
-        assert {eid: _fields(store[eid]) for eid in before} == before
-        grew += store.scores.size > room
-    assert grew > 0 or reserve > 0
+        if len(e.children) == 2:
+            combine_tables(store, e.eid, *e.children, e.length, norm.budget,
+                           disc)
+            tab = store[e.eid]
+            l, r = (store[c] for c in e.children)
+            assert np.array_equal(l.costs[tab.left] + r.costs[tab.right],
+                                  tab.costs)
+    one = make_instance(inner(2.0, leaf("x", 1.0)), [("x", 0.2, 0.9, 1)],
+                        budget=2)
+    for instance in (gen_yule(40, 0), one):
+        store, stats = build_tables(*_tables_for(instance, 0.1))
+        assert store.size.sum() == store.cells == stats["table_cells"]
+    combine_alone(_ONE, _ONE, 1.0, 1, _DISCS[0])
+    # pendant blocks, lone combines, batches, the unary root, store_table
+    assert {kind[:2] for kind in calls} == {(1, 0), (0, 2), (1, 2), (0, 1),
+                                            (0, 0)}
+    assert any(grew for *_, grew in calls) or reserve > 0
+
+
+def test_lone_combine_frees_its_pair_arrays_before_put(monkeypatch):
+    """A lone combine gathers its kept cells and drops its candidate
+    arrays before ``CellStore.put``, so that they are not held while the
+    store grows: each combine of a 40-leaf caterpillar, all of them lone,
+    puts after every candidate array its ``_frontier`` saw is freed."""
+    frontier, put = solver._frontier, CellStore.put
+    refs, checked = [], []
+
+    def spy_frontier(costs, rows, scores, seg=None):
+        if seg is None:
+            refs.extend(weakref.ref(x) for x in (costs, rows, scores))
+        return frontier(costs, rows, scores, seg)
+
+    def spy_put(store, *args):
+        assert [i for i, r in enumerate(refs) if r() is not None] == []
+        checked.append(len(refs))
+        put(store, *args)
+
+    monkeypatch.setattr(solver, "_frontier", spy_frontier)
+    monkeypatch.setattr(CellStore, "put", spy_put)
+    build_tables(*_tables_for(gen_caterpillar(40, 1), 0.1))
+    assert checked == list(range(0, 3 * 40, 3))
 
 
 def _random_polytomy(seed: int):
