@@ -18,14 +18,14 @@ All randomness flows through one ``numpy`` Philox generator keyed by
 ``seed``, and draws happen in a fixed, documented order:
 
 1. topology (Yule leaf choices; none for caterpillar),
-2. edge lengths, in preorder over the built tree, each drawn as
-   ``1 - U[0, 1)`` so lengths lie in ``(0, 1]`` (the root edge keeps
-   length 0),
+2. edge lengths, in preorder over the topology, first children first,
+   each drawn as ``1 - U[0, 1)`` so lengths lie in ``(0, 1]`` (the root
+   edge keeps length 0),
 3. per-taxon attributes in label order: survival floor ``a``, then
    conserved survival ``b`` (forced to be at least ``a``), then an
    integer cost ``c``.
 
-Leaves are labelled ``t00, t01, ...`` in builder preorder, zero padded so
+Leaves are labelled ``t00, t01, ...`` in that preorder, zero padded so
 label order equals draw order.  Lengths and probabilities are rounded to
 12 significant digits so generated instances survive a serialization
 round trip bit-for-bit.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Instance, PhyloTree, Taxon, TreeNode, validate_instance
+from .model import Instance, PhyloTree, Taxon, is_integer, validate_instance
 from .newick import round12
 
 TOPOLOGIES = ("yule", "caterpillar")
@@ -51,7 +51,8 @@ class GenSpec:
     Parameters
     ----------
     n : int
-        Number of leaves, at least 1.
+        Number of leaves, at least 1. ``n``, ``seed``, the ``c_range``
+        bounds and ``budget`` must be integers, and not bools.
     topology : str
         One of ``"yule"`` or ``"caterpillar"``.
     seed : int
@@ -77,6 +78,11 @@ class GenSpec:
     budget: int | None = None
 
     def __post_init__(self) -> None:
+        budget = () if self.budget is None else (self.budget,)
+        for name, values in (("n", (self.n,)), ("seed", (self.seed,)),
+                             ("c_range", self.c_range), ("budget", budget)):
+            if not all(map(is_integer, values)):
+                raise InputError(f"{name} takes integers only, got {getattr(self, name)!r}")
         if self.n < 1:
             raise InputError(f"need at least one leaf, got n={self.n}")
         if self.topology not in TOPOLOGIES:
@@ -105,79 +111,56 @@ class GenSpec:
         return f"{self.topology}-n{self.n}-s{self.seed}"
 
 
-def _yule_topology(n: int, rng: np.random.Generator) -> TreeNode:
-    root = TreeNode()
-    if n == 1:
-        root.children.append(TreeNode())
-        return root
-    first, second = TreeNode(), TreeNode()
-    root.children.extend([first, second])
-    leaves = [first, second]
-    while len(leaves) < n:
-        idx = int(rng.integers(0, len(leaves)))
-        node = leaves[idx]
-        new_a, new_b = TreeNode(), TreeNode()
-        node.children.extend([new_a, new_b])
-        leaves[idx] = new_a
-        leaves.append(new_b)
-    return root
-
-
-def _caterpillar_topology(n: int) -> TreeNode:
-    if n == 1:
-        root = TreeNode()
-        root.children.append(TreeNode())
-        return root
-    spine = TreeNode()
-    spine.children.extend([TreeNode(), TreeNode()])
-    for _ in range(n - 2):
-        parent = TreeNode()
-        parent.children.extend([spine, TreeNode()])
-        spine = parent
-    return spine
-
-
-def _preorder(root: TreeNode) -> list[TreeNode]:
-    out: list[TreeNode] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
+def _topology(spec: GenSpec, rng: np.random.Generator) -> list[list[int]]:
+    """The children of each node. Node 0 is the root, and each child's id
+    is above its parent's. Yule splits a uniformly drawn leaf into a
+    cherry; the caterpillar always splits the first leaf, the deepest."""
+    if spec.n == 1:
+        return [[1], []]
+    children: list[list[int]] = [[1, 2], [], []]
+    leaves = [1, 2]
+    while len(leaves) < spec.n:
+        at = int(rng.integers(0, len(leaves))) if spec.topology == "yule" else 0
+        node = len(children)
+        children[leaves[at]] += [node, node + 1]
+        children += [[], []]
+        leaves[at] = node
+        leaves.append(node + 1)
+    return children
 
 
 def generate(spec: GenSpec) -> Instance:
     """Build the instance determined by ``spec``.
 
     Returns a validated :class:`~napx.model.Instance`; its canonical tree
-    may reorder children relative to the raw builder topology, but labels,
+    may reorder children relative to the generated topology, but labels,
     lengths, and taxa are unaffected.
     """
 
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
+    children = _topology(spec, rng)
 
-    if spec.topology == "yule":
-        root = _yule_topology(spec.n, rng)
-    else:
-        root = _caterpillar_topology(spec.n)
-
-    order = _preorder(root)
+    order, todo = [], [0]           # preorder, first children first
+    while todo:
+        node = todo.pop()
+        order.append(node)
+        todo += reversed(children[node])
+    lengths = [0.0] * len(children)
     for node in order[1:]:
-        node.length = round12(1.0 - float(rng.uniform()))
+        lengths[node] = round12(1.0 - float(rng.uniform()))
 
-    leaf_nodes = [node for node in order if not node.children]
+    labels: list[str | None] = [None] * len(children)
     width = max(2, len(str(spec.n - 1)))
     a_lo, a_hi = spec.a_range
     b_lo, b_hi = spec.b_range
     c_lo, c_hi = spec.c_range
     taxa: dict[str, Taxon] = {}
-    for i, node in enumerate(leaf_nodes):
+    for i, node in enumerate(node for node in order if not children[node]):
         label = f"t{i:0{width}d}"
         a = round12(float(rng.uniform(a_lo, a_hi)))
         b = round12(float(rng.uniform(max(a, b_lo), b_hi)))
         c = int(rng.integers(c_lo, c_hi + 1))
-        node.taxon = label
+        labels[node] = label
         taxa[label] = Taxon(id=label, a=a, b=b, c=c)
 
     if spec.budget is not None:
@@ -186,9 +169,10 @@ def generate(spec: GenSpec) -> Instance:
         total = sum(t.c for t in taxa.values())
         budget = (total + 2) // 3
 
-    instance = Instance(
-        tree=PhyloTree.from_node(root), taxa=taxa, budget=budget
-    )
+    last = len(children) - 1        # record ``last - i`` is node ``i``
+    below = [[last - c for c in ks] for ks in reversed(children)]
+    tree = PhyloTree.from_records(lengths[::-1], below, labels[::-1])
+    instance = Instance(tree=tree, taxa=taxa, budget=budget)
     validate_instance(instance)
     return instance
 

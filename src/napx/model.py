@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
@@ -32,13 +32,10 @@ from .errors import DegenerateInstanceError, InputError, ValidationError
 
 __all__ = [
     "Taxon",
-    "TreeNode",
     "Edge",
     "PhyloTree",
     "Instance",
     "ConservationSet",
-    "leaf",
-    "inner",
     "validate_instance",
     "total_pd",
     "expected_pd",
@@ -76,31 +73,6 @@ class Taxon(NamedTuple):
 # ------------------------------------------------------------------------- #
 #  Trees
 # ------------------------------------------------------------------------- #
-
-@dataclass
-class TreeNode:
-    """Mutable builder node used while assembling or rewriting a tree.
-
-    The finished, read-only representation is :class:`PhyloTree`; the
-    generators and the normalizer shape their work as ``TreeNode``
-    structures first and convert once at the end (the parsers emit flat
-    records instead).
-    """
-
-    length: float = 0.0
-    children: list["TreeNode"] = field(default_factory=list)
-    taxon: str | None = None
-
-
-def leaf(taxon: str, length: float) -> TreeNode:
-    """Builder shorthand for a pendant edge."""
-    return TreeNode(length=float(length), taxon=str(taxon))
-
-
-def inner(length: float, *children: TreeNode) -> TreeNode:
-    """Builder shorthand for an interior edge with the given child edges."""
-    return TreeNode(length=float(length), children=list(children))
-
 
 class Edge(NamedTuple):
     """One edge of a finished tree, an immutable named tuple.
@@ -151,10 +123,10 @@ class PhyloTree:
         their given order, and edges are numbered in postorder. So records
         that differ only in child order build equal trees.
 
-        This is the builder of the generators (through :meth:`from_node`),
-        of :func:`normalize` and of newick text not in canonical order;
-        the newick reader builds text in canonical order, as napx writes
-        it, itself, and gives the tree this builder would.
+        This is the one builder of the generators, of :func:`normalize` and
+        of newick text not in canonical order; the newick reader builds
+        text in canonical order, as napx writes it, itself, and gives the
+        tree this builder would.
         """
         length, below, taxa = [*lengths], [*children], [*taxa]     # edited copies
         if taxa[-1] is not None:
@@ -224,32 +196,6 @@ class PhyloTree:
             edges.append(new_edge((eid, float(length[i]), ids, taxa[i], height)))
         return PhyloTree(edges=tuple(edges), root=len(edges) - 1)
 
-    @staticmethod
-    def from_node(top: TreeNode) -> "PhyloTree":
-        """Build the canonical tree from nested :class:`TreeNode` structures,
-        which are only read: they are flattened into records for
-        :meth:`from_records`. The top node becomes the root edge."""
-        nodes = [top]
-        for node in nodes:                      # breadth first, growing as it goes
-            nodes += node.children
-        nodes.reverse()                         # children before parents
-        ids = {id(node): i for i, node in enumerate(nodes)}
-        return PhyloTree.from_records(
-            [node.length for node in nodes],
-            [tuple([ids[id(ch)] for ch in node.children]) for node in nodes],
-            [node.taxon for node in nodes])
-
-    def to_node(self) -> TreeNode:
-        """Inverse of :meth:`from_node`; used by rewriting passes."""
-        nodes: list[TreeNode] = []
-        for e in self.edges:
-            nodes.append(TreeNode(
-                length=e.length,
-                children=[nodes[c] for c in e.children],
-                taxon=e.taxon,
-            ))
-        return nodes[self.root]
-
     @cached_property
     def leaf_edges(self) -> dict[str, int]:
         """Taxon id to pendant edge id. Duplicate labels raise."""
@@ -315,6 +261,11 @@ def _coerce_ids(selected: "ConservationSet | Iterable[str]") -> frozenset[str]:
     return frozenset(selected)
 
 
+def is_integer(value) -> bool:
+    """True for an int or another :class:`~numbers.Integral`, but not a bool."""
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def validate_instance(instance: Instance) -> None:
     """Check semantic validity, reporting every violation at once.
 
@@ -357,8 +308,7 @@ def validate_instance(instance: Instance) -> None:
             problems.append(f"taxon {tx.id!r}: b={tx.b!r} outside [0, 1]")
         if tx.a > tx.b:
             problems.append(f"taxon {tx.id!r}: a={tx.a!r} exceeds b={tx.b!r}")
-        if not (type(tx.c) is int or isinstance(tx.c, Integral)
-                and not isinstance(tx.c, bool)) or tx.c < 0:
+        if not is_integer(tx.c) or tx.c < 0:
             problems.append(f"taxon {tx.id!r}: cost {tx.c!r} is not a non-negative integer")
 
     missing = sorted(set(bound) - set(instance.taxa))
@@ -369,8 +319,7 @@ def validate_instance(instance: Instance) -> None:
         problems.append(f"taxon {tid!r} is not a leaf of the tree")
 
     budget = instance.budget
-    if not (type(budget) is int or isinstance(budget, Integral)
-            and not isinstance(budget, bool)) or budget < 0:
+    if not is_integer(budget) or budget < 0:
         problems.append(f"budget {budget!r} is not a non-negative integer")
 
     if problems:
@@ -457,19 +406,6 @@ def make_conservation_set(instance: Instance,
 #  Normalization
 # ------------------------------------------------------------------------- #
 
-def _binarize(top: TreeNode) -> TreeNode:
-    """Resolve polytomies by repeatedly pairing the first two children
-    under a fresh zero-length edge. Expected diversity is unchanged."""
-    stack = [top]
-    while stack:
-        node = stack.pop()
-        while len(node.children) > 2:
-            merged = TreeNode(length=0.0, children=node.children[:2])
-            node.children = [merged] + node.children[2:]
-        stack.extend(node.children)
-    return top
-
-
 def normalize(instance: Instance) -> Instance:
     """Put an instance into the solver's canonical form.
 
@@ -484,7 +420,9 @@ def normalize(instance: Instance) -> Instance:
        selection, since feasible totals are multiples of the gcd);
     4. the budget is capped at the total cost of the taxa, which no
        selection exceeds, so every affordability test is unchanged;
-    5. polytomies are resolved with zero-length edges.
+    5. polytomies are resolved by pairing an edge's first two children
+       under a new zero-length edge until two are left, which leaves
+       expected diversity unchanged.
 
     The root edge is a structural constant of :class:`PhyloTree`, so no
     separate attachment step is needed. Normalizing twice returns an
@@ -511,7 +449,16 @@ def normalize(instance: Instance) -> Instance:
 
     tree = instance.tree
     if not tree.is_binary():
-        tree = PhyloTree.from_node(_binarize(tree.to_node()))
+        records: list[tuple] = []       # (length, children, label), children first
+        record: list[int] = []          # the record of each edge
+        for e in tree.edges:
+            ks = [record[c] for c in e.children]
+            while len(ks) > 2:
+                records.append((0.0, ks[:2], None))
+                ks[:2] = [len(records) - 1]
+            record.append(len(records))
+            records.append((e.length, ks, e.taxon))
+        tree = PhyloTree.from_records(*zip(*records))
 
     return Instance(tree=tree, taxa=taxa, budget=budget)
 

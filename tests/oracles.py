@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, the rounding map
-and the tree builder as they stood before their fast paths, table
+and the tree builder as they stood before their fast paths, the
+polytomy rule of normalization on nested test trees, table
 combines by a literal scatter over every (row, row, split) triple of
 dense tables, whose non-dominated cells a combine must reproduce, the
 frontier filter by a pairwise dominance check, all tables by one combine
@@ -216,6 +217,22 @@ def from_records_reference(lengths, children, taxa) -> PhyloTree:
         eids[i], heights[i] = eid, height
         edges.append(Edge(eid, float(length[i]), ids, taxa[i], height))
     return PhyloTree(edges=tuple(edges), root=len(edges) - 1)
+
+
+def binarize_reference(top: tuple) -> tuple:
+    """The test tree (see ``tests/util.py``) that :func:`normalize` makes of
+    ``top``: each node's children in order of their smallest leaf label, as
+    in the canonical tree, then the first two paired under a new
+    zero-length node, again and again, until two are left."""
+    def walk(node: tuple) -> tuple[tuple, str]:
+        length, children, label = node
+        kids = sorted(map(walk, children), key=lambda kid: kid[1])
+        low = label if label is not None else min((k[1] for k in kids), default="")
+        kids = [kid for kid, _ in kids]
+        while len(kids) > 2:
+            kids[:2] = [(0.0, tuple(kids[:2]), None)]
+        return (length, tuple(kids), label), low
+    return walk(top)[0]
 
 
 # ------------------------------------------------------------------------- #

@@ -13,10 +13,11 @@ from napx.baselines import (BRUTE_FORCE_LIMIT, _block_scores, _gray_tables,
                             _precedes, _walk, brute_force, pardi_goldman)
 from napx.errors import RestrictionError, SizeLimitError, ValidationError
 from napx.generators import gen_caterpillar, gen_yule
-from napx.model import expected_pd, inner, leaf
+from napx.model import expected_pd
 
 from oracles import brute_force_gray, exhaustive_best
-from util import cherry, fig1_instance, make_instance, pg_example, tie_cherry
+from util import (cherry, fig1_instance, inner, leaf, make_instance, pg_example,
+                  tie_cherry)
 
 
 # ------------------------------------------------------------------------- #

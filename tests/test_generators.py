@@ -1,10 +1,13 @@
 """Tests for the seeded instance generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from napx.errors import InputError
 from napx.generators import GenSpec, gen_caterpillar, gen_yule, generate
+from napx.io import write_instance
 from napx.model import validate_instance
 
 
@@ -13,6 +16,24 @@ def test_determinism():
     b = gen_yule(12, 7)
     assert a == b
     assert gen_yule(12, 8) != a
+
+
+def test_generated_bytes_are_pinned():
+    """Both formats of instances over both topologies, small and large n,
+    the smallest, a middle and the largest seed, and default and custom
+    ranges hash to one pinned digest, so a changed Philox draw order, label
+    or rounding shows here and not only between two runs of the same code."""
+    custom = dict(a_range=(0, 0), b_range=(1, 1), c_range=(1, 40), budget=17)
+    digest = hashlib.sha256()
+    for topology in ("yule", "caterpillar"):
+        for n in (1, 2, 3, 5, 17, 64, 300):
+            for seed in (0, 1, 2**128 - 1):
+                for kwargs in ({}, custom):
+                    inst = generate(GenSpec(n=n, topology=topology, seed=seed, **kwargs))
+                    digest.update(write_instance(inst, "json").encode())
+                    digest.update(write_instance(inst, "nwk").encode())
+    assert digest.hexdigest() == (
+        "fcbe406a07df552e2a4058053661d4b75667da7bee6549c92c96550c98b06490")
 
 
 def test_labels_and_count():
@@ -82,6 +103,14 @@ def test_custom_ranges():
     dict(seed=-1),
     dict(seed=2**128),
     dict(n=3, c_range=(1, 2**63)),
+    dict(n=3.0),
+    dict(n=3.0, topology="caterpillar"),
+    dict(n=True),
+    dict(seed=1.5),
+    dict(seed=True),
+    dict(n=3, c_range=(1.0, 5.5)),
+    dict(n=3, c_range=(False, 3)),
+    dict(n=3, budget=2.0),
 ])
 def test_bad_specs_rejected(kwargs):
     base = dict(n=4, topology="yule", seed=0)

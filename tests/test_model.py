@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from napx.errors import DegenerateInstanceError, InputError, ValidationError
 from napx.generators import GenSpec, gen_yule, generate
-from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd, inner,
-                        leaf, make_conservation_set, min_conserved_survival,
+from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd,
+                        make_conservation_set, min_conserved_survival,
                         normalize, total_pd, validate_instance)
 
-from oracles import expected_pd_reference, from_records_reference
-from util import cherry, fig1_instance, make_instance, polytomy_instance
+from oracles import (binarize_reference, expected_pd_reference,
+                     from_records_reference)
+from util import (builder_trees, cherry, fig1_instance, inner, leaf, make_instance,
+                  polytomy_instance, shuffled, tree_of)
 
 
 # ------------------------------------------------------------------------- #
@@ -25,15 +27,15 @@ from util import cherry, fig1_instance, make_instance, polytomy_instance
 def test_canonical_child_order():
     """Child order in the builder must not matter: both orders produce the
     same edge tuple, because children sort by the smallest leaf label."""
-    t1 = PhyloTree.from_node(inner(0.0, leaf("a", 1.0), leaf("b", 2.0)))
-    t2 = PhyloTree.from_node(inner(0.0, leaf("b", 2.0), leaf("a", 1.0)))
+    t1 = tree_of(inner(0.0, leaf("a", 1.0), leaf("b", 2.0)))
+    t2 = tree_of(inner(0.0, leaf("b", 2.0), leaf("a", 1.0)))
     assert t1 == t2
     assert [e.taxon for e in t1.edges] == ["a", "b", None]
 
 
 def test_unary_chain_contracts():
     top = inner(1.0, inner(2.0, inner(3.0, leaf("x", 4.0))))
-    tree = PhyloTree.from_node(top)
+    tree = tree_of(top)
     # one pendant, one root edge; all interior lengths folded together
     assert len(tree.edges) == 2
     assert tree.edges[0].taxon == "x"
@@ -41,20 +43,17 @@ def test_unary_chain_contracts():
     assert tree.edges[tree.root].length == pytest.approx(1.0)
 
 
-def test_from_node_only_reads_its_argument():
+def test_nested_contractions_are_pinned():
     """Unary chains, a polytomy and a top over a lone interior child are
-    all contracted or reordered in the result, not in the builder nodes."""
+    contracted and reordered into one pinned edge list."""
     top = inner(0.5, inner(1.0, inner(2.0, leaf("c", 1.0),
                                       inner(1.5, inner(0.25, leaf("b", 1.0))),
                                       leaf("a", 2.0), inner(3.0, leaf("d", 1.0), leaf("e", 1.0)))))
-    before = copy.deepcopy(top)
-    tree = PhyloTree.from_node(top)
-    assert top == before
+    tree = tree_of(top)
     assert [(e.length, e.children, e.taxon) for e in tree.edges] == [
         (2.0, (), "a"), (2.75, (), "b"), (1.0, (), "c"),
         (1.0, (), "d"), (1.0, (), "e"), (3.0, (3, 4), None),
         (3.5, (0, 1, 2, 5), None)]
-    assert PhyloTree.from_node(top) == tree
 
 
 @st.composite
@@ -119,7 +118,7 @@ def test_edge_and_taxon_are_named_tuples():
 
 
 def test_bare_leaf_wrapped():
-    tree = PhyloTree.from_node(leaf("only", 5.0))
+    tree = tree_of(leaf("only", 5.0))
     assert tree.n_leaves == 1
     assert tree.edges[tree.root].length == 0.0
     assert tree.is_binary()
@@ -132,21 +131,16 @@ def test_heights():
 
 
 def test_duplicate_labels_rejected():
-    tree = PhyloTree.from_node(inner(0.0, leaf("x", 1.0), leaf("x", 2.0)))
+    tree = tree_of(inner(0.0, leaf("x", 1.0), leaf("x", 2.0)))
     with pytest.raises(InputError, match="duplicate"):
         tree.leaf_edges
-
-
-def test_to_node_round_trip():
-    tree = fig1_instance().tree
-    assert PhyloTree.from_node(tree.to_node()) == tree
 
 
 def test_deep_caterpillar_no_recursion_error():
     top = leaf("t0000", 1.0)
     for i in range(1, 3000):
         top = inner(1.0, top, leaf(f"t{i:04d}", 1.0))
-    tree = PhyloTree.from_node(top)
+    tree = tree_of(top)
     assert tree.n_leaves == 3000
     assert tree.height == 3000
 
@@ -316,6 +310,20 @@ def test_normalize_binarizes_polytomy():
     assert norm.tree.is_binary()
     assert expected_pd(norm, {"a", "b"}) == pytest.approx(
         expected_pd(polytomy_instance(), {"a", "b"}))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(top=builder_trees(), rnd=st.randoms(use_true_random=False))
+def test_normalize_pairs_the_first_two_children(top, rnd):
+    """Trees with polytomies and unary chains, children in any order,
+    normalize to the reference's binarized tree, field for field."""
+    tree = tree_of(shuffled(top, rnd))
+    taxa = {t: Taxon(id=t, a=0.25, b=0.75, c=1) for t in tree.leaf_edges}
+    got = normalize(Instance(tree=tree, taxa=taxa, budget=1)).tree
+    want = tree_of(binarize_reference(top))
+    assert got == want
+    for edge, ref in zip(got.edges, want.edges):
+        assert [repr(x) for x in edge] == [repr(x) for x in ref]
 
 
 def test_normalize_idempotent():

@@ -10,12 +10,12 @@ from napx.generators import gen_caterpillar, gen_yule
 from napx.io import (SolutionDocument, instance_format_for, load_instance,
                      parse_instance, parse_solution, write_instance,
                      write_solution)
-from napx.model import Edge, Instance, PhyloTree, Taxon, TreeNode
+from napx.model import Edge, Instance, PhyloTree, Taxon
 from napx.newick import (fmt_float, format_annotated, format_newick,
                          parse_annotated, parse_newick, round12)
 
 from oracles import from_records_reference
-from util import data_path, fig1_instance
+from util import builder_trees, data_path, fig1_instance, inner, leaf, shuffled, tree_of
 
 
 # ------------------------------------------------------------------------- #
@@ -189,11 +189,11 @@ def test_deep_caterpillar_round_trip(fmt):
     parse it back equal without recursion."""
     n = 5000
     labels = [f"t{i:04d}" for i in range(n)]
-    top = TreeNode(taxon=labels[0], length=1.0)
+    top = leaf(labels[0], 1.0)
     for i, label in enumerate(labels[1:], 1):
-        top = TreeNode(length=0.5, children=[top, TreeNode(taxon=label, length=float(i))])
+        top = inner(0.5, top, leaf(label, i))
     taxa = {t: Taxon(id=t, a=0.25, b=0.75, c=1) for t in labels}
-    inst = Instance(tree=PhyloTree.from_node(top), taxa=taxa, budget=10)
+    inst = Instance(tree=tree_of(top), taxa=taxa, budget=10)
     assert inst.tree.height == n
     text = write_instance(inst, fmt)
     back, _ = parse_instance(text, fmt)
@@ -201,55 +201,20 @@ def test_deep_caterpillar_round_trip(fmt):
     assert write_instance(back, fmt) == text
 
 
-@st.composite
-def builder_trees(draw):
-    """Builder trees of up to 12 uniquely labelled leaves, with unary
-    chains and polytomies. Lengths are dyadic, so the sums of contracted
-    chains are exact and every length survives the 12-digit writers."""
-    lengths = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 3.75])
-    shape = draw(st.recursive(st.none(), lambda kids: st.lists(kids, min_size=1, max_size=4),
-                              max_leaves=12))
-    names = iter(draw(st.permutations([f"t{i}" for i in range(12)])))
-
-    def build(s):
-        if s is None:
-            return TreeNode(length=draw(lengths), taxon=next(names))
-        return TreeNode(length=draw(lengths), children=[build(c) for c in s])
-    return build(shape)
-
-
-def _shuffled(node: TreeNode, rnd) -> TreeNode:
-    children = [_shuffled(c, rnd) for c in node.children]
-    rnd.shuffle(children)
-    return TreeNode(length=node.length, children=children, taxon=node.taxon)
-
-
-def _records_of(top: TreeNode) -> tuple[list, list, list]:
-    """Flat postorder records of a builder tree, children before parents."""
-    nodes = [top]
-    for node in nodes:
-        nodes += node.children
-    nodes.reverse()
-    ids = {id(node): i for i, node in enumerate(nodes)}
-    return ([node.length for node in nodes],
-            [tuple(ids[id(ch)] for ch in node.children) for node in nodes],
-            [node.taxon for node in nodes])
-
-
 @settings(deadline=None, max_examples=200, derandomize=True)
 @given(top=builder_trees(), rnd=st.randoms(use_true_random=False))
 def test_every_path_builds_the_same_tree(top, rnd):
-    """from_node, with the children in any order, and both readers on the
-    writers' output give one and the same tree, edge for edge and bit for
-    bit the general builder's, and of named tuples: a plain tuple would
+    """from_records, with the children in any order, and both readers on
+    the writers' output give one and the same tree, edge for edge and bit
+    for bit the general builder's, and of named tuples: a plain tuple would
     compare equal to an edge."""
-    want = from_records_reference(*_records_of(top))
-    tree = PhyloTree.from_node(top)
+    want = tree_of(top, from_records_reference)
+    tree = tree_of(top)
     taxa = {t: Taxon(id=t, a=0.25, b=0.75, c=1) for t in tree.leaf_edges}
     back, back_taxa, _ = parse_annotated(format_annotated(Instance(tree, taxa, 1)))
     assert back_taxa == taxa
     assert all(type(tx) is Taxon for tx in back_taxa.values())
-    for got in (tree, PhyloTree.from_node(_shuffled(top, rnd)),
+    for got in (tree, tree_of(shuffled(top, rnd)),
                 parse_newick(format_newick(tree)), back):
         assert got == want
         for edge, ref in zip(got.edges, want.edges):

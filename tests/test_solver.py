@@ -16,7 +16,7 @@ from napx.cli import main
 from napx.errors import InternalError, ParameterError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.io import load_instance, save_instance
-from napx.model import (Taxon, expected_pd, inner, leaf, make_conservation_set,
+from napx.model import (Taxon, expected_pd, make_conservation_set,
                         min_conserved_survival, normalize, total_pd)
 from napx.solver import (CellStore, CladeTable, backtrace,
                          build_pendant_tables, build_tables, combine_level,
@@ -26,7 +26,7 @@ from oracles import (assert_frontier_of_scatter, assert_same_table,
                      backtrace_tables, build_tables_postorder, cells,
                      combine_alone, exhaustive_best, from_dense,
                      frontier_indices, refuse_by_height, store_table)
-from util import (cherry, data_path, fig1_instance, make_instance,
+from util import (cherry, data_path, fig1_instance, inner, leaf, make_instance,
                   polytomy_instance, tie_cherry)
 
 
