@@ -34,6 +34,7 @@ round trip bit-for-bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -59,11 +60,13 @@ class GenSpec:
         Philox key, in ``[0, 2**128)``; equal specs generate equal
         instances.
     a_range, b_range : (float, float)
-        Closed ranges for the unconserved and conserved survival
-        probabilities.  ``b`` is drawn from ``[max(a, b_lo), b_hi]`` so
-        that ``a <= b`` always holds, which requires ``a_hi <= b_hi``.
+        Closed ranges, two numbers each (not bools), for the unconserved
+        and conserved survival probabilities.  ``b`` is drawn from
+        ``[max(a, b_lo), b_hi]`` so that ``a <= b`` always holds, which
+        requires ``a_hi <= b_hi``.
     c_range : (int, int)
         Inclusive range for integer protection costs, within [0, 2**63 - 1].
+        Each range is a tuple or a list.
     budget : int or None
         Total budget; ``None`` means a third of the summed costs,
         rounded up.
@@ -80,7 +83,7 @@ class GenSpec:
     def __post_init__(self) -> None:
         budget = () if self.budget is None else (self.budget,)
         for name, values in (("n", (self.n,)), ("seed", (self.seed,)),
-                             ("c_range", self.c_range), ("budget", budget)):
+                             ("budget", budget)):
             if not all(map(is_integer, values)):
                 raise InputError(f"{name} takes integers only, got {getattr(self, name)!r}")
         if self.n < 1:
@@ -89,20 +92,19 @@ class GenSpec:
             raise InputError(f"unknown topology {self.topology!r}")
         if not 0 <= self.seed < 2**128:
             raise InputError(f"seed must be in [0, 2**128), got {self.seed}")
-        a_lo, a_hi = self.a_range
-        b_lo, b_hi = self.b_range
-        if not (0.0 <= a_lo <= a_hi <= 1.0):
-            raise InputError(f"bad a_range {self.a_range!r}")
-        if not (0.0 <= b_lo <= b_hi <= 1.0):
-            raise InputError(f"bad b_range {self.b_range!r}")
-        if a_hi > b_hi:
-            raise InputError(
-                "a_range upper bound exceeds b_range upper bound, "
-                "cannot guarantee a <= b"
-            )
-        c_lo, c_hi = self.c_range
-        if not (0 <= c_lo <= c_hi <= 2**63 - 1):
-            raise InputError(f"bad c_range {self.c_range!r}")
+        for name, kind, top in (("a_range", Real, 1.0), ("b_range", Real, 1.0),
+                                ("c_range", Integral, 2**63 - 1)):
+            pair = getattr(self, name)
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(x, kind) and not isinstance(x, bool)
+                            for x in pair)
+                    and 0 <= pair[0] <= pair[1] <= top):
+                what = "integers" if kind is Integral else "numbers"
+                raise InputError(f"{name} takes two {what} lo, hi with "
+                                 f"0 <= lo <= hi <= {top}, got {pair!r}")
+        if self.a_range[1] > self.b_range[1]:
+            raise InputError("a_range upper bound exceeds b_range upper "
+                             "bound, cannot guarantee a <= b")
         if self.budget is not None and self.budget < 0:
             raise InputError(f"budget must be nonnegative, got {self.budget}")
 

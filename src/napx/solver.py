@@ -1,15 +1,16 @@
 """The budgeted-diversity dynamic program over discretized probabilities.
 
-Every edge e of the (normalized, binary) tree gets a clade table, a list
-of cells ``(cost, row, score)``: a selection within e's clade that spends
-exactly ``cost``, leaves the clade a survival probability that rounds to
-grid row ``row``, and collects expected diversity ``score`` strictly below
-the top of e. A table keeps only its Pareto frontier. A cell is dropped
-when another cell costs no more, survives at least as well (its row is no
-larger) and scores at least as much. Rounding, addition and the budget
-test are all monotone, so a dominated cell only ever leads to dominated
-cells higher up, and the root optimum over the frontier is the same float
-as over every cell (the Pareto-list knapsack of Nemhauser and Ullmann).
+Every edge e of the (normalized, binary) tree but a one-leaf tree's root
+gets a clade table, a list of cells ``(cost, row, score)``: a selection
+within e's clade that spends exactly ``cost``, leaves the clade a survival
+probability that rounds to grid row ``row``, and collects expected
+diversity ``score`` strictly below the top of e. A table keeps only its
+Pareto frontier: a cell is dropped when another costs no more, survives
+at least as well (no larger row) and scores at least as much. Rounding,
+addition and the budget test are all monotone, so a dominated cell only
+ever leads to dominated cells higher up, and the root optimum over the
+frontier is the same float as over every cell (the Pareto-list knapsack
+of Nemhauser and Ullmann).
 
 All tables of one build live in a single :class:`CellStore`: five
 parallel arrays of cells (cost, row, score, left, right) in which each
@@ -133,9 +134,8 @@ class CladeTable:
     row ``rows[n]`` and scores ``scores[n]``. Cells are in ascending (cost,
     row) order, and no cell has another one of no greater cost and row and
     no smaller score. ``left[n]`` and ``right[n]`` index the child cells an
-    interior cell was built from, within each child's table; a unary table
-    has only ``left`` and a pendant table neither. The edge, its kind and
-    its taxon are the tree's.
+    interior cell was built from, within each child's table; a pendant
+    table has neither. The edge, its kind and its taxon are the tree's.
 
     A table is the view that ``store[e]`` gives of the block edge e holds
     in its build's :class:`CellStore`.
@@ -152,18 +152,17 @@ class CellStore(Mapping):
     """Every clade table of one build, in five parallel cell arrays.
 
     ``costs``, ``rows``, ``scores``, ``left`` and ``right`` hold the cells
-    of all tables, each table one block: edge e's cells are
-    ``start[e]`` to ``start[e] + size[e]``, and ``arity[e]`` tells which of
-    ``left`` and ``right`` its table has (0: a pendant, neither; 1: a unary
-    edge, ``left``; 2: both). ``start[e]`` is -1 until e's table is
-    stored. The first ``cells`` entries of the arrays are written; the
-    arrays start with room for ``RESERVE_PER_EDGE`` cells an edge and,
-    when a block does not fit, grow to the larger of twice their length
-    and what the block needs, so that growing copies each cell O(1) times
-    on average. Blocks are only appended, by :meth:`put`, the one writer
-    of the arrays and of the per-edge records, so a block keeps its
-    offsets when the arrays grow, and a table read before a growth still
-    holds its cells.
+    of all tables, each table one block: edge e's cells are ``start[e]``
+    to ``start[e] + size[e]``, and ``paired[e]`` tells whether its table
+    has both ``left`` and ``right`` or, a pendant's, neither. ``start[e]``
+    is -1 until e's table is stored. The first ``cells`` entries of the
+    arrays are written; the arrays start with room for
+    ``RESERVE_PER_EDGE`` cells an edge and, when a block does not fit,
+    grow to the larger of twice their length and what the block needs, so
+    that growing copies each cell O(1) times on average. Blocks are only
+    appended, by :meth:`put`, the one writer of the arrays and of the
+    per-edge records, so a block keeps its offsets when the arrays grow,
+    and a table read before a growth still holds its cells.
 
     As a mapping, ``store[e]`` is edge e's :class:`CladeTable` of views
     into the arrays, keyed by edge id.
@@ -178,7 +177,7 @@ class CellStore(Mapping):
         self.right = np.empty(capacity, dtype=np.intp)
         self.start = np.full(n_edges, -1, dtype=np.intp)
         self.size = np.zeros(n_edges, dtype=np.intp)
-        self.arity = np.zeros(n_edges, dtype=np.int8)
+        self.paired = np.zeros(n_edges, dtype=bool)
         self.cells = 0
 
     def put(self, eid: int | np.ndarray, size: int | np.ndarray,
@@ -187,10 +186,10 @@ class CellStore(Mapping):
             right: np.ndarray | None = None) -> None:
         """Append one block of cells: edge ``eid``'s table of ``size``
         cells, or, for an array of edge ids and one of their sizes, those
-        edges' tables one after another. An edge's arity is the number of
-        backpointer arrays given. A block that does not fit replaces the
-        arrays by larger ones before its cells are copied in, and whatever
-        the caller still holds then adds to the peak."""
+        edges' tables one after another, with both backpointer arrays or
+        neither. A block that does not fit replaces the arrays by larger
+        ones before its cells are copied in, and whatever the caller still
+        holds then adds to the peak."""
         at = self.cells
         self.cells = end = at + costs.size
         if end > self.scores.size:
@@ -203,23 +202,22 @@ class CellStore(Mapping):
         self.costs[at:end] = costs
         self.rows[at:end] = rows
         self.scores[at:end] = scores
-        arity = (left is not None) + (right is not None)
-        if arity:
+        paired = left is not None
+        if paired:
             self.left[at:end] = left
-        if arity == 2:
             self.right[at:end] = right
         first = at if isinstance(size, int) else size.cumsum() - size + at
-        self.start[eid], self.size[eid], self.arity[eid] = first, size, arity
+        self.start[eid], self.size[eid], self.paired[eid] = first, size, paired
 
     def __getitem__(self, eid: int) -> CladeTable:
         if not 0 <= eid < self.start.size or (at := self.start.item(eid)) < 0:
             raise KeyError(eid)
         end = at + self.size.item(eid)
-        arity = self.arity.item(eid)
+        paired = self.paired.item(eid)
         return CladeTable(self.costs[at:end], self.rows[at:end],
                           self.scores[at:end],
-                          self.left[at:end] if arity else None,
-                          self.right[at:end] if arity == 2 else None)
+                          self.left[at:end] if paired else None,
+                          self.right[at:end] if paired else None)
 
     def __iter__(self) -> Iterator[int]:
         return iter(np.flatnonzero(self.start >= 0).tolist())
@@ -525,16 +523,6 @@ def _combine_batch(store: CellStore,
               rows.take(keep), scores.take(keep), left, right)
 
 
-def _combine_unary(store: CellStore, eid: int, child: int, lam: float,
-                   disc: Discretization) -> None:
-    """Root edge over a single pendant: rows pass through unchanged."""
-    tab = store[child]
-    scores = tab.scores + lam * disc.grid[tab.rows]
-    keep = _frontier(tab.costs, tab.rows, scores)
-    store.put(eid, keep.size, tab.costs[keep], tab.rows[keep], scores[keep],
-              keep)
-
-
 def build_tables(instance: Instance,
                  disc: Discretization) -> tuple[CellStore, dict]:
     """Build every edge's table, one tree height at a time, into one store.
@@ -549,37 +537,30 @@ def build_tables(instance: Instance,
     is.
 
     The instance must be normalized (binary tree, costs within budget),
-    and so validated: its total length keeps every sum here finite.
-    Returns the :class:`CellStore` of all tables and work counters:
-    ``fast_combines`` counts the binary combines (``general_combines``
-    stays 0; both keys are kept for readers of solution ``stats`` and the
-    bench CSV), ``candidate_pairs`` the affordable (left cell, right cell)
-    pairs they enumerate and ``table_cells`` the frontier cells stored
-    over all tables, the store's size.
+    and so validated: its total length keeps every sum here finite; a tree
+    that :meth:`PhyloTree.is_binary` refuses raises :class:`InternalError`.
+    Only binary edges get a combined table, so the one-leaf tree's root
+    edge gets none. Returns the :class:`CellStore` of all tables and work
+    counters: ``fast_combines`` counts the binary combines
+    (``general_combines`` stays 0; both keys are kept for readers of
+    solution ``stats`` and the bench CSV), ``candidate_pairs`` the
+    affordable (left cell, right cell) pairs they enumerate and
+    ``table_cells`` the frontier cells stored over all tables, the
+    store's size.
     """
     tree = instance.tree
     budget = int(instance.budget)
-    store = build_pendant_tables(instance, disc)
-    combines = pairs = 0
+    if not tree.is_binary():
+        raise InternalError("tables need a normalized binary tree")
     levels: dict[int, list] = {}
     for e in tree.edges:
-        if len(e.children) > 2:
-            raise InternalError(
-                f"edge {e.eid} has {len(e.children)} children; "
-                "tables need a normalized binary tree")
-        if e.children:
-            levels.setdefault(e.height, []).append(e)
-    for height in sorted(levels):
-        level = []
-        for e in levels[height]:
-            if len(e.children) == 1:
-                _combine_unary(store, e.eid, e.children[0], e.length, disc)
-            else:
-                level.append((e.eid, *e.children, e.length))
-        if level:
-            pairs += combine_level(store, level, budget, disc)
-        combines += len(level)
-    return store, _stats(combines, pairs, store.cells)
+        if len(e.children) == 2:
+            levels.setdefault(e.height, []).append((e.eid, *e.children,
+                                                    e.length))
+    store = build_pendant_tables(instance, disc)
+    pairs = sum(combine_level(store, levels[height], budget, disc)
+                for height in sorted(levels))
+    return store, _stats(sum(map(len, levels.values())), pairs, store.cells)
 
 
 def _stats(combines: int = 0, pairs: int = 0, cells: int = 0) -> dict:
@@ -588,16 +569,16 @@ def _stats(combines: int = 0, pairs: int = 0, cells: int = 0) -> dict:
             "candidate_pairs": pairs, "table_cells": cells}
 
 
-def backtrace(instance: Instance, store: CellStore,
+def backtrace(instance: Instance, store: CellStore, eid: int,
               cell: int) -> frozenset[str]:
-    """Recover the selection behind root table cell ``cell`` by following
-    the stored child-cell indices down to the pendant tables; a pendant
-    cell that spends its taxon's cost conserves it."""
+    """Recover the selection behind cell ``cell`` of edge ``eid``'s table
+    by following the stored child-cell indices down to the pendant
+    tables; a pendant cell that spends its taxon's cost conserves it."""
     edges, taxa = instance.tree.edges, instance.taxa
     start = store.start.tolist()
     costs, left, right = store.costs, store.left, store.right
     selected: list[str] = []
-    stack: list[tuple[int, int]] = [(instance.tree.root, int(cell))]
+    stack: list[tuple[int, int]] = [(eid, int(cell))]
     while stack:
         eid, n = stack.pop()
         edge = edges[eid]
@@ -606,10 +587,9 @@ def backtrace(instance: Instance, store: CellStore,
             if costs.item(at) == taxa[edge.taxon].c:
                 selected.append(edge.taxon)
             continue
-        children = edge.children
-        stack.append((children[0], left.item(at)))
-        if len(children) == 2:
-            stack.append((children[1], right.item(at)))
+        l, r = edge.children
+        stack.append((l, left.item(at)))
+        stack.append((r, right.item(at)))
     return frozenset(selected)
 
 
@@ -675,17 +655,25 @@ def solve_on_grid(instance: Instance, norm: Instance,
     ``norm`` is ``normalize(instance)``. Returns the selection, scored
     exactly on ``instance``, the root optimum it was chosen by, and the
     :func:`build_tables` stats. Tie rule, size guards and checks are those
-    of :func:`solve`.
-    """
+    of :func:`solve`. The one-leaf tree's root edge has no table: each
+    pendant cell scores ``s + length(root) * grid[row]``, and the first
+    best one wins."""
     if norm.budget > np.iinfo(np.int64).max:
         raise SizeLimitError(
             f"normalized budget {norm.budget} does not fit the 64-bit cost "
             "type of the tables")
     store, stats = build_tables(norm, disc)
-    root = store[norm.tree.root]
-    m = root.scores.argmax().item()
-    reported = root.scores.item(m)
-    ids = backtrace(norm, store, m)
+    root = norm.tree.edges[norm.tree.root]
+    if len(root.children) == 1:
+        (eid,) = root.children
+        tab = store[eid]
+        scores = tab.scores + root.length * disc.grid[tab.rows]
+    else:
+        eid = root.eid
+        scores = store[eid].scores
+    m = scores.argmax().item()
+    reported = scores.item(m)
+    ids = backtrace(norm, store, eid, m)
     kept = frozenset(t for t in ids if instance.taxa[t].c <= instance.budget)
     selection = make_conservation_set(instance, kept)
     if selection.total_cost > instance.budget:

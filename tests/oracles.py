@@ -323,9 +323,7 @@ def build_tables_postorder(instance: Instance,
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
     for e in instance.tree.edges:
-        if len(e.children) == 1:
-            solver._combine_unary(store, e.eid, e.children[0], e.length, disc)
-        elif len(e.children) == 2:
+        if len(e.children) == 2:
             stats["candidate_pairs"] += solver.combine_tables(
                 store, e.eid, *e.children, e.length, budget, disc)
             stats["fast_combines"] += 1
@@ -334,14 +332,14 @@ def build_tables_postorder(instance: Instance,
 
 
 def backtrace_tables(instance: Instance, tables: Mapping[int, CladeTable],
-                     cell: int) -> frozenset[str]:
-    """The selection behind root cell ``cell`` of tables keyed by edge
-    id, such as :func:`build_tables_postorder` gives: follow each
-    table's ``left`` and ``right`` down to the pendant tables, where a cell
-    that spends its taxon's cost conserves it."""
+                     eid: int, cell: int) -> frozenset[str]:
+    """The selection behind cell ``cell`` of edge ``eid``'s table, of
+    tables keyed by edge id, such as :func:`build_tables_postorder` gives:
+    follow each table's ``left`` and ``right`` down to the pendant tables,
+    where a cell that spends its taxon's cost conserves it."""
     tree = instance.tree
     selected: list[str] = []
-    stack: list[tuple[int, int]] = [(tree.root, int(cell))]
+    stack: list[tuple[int, int]] = [(eid, int(cell))]
     while stack:
         eid, n = stack.pop()
         edge, tab = tree.edges[eid], tables[eid]
@@ -364,21 +362,16 @@ def refuse_by_height(instance: Instance, disc) -> None:
     id within a height, each combine built alone."""
     budget = int(instance.budget)
     store = solver.build_pendant_tables(instance, disc)
-    edges = [e for e in instance.tree.edges if e.children]   # in id order
+    edges = [e for e in instance.tree.edges if len(e.children) == 2]  # id order
     for height in sorted({e.height for e in edges}):
         level = [e for e in edges if e.height == height]
         for e in level:
-            if len(e.children) == 2:
-                left, right = (store[c].costs for c in e.children)
-                solver._check_size("candidate pairs", int(
-                    (left[:, None] + right[None, :] <= budget).sum()))
+            left, right = (store[c].costs for c in e.children)
+            solver._check_size("candidate pairs", int(
+                (left[:, None] + right[None, :] <= budget).sum()))
         for e in level:
-            if len(e.children) == 1:
-                solver._combine_unary(store, e.eid, e.children[0], e.length,
-                                      disc)
-            else:
-                solver.combine_tables(store, e.eid, *e.children, e.length,
-                                      budget, disc)
+            solver.combine_tables(store, e.eid, *e.children, e.length,
+                                  budget, disc)
 
 
 def store_table(store: CellStore, eid: int, tab: CladeTable) -> None:

@@ -111,6 +111,9 @@ def test_custom_ranges():
     dict(n=3, c_range=(1.0, 5.5)),
     dict(n=3, c_range=(False, 3)),
     dict(n=3, budget=2.0),
+    *(dict(n=3, **{name: bad}) for name in ("a_range", "b_range", "c_range")
+      for bad in [(1,), (0, 0.1, 0.2), 5, None, ("0", "0.1"), (False, True),
+                  (0, True)]),
 ])
 def test_bad_specs_rejected(kwargs):
     base = dict(n=4, topology="yule", seed=0)

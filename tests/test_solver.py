@@ -9,15 +9,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from napx import solver
-from napx.baselines import brute_force
+from napx import baselines, solver
+from napx.baselines import brute_force, pardi_goldman
 from napx.discretization import Discretization, derive_k, select_params
 from napx.cli import main
 from napx.errors import InternalError, ParameterError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.io import load_instance, save_instance
-from napx.model import (Taxon, expected_pd, make_conservation_set,
-                        min_conserved_survival, normalize, total_pd)
+from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd,
+                        make_conservation_set, min_conserved_survival,
+                        normalize, total_pd)
 from napx.solver import (CellStore, CladeTable, backtrace,
                          build_pendant_tables, build_tables, combine_level,
                          combine_tables, solve)
@@ -387,14 +388,14 @@ def _fields(tab: CladeTable) -> tuple:
 def test_combine_tables_appends_one_block(monkeypatch, reserve):
     """Every writer appends through ``CellStore.put``, one block a call:
     the pendant block, each lone ``combine_tables`` call, each batched
-    level, the unary root of a one-leaf tree and ``store_table``. Each
-    put appends its edges' tables one after another at the store's end,
-    in call order, and grows the store by their sizes; an edge's arity is
-    the number of backpointer arrays given; every earlier table keeps its
-    fields, also when the store grows, as it does at once when it starts
-    with no room beyond the pendant block. A combined table's
-    backpointers index its children's tables, and a build's sizes sum to
-    its cells, the stats' ``table_cells``."""
+    level and ``store_table``. Each put appends its edges' tables one
+    after another at the store's end, in call order, and grows the store
+    by their sizes; a block has both backpointer arrays or neither, and
+    its edges' tables read back as paired when it has them; every earlier
+    table keeps its fields, also when the store grows, as it does at once
+    when it starts with no room beyond the pendant block. A combined
+    table's backpointers index its children's tables, and a build's sizes
+    sum to its cells, the stats' ``table_cells``."""
     monkeypatch.setattr(solver, "RESERVE_PER_EDGE", reserve)
     put, calls = CellStore.put, []
 
@@ -408,15 +409,16 @@ def test_combine_tables_appends_one_block(monkeypatch, reserve):
         assert store.start[eids].tolist() == (used + sizes.cumsum()
                                               - sizes).tolist()
         assert store.size[eids].tolist() == sizes.tolist()
-        arity = 0 if left is None else 1 if right is None else 2
-        assert set(store.arity[eids].tolist()) <= {arity}
+        paired = left is not None
+        assert (right is not None) == paired
+        assert set(store.paired[eids].tolist()) == {paired}
         for name, given in zip(("costs", "rows", "scores", "left", "right"),
                                (costs, rows, scores, left, right)):
             if given is not None:
                 assert np.array_equal(getattr(store, name)[used:store.cells],
                                       given)
         assert {e: _fields(store[e]) for e in before} == before
-        calls.append((np.ndim(eid), arity, store.scores.size > room))
+        calls.append((np.ndim(eid), paired, store.scores.size > room))
 
     monkeypatch.setattr(CellStore, "put", checked_put)
     norm, disc = _tables_for(gen_yule(40, 0), 0.1)
@@ -435,9 +437,9 @@ def test_combine_tables_appends_one_block(monkeypatch, reserve):
         store, stats = build_tables(*_tables_for(instance, 0.1))
         assert store.size.sum() == store.cells == stats["table_cells"]
     combine_alone(_ONE, _ONE, 1.0, 1, _DISCS[0])
-    # pendant blocks, lone combines, batches, the unary root, store_table
-    assert {kind[:2] for kind in calls} == {(1, 0), (0, 2), (1, 2), (0, 1),
-                                            (0, 0)}
+    # pendant blocks, lone combines, batches, store_table
+    assert {kind[:2] for kind in calls} == {(1, False), (0, True), (1, True),
+                                            (0, False)}
     assert any(grew for *_, grew in calls) or reserve > 0
 
 
@@ -507,6 +509,28 @@ def test_build_tables_equals_a_postorder_loop(monkeypatch, instance, epsilon,
     assert stats == want_stats
 
 
+def _leaf_edge(eid: int, taxon: str) -> Edge:
+    return Edge(eid, 1.0, (), taxon, 1)
+
+
+@pytest.mark.parametrize("edges", [
+    (_leaf_edge(0, "x"), Edge(1, 1.0, (0,), None, 2), _leaf_edge(2, "y"),
+     Edge(3, 0.0, (1, 2), None, 3)),
+    (_leaf_edge(0, "x"), _leaf_edge(1, "y"), _leaf_edge(2, "z"),
+     Edge(3, 0.0, (0, 1, 2), None, 2)),
+], ids=["unary-below-the-root", "polytomy"])
+def test_build_tables_refuses_a_tree_that_is_not_binary(edges):
+    """A hand-built tree that ``PhyloTree.is_binary`` refuses, with a
+    unary edge below the root or a polytomy, is refused with
+    ``InternalError`` rather than built."""
+    tree = PhyloTree(edges=edges, root=3)
+    inst = Instance(tree=tree, budget=2, taxa={
+        e.taxon: Taxon(e.taxon, 0.2, 0.9, 1) for e in edges if e.taxon})
+    assert not tree.is_binary()
+    with pytest.raises(InternalError, match="binary"):
+        build_tables(inst, small_disc())
+
+
 @pytest.mark.parametrize("instance", [
     gen_yule(40, 0), gen_caterpillar(40, 1),
     gen_yule(64, 1, c_range=(1, 40), budget=200), polytomy_instance(),
@@ -536,15 +560,18 @@ def test_build_tables_grows_its_store(monkeypatch, instance, reserve):
     make_instance(inner(2.0, leaf("x", 1.0)), [("x", 0.2, 0.9, 1)], budget=2),
 ], ids=lambda inst: f"n{len(inst.taxa)}h{inst.tree.height}")
 def test_backtrace_equals_the_per_edge_backtrace(instance):
-    """From every root cell, the store's backtrace selects the taxa that
-    the backtrace over the postorder loop's dict of tables does."""
+    """From every cell of the root's table, or of the pendant's for the
+    one-leaf tree, whose root edge has no table, the store's backtrace
+    selects the taxa that the backtrace over the postorder loop's dict of
+    tables does."""
     norm, disc = _tables_for(instance, 0.1)
     store, _ = build_tables(norm, disc)
     want, _ = build_tables_postorder(norm, disc)
-    root = norm.tree.root
-    for cell in range(store[root].scores.size):
-        assert backtrace(norm, store, cell) == backtrace_tables(norm, want,
-                                                                cell)
+    root = norm.tree.edges[norm.tree.root]
+    eid = root.children[0] if len(root.children) == 1 else root.eid
+    for cell in range(store[eid].scores.size):
+        assert backtrace(norm, store, eid, cell) == backtrace_tables(
+            norm, want, eid, cell)
 
 
 def _sizes_of_combines(monkeypatch, norm, disc) -> list[int]:
@@ -678,22 +705,77 @@ def test_solve_invariants_property(topo, n, seed, epsilon, c_hi, budget):
                          ids=["c-within-budget", "c-above-budget", "a-equals-b"])
 @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.6])
 def test_one_leaf_under_a_unary_root(a, b, c, epsilon):
-    """A single leaf under a root edge of positive length: the root table
-    is unary, and the backtrace finds the leaf's taxon in the tree. The
-    selection is the exhaustive optimum, and the reported bound is at most
-    its exact score."""
+    """A single leaf under a root edge of positive length: the store holds
+    the pendant's table alone, the root edge has none, and ``table_cells``
+    counts the pendant's cells. The reported bound is at most the exact
+    score of the selection, which is checked below against exhaustive
+    search."""
     inst = make_instance(inner(2.0, leaf("x", 1.0)), [("x", a, b, c)],
                          budget=2)
     sol = solve(inst, epsilon)
     norm = normalize(inst)
     root = norm.tree.edges[norm.tree.root]
     assert len(root.children) == 1 and root.length == 2.0
-    tab = build_tables(norm, sol.params)[0][root.eid]
-    assert tab.left is not None and tab.right is None
-    best = brute_force(inst)
-    assert sol.selection.selected == best.selected
-    assert repr(sol.selection.score) == repr(best.score)
+    store, stats = build_tables(norm, sol.params)
+    assert list(store) == list(root.children)
+    pendant = store[root.children[0]]
+    assert pendant.left is None and pendant.right is None
+    assert sol.stats["table_cells"] == stats["table_cells"] == pendant.scores.size
     assert sol.reported_score <= sol.selection.score
+
+
+def _one_leaf_optimum(inst, disc) -> float:
+    """The best one-leaf root score, written out: over leaving the taxon
+    and, when it is affordable, conserving it, the pendant score
+    ``p * length(leaf)`` plus the root's term ``length(root) * pi(p)``."""
+    norm = normalize(inst)
+    pendant, root = norm.tree.edges
+    (tx,) = inst.taxa.values()
+    choices = [tx.a] + ([tx.b] if tx.c <= inst.budget else [])
+    return max(p * pendant.length + root.length * disc.grid.item(disc.pi_index(p))
+               for p in choices)
+
+
+@pytest.mark.parametrize("a,b,c,epsilon", [
+    *((a, b, c, epsilon) for a, b, c in [(0.2, 0.9, 0), (0.2, 0.9, 1),
+                                         (0.2, 0.9, 5), (0.4, 0.4, 1)]
+      for epsilon in (0.01, 0.1, 0.3, 0.6)),
+    (0.1, 0.165, 1, 0.3),
+])
+def test_one_leaf_reports_its_best_pendant_cell(a, b, c, epsilon):
+    """A one-leaf tree reports, to the last bit, the best of its pendant
+    cells with the root's term added, and selects what exhaustive search
+    does, under a root edge of length 0 or 2 and a leaf of length 1 or 0:
+    with c free, within the budget and above it, with a = b, and with a
+    conserved survival of 0.165 on the last grid row t at epsilon 0.3,
+    between p_min and alpha**(t - 1)."""
+    for root, length in ((0.0, 1.0), (2.0, 1.0), (2.0, 0.0)):
+        top = leaf("x", length) if root == 0.0 else inner(root, leaf("x", length))
+        inst = make_instance(top, [("x", a, b, c)], budget=2)
+        sol = solve(inst, epsilon)
+        assert repr(sol.reported_score) == repr(_one_leaf_optimum(inst, sol.params))
+        if b == 0.165:
+            assert sol.params.pi_index(b) == sol.params.t
+        best = brute_force(inst)
+        assert sol.selection.selected == best.selected
+        assert repr(sol.selection.score) == repr(best.score)
+
+
+@pytest.mark.parametrize("c", [0, 1, 5])
+def test_one_leaf_pg_reports_its_best_pendant_cell(c):
+    """``pg`` on a one-leaf a=0/b=1 tree: the exact grid's root optimum is
+    the best pendant cell with the root's term added, and the selection
+    is exhaustive search's."""
+    for top in (leaf("x", 1.5), inner(2.0, leaf("x", 1.5)),
+                inner(2.0, leaf("x", 0.0))):
+        inst = make_instance(top, [("x", 0.0, 1.0, c)], budget=2)
+        selection, reported, _ = solver.solve_on_grid(
+            inst, normalize(inst), baselines._CERTAIN)
+        assert repr(reported) == repr(_one_leaf_optimum(inst, baselines._CERTAIN))
+        best = brute_force(inst)
+        assert pardi_goldman(inst) == selection
+        assert selection.selected == best.selected
+        assert repr(selection.score) == repr(best.score)
 
 
 def test_equal_survival_taxon_is_left_out():
