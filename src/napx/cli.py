@@ -36,14 +36,14 @@ import csv
 import functools
 import sys
 from io import StringIO
-from pathlib import Path
+from itertools import chain
 from time import perf_counter
 
 from .baselines import brute_force, check_brute_force_size, pardi_goldman
 from .errors import InputError, NapError, RestrictionError, SizeLimitError
 from .generators import TOPOLOGIES, GenSpec, generate
-from .io import (SolutionDocument, load_instance, load_solution,
-                 save_instance, write_instance, write_solution)
+from .io import (SolutionDocument, instance_format_for, load_instance,
+                 load_solution, write_instance, write_solution, write_text)
 from .model import Instance, make_conservation_set, validate_instance
 from .newick import fmt_float
 from .solver import check_epsilon, solve
@@ -66,11 +66,8 @@ BENCH_SCHEMA_VERSION = "1"
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    try:
-        Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from exc
+    else:
+        write_text(out, text)
 
 
 def _csv_list(raw: str, what: str) -> list[str]:
@@ -80,21 +77,20 @@ def _csv_list(raw: str, what: str) -> list[str]:
     return items
 
 
-def _parse_seeds(raw: str) -> list[int]:
-    """Parse a seed set such as ``0-9`` or ``0,3,17`` or ``0-3,10``."""
-    seeds: list[int] = []
+def _parse_seeds(raw: str) -> list[range]:
+    """Parse a seed set such as ``0-9`` or ``0,3,17`` or ``0-3,10`` into
+    one range per token, which the caller iterates lazily."""
+    seeds: list[range] = []
     for tok in _csv_list(raw, "seed"):
         lo, sep, hi = tok.partition("-")
         try:
-            if sep:
-                lo_i, hi_i = int(lo), int(hi)
-                if hi_i < lo_i:
-                    raise ValueError
-                seeds.extend(range(lo_i, hi_i + 1))
-            else:
-                seeds.append(int(tok))
+            lo_i = int(lo)
+            hi_i = int(hi) if sep else lo_i
+            if hi_i < lo_i:
+                raise ValueError
         except ValueError:
             raise InputError(f"bad seed token {tok!r}; use N or LO-HI") from None
+        seeds.append(range(lo_i, hi_i + 1))
     return seeds
 
 
@@ -162,22 +158,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    kwargs: dict = {}
-    if args.a_range is not None:
-        kwargs["a_range"] = tuple(args.a_range)
-    if args.b_range is not None:
-        kwargs["b_range"] = tuple(args.b_range)
-    if args.c_range is not None:
-        kwargs["c_range"] = tuple(args.c_range)
+    kwargs = {name: tuple(pair) for name in ("a_range", "b_range", "c_range")
+              if (pair := getattr(args, name)) is not None}
     spec = GenSpec(n=args.n, topology=args.topology, seed=args.seed,
                    budget=args.budget, **kwargs)
     instance = generate(spec)
-    if args.out is not None:
-        save_instance(instance, args.out, name=spec.name, seed=spec.seed)
-        return 0
-    text = write_instance(instance, args.format, name=spec.name,
-                          seed=spec.seed)
-    sys.stdout.write(text)
+    fmt = args.format if args.out is None else instance_format_for(args.out)
+    _emit(write_instance(instance, fmt, name=spec.name, seed=spec.seed), args.out)
     return 0
 
 
@@ -244,11 +231,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise InputError(f"unknown solver {s!r}; choose from "
                              + ", ".join(SOLVERS))
     seeds = _parse_seeds(args.seeds)
+    for n in sizes:     # a spec checks each size before the first row
+        GenSpec(n=n, topology=TOPOLOGIES[0], seed=0)
 
     rows: list[dict] = []
     for topo in topologies:
         for n in sizes:
-            for seed in seeds:
+            for seed in chain.from_iterable(seeds):
                 spec = GenSpec(n=n, topology=topo, seed=seed)
                 instance = generate(spec)
                 base = {

@@ -52,11 +52,10 @@ T_LIMIT = 2_000_000
 _SNAP = 1e-9
 
 
-def _snap_arr(x: float | np.ndarray) -> np.ndarray:
-    """Round x to the nearest integer where it is within 1e-9 of one,
-    elementwise."""
-    r = np.round(x)
-    return np.where(np.abs(x - r) <= _SNAP, r, x)
+def _snap(x: float) -> float:
+    """x rounded to the nearest integer if it is within 1e-9 of one."""
+    r = round(x)
+    return r if abs(x - r) <= _SNAP else x
 
 
 def derive_k(n: int, min_b: float) -> int:
@@ -79,7 +78,7 @@ def derive_k(n: int, min_b: float) -> int:
     # -log(min_b) rather than log(1 / min_b): 1 / min_b overflows to
     # infinity for subnormal min_b
     need = -math.log(min_b) / math.log(n)
-    return max(1, math.ceil(_snap_arr(need)))
+    return max(1, math.ceil(_snap(need)))
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -165,7 +164,7 @@ class Discretization:
             raise ParameterError(f"alpha must be in (0, 1), got {self.alpha!r}")
         if not (0.0 < self.p_min < 1.0):
             raise ParameterError(f"p_min must be in (0, 1), got {self.p_min!r}")
-        t = math.ceil(_snap_arr(math.log(self.p_min) / math.log(self.alpha)))
+        t = math.ceil(_snap(math.log(self.p_min) / math.log(self.alpha)))
         if t > T_LIMIT:
             raise ParameterError(
                 f"grid depth t={t} exceeds the limit of {T_LIMIT}; "

@@ -38,11 +38,15 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SizeLimitError
 from .model import Instance, PhyloTree, Taxon, is_integer, validate_instance
 from .newick import round12
 
 TOPOLOGIES = ("yule", "caterpillar")
+
+# Refuse more leaves than this before anything is drawn: 2**17 leaves peak
+# near 300 MB, and nothing else bounds the lists a generator grows.
+GEN_LIMIT = 2**17
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class GenSpec:
     Parameters
     ----------
     n : int
-        Number of leaves, at least 1. ``n``, ``seed``, the ``c_range``
-        bounds and ``budget`` must be integers, and not bools.
+        Number of leaves, from 1 to ``GEN_LIMIT``. ``n``, ``seed``, the
+        ``c_range`` bounds and ``budget`` must be integers, and not bools.
     topology : str
         One of ``"yule"`` or ``"caterpillar"``.
     seed : int
@@ -88,6 +92,8 @@ class GenSpec:
                 raise InputError(f"{name} takes integers only, got {getattr(self, name)!r}")
         if self.n < 1:
             raise InputError(f"need at least one leaf, got n={self.n}")
+        if self.n > GEN_LIMIT:
+            raise SizeLimitError(f"generating is capped at {GEN_LIMIT} leaves, got n={self.n}")
         if self.topology not in TOPOLOGIES:
             raise InputError(f"unknown topology {self.topology!r}")
         if not 0 <= self.seed < 2**128:

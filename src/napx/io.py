@@ -36,6 +36,7 @@ __all__ = [
     "load_instance",
     "save_instance",
     "instance_format_for",
+    "write_text",
     "parse_solution",
     "write_solution",
     "load_solution",
@@ -196,6 +197,14 @@ def _read_text(path: "str | Path") -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def write_text(path: "str | Path", text: str) -> None:
+    """Write a file's text; a file that cannot be written is bad input."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def load_instance(path: "str | Path") -> tuple[Instance, dict]:
     """Read an instance file, picking the format from the suffix."""
     fmt = instance_format_for(path)
@@ -204,12 +213,9 @@ def load_instance(path: "str | Path") -> tuple[Instance, dict]:
 
 def save_instance(instance: Instance, path: "str | Path", *,
                   name: str | None = None, seed: int | None = None) -> None:
+    """Write an instance file, picking the format from the suffix."""
     fmt = instance_format_for(path)
-    text = write_instance(instance, fmt, name=name, seed=seed)
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+    write_text(path, write_instance(instance, fmt, name=name, seed=seed))
 
 
 # ------------------------------------------------------------------------- #

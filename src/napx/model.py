@@ -121,7 +121,9 @@ class PhyloTree:
         unchanged), and a root edge absorbs a lone interior child. Children
         are ordered by the smallest leaf label below them, ties keeping
         their given order, and edges are numbered in postorder. So records
-        that differ only in child order build equal trees.
+        that differ only in child order build equal trees. Each step has
+        one rule for any number of children: the smallest label is a
+        ``min``, the order a stable sort and the height a ``max``.
 
         This is the one builder of the generators, of :func:`normalize` and
         of newick text not in canonical order; the newick reader builds
@@ -135,19 +137,13 @@ class PhyloTree:
         low: list[str] = []     # smallest leaf label below each record
         ends: list[int] = []    # where the unary chain from each record ends
         for i, (tx, ks) in enumerate(zip(taxa, below)):
-            if tx is not None:
-                ends.append(i)
-                low.append(tx)
-            elif len(ks) == 2:      # the common interior record, without min()
-                ends.append(i)
-                first, second = low[ks[0]], low[ks[1]]
-                low.append(first if first <= second else second)
-            elif len(ks) == 1:
+            if tx is None and len(ks) == 1:
                 ends.append(ends[ks[0]])
                 low.append(low[ks[0]])
             else:
                 ends.append(i)
-                low.append(min(map(low.__getitem__, ks), default=""))
+                low.append(tx if tx is not None
+                           else min(map(low.__getitem__, ks), default=""))
 
         def contract(c: int) -> int:
             """The end of the chain from ``c``, given the chain's length."""
@@ -167,31 +163,15 @@ class PhyloTree:
         todo = [top]
         while todo:
             i = todo.pop()
-            ks = below[i]
-            if len(ks) == 2:
-                a, b = ks
-                if a != ends[a]:
-                    a = contract(a)
-                if b != ends[b]:
-                    b = contract(b)
-                ks = (b, a) if low[b] < low[a] else (a, b)
-            else:
-                ks = [c if c == ends[c] else contract(c) for c in ks]
-                ks.sort(key=low.__getitem__)
+            ks = [c if c == ends[c] else contract(c) for c in below[i]]
+            ks.sort(key=low.__getitem__)
             order.append((i, ks))
             todo += ks
         eids, heights = [0] * len(taxa), [0] * len(taxa)
         edges: list[Edge] = []
         for eid, (i, ks) in enumerate(reversed(order)):
-            if not ks:
-                height, ids = 1, ()
-            elif len(ks) == 2:
-                a, b = ks
-                ha, hb = heights[a], heights[b]
-                height, ids = (ha if ha >= hb else hb) + 1, (eids[a], eids[b])
-            else:
-                height = 1 + max(map(heights.__getitem__, ks))
-                ids = tuple(map(eids.__getitem__, ks))
+            height = 1 + max(map(heights.__getitem__, ks), default=0)
+            ids = tuple(map(eids.__getitem__, ks))
             eids[i], heights[i] = eid, height
             edges.append(new_edge((eid, float(length[i]), ids, taxa[i], height)))
         return PhyloTree(edges=tuple(edges), root=len(edges) - 1)

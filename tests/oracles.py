@@ -2,8 +2,9 @@
 
 Everything here recomputes results through a different route than the
 package: scores by enumerating leaves under each edge, the rounding map
-and the tree builder as they stood before their fast paths, the
-polytomy rule of normalization on nested test trees, table
+as it stood before its fast paths, the tree builder as a frozen copy of
+its general rule (the newick reader's own pass over canonical text is
+held to it), the polytomy rule of normalization on nested test trees, table
 combines by a literal scatter over every (row, row, split) triple of
 dense tables, whose non-dominated cells a combine must reproduce, the
 frontier filter by a pairwise dominance check, all tables by one combine
@@ -169,8 +170,9 @@ def pi_index_wrappers(disc, p):
 
 def from_records_reference(lengths, children, taxa) -> PhyloTree:
     """:meth:`PhyloTree.from_records` with one general line per step, for
-    any number of children: ``min``, a keyed sort and ``max`` where the
-    package compares two children directly."""
+    any number of children: ``min``, a stable keyed sort and ``max``. The
+    builder and the newick reader's own pass over canonical text must
+    both give its tree."""
     length, below, taxa = [*lengths], [*children], [*taxa]
     if taxa[-1] is not None:
         length, below, taxa = length + [0.0], below + [(len(taxa) - 1,)], taxa + [None]

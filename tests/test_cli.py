@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -146,6 +147,46 @@ def test_gen_negative_seed_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "seed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--topology", "yule", "-n", "131073", "--seed", "1"],
+    ["bench", "--sizes", "131073"],
+    ["bench", "--sizes", "4,131073", "--seeds", "0-999999"],
+], ids=["gen", "bench", "bench-after-a-small-size"])
+def test_generation_above_the_size_limit_exits_3_at_once(argv, monkeypatch, capsys):
+    """More leaves than GEN_LIMIT is refused work: exit 3 before any
+    instance is generated, and neither a million seeds nor the leaves are
+    ever held in memory."""
+    def no_generate(spec):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(napx.cli, "generate", no_generate)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "error: generating is capped at 131072 leaves, got n=131073\n"
+    assert peak < 1 << 20
+
+
+def test_bench_seed_ranges_run_in_order(monkeypatch, capsys):
+    """Seed tokens are kept as ranges and run in the order given."""
+    seen: list[int] = []
+
+    def spy(spec):
+        seen.append(spec.seed)
+        return generate(spec)
+
+    monkeypatch.setattr(napx.cli, "generate", spy)
+    code, _, _ = run(capsys, "bench", "--sizes", "3", "--topologies", "yule",
+                     "--seeds", "4-6,1,2-2", "--solvers", "pg")
+    assert code == 0
+    assert seen == [4, 5, 6, 1, 2]
+    assert napx.cli._parse_seeds("0-999999,3") == [range(1000000), range(3, 4)]
 
 
 def test_gen_cost_bound_beyond_int64_exits_2(capsys):

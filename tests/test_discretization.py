@@ -47,6 +47,25 @@ def test_derive_k_frozen_values():
     assert derive_k(4, 5e-324) == 537  # 1 / 5e-324 would overflow
 
 
+@pytest.mark.parametrize("whole", [1, 3, 17])
+@pytest.mark.parametrize("over", [0.0, 2e-10, 9e-10, 3e-9, 1e-6])
+def test_derive_k_and_t_snap_quotients_just_above_an_integer(whole, over):
+    """A quotient within 1e-9 above an integer snaps down onto it before
+    the ceiling, and one further above does not; k and t are plain ints."""
+    want = whole if over <= 1e-9 else whole + 1
+    n, alpha = 7, 0.93
+    min_b = n ** -(whole + over)
+    need = -math.log(min_b) / math.log(n)
+    assert (need - whole <= 1e-9) == (over <= 1e-9) and need >= whole
+    k = derive_k(n, min_b)
+    assert type(k) is int and k == want
+    p_min = alpha ** (whole + over)
+    depth = math.log(p_min) / math.log(alpha)
+    assert (depth - whole <= 1e-9) == (over <= 1e-9) and depth >= whole
+    t = Discretization(alpha, p_min).t
+    assert type(t) is int and t == want
+
+
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.5, 2.0, float("nan")])
 def test_select_params_rejects_bad_epsilon(eps):
     with pytest.raises(ParameterError):

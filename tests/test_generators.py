@@ -1,12 +1,14 @@
 """Tests for the seeded instance generators."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from napx.errors import InputError
-from napx.generators import GenSpec, gen_caterpillar, gen_yule, generate
+from napx.errors import InputError, SizeLimitError
+from napx.generators import (GEN_LIMIT, GenSpec, gen_caterpillar, gen_yule,
+                             generate)
 from napx.io import write_instance
 from napx.model import validate_instance
 
@@ -120,6 +122,21 @@ def test_bad_specs_rejected(kwargs):
     base.update(kwargs)
     with pytest.raises(InputError):
         generate(GenSpec(**base))
+
+
+@pytest.mark.parametrize("n", [GEN_LIMIT + 1, 2**40])
+def test_leaf_count_above_the_limit_is_refused_before_any_draw(n):
+    """A spec of more than GEN_LIMIT leaves is refused as too large when it
+    is made, with almost nothing allocated."""
+    assert GEN_LIMIT == 2**17
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=f"got n={n}$"):
+            GenSpec(n=n, topology="yule", seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_largest_cost_range_generates():

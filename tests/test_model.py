@@ -87,8 +87,8 @@ def _records(draw):
 @settings(deadline=None, max_examples=400, derandomize=True)
 @given(_records())
 def test_from_records_matches_general_builder_property(records):
-    """The builder with its two-child fast paths builds the tree of the
-    general one, edge for edge and bit for bit, and only reads its
+    """The builder gives the tree of the reference copy of its rule, edge
+    for edge and bit for bit, ties in given order, and only reads its
     records."""
     before = copy.deepcopy(records)
     tree = PhyloTree.from_records(*records)
