@@ -19,7 +19,7 @@ Verbs:
 those verbs' and each ``bench`` row's, goes through :func:`_run`. It times
 the solver call alone into ``stats["wall_s"]`` (parsing, ``--oracle`` and
 writing are outside it) and builds the solution document; a bench row
-takes its fields from that document.
+takes its fields from that document. All output goes through ``io.open_text``.
 
 Exit codes: 0 success, 2 bad input (syntax, validation, parameters),
 3 refused work (restriction violated, instance too large for the method,
@@ -35,7 +35,6 @@ import argparse
 import csv
 import functools
 import sys
-from io import StringIO
 from itertools import chain
 from time import perf_counter
 
@@ -43,9 +42,9 @@ from .baselines import brute_force, check_brute_force_size, pardi_goldman
 from .errors import InputError, NapError, RestrictionError, SizeLimitError
 from .generators import TOPOLOGIES, GenSpec, generate
 from .io import (SolutionDocument, instance_format_for, load_instance,
-                 load_solution, write_instance, write_solution, write_text)
+                 load_solution, open_text, write_instance, write_solution)
 from .model import Instance, make_conservation_set, validate_instance
-from .newick import fmt_float
+from .newick import fmt_float, round12
 from .solver import check_epsilon, solve
 
 SOLVERS = ("napx", "exact", "pg")
@@ -64,10 +63,8 @@ BENCH_SCHEMA_VERSION = "1"
 # ------------------------------------------------------------------------- #
 
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        write_text(out, text)
+    with open_text(out) as fh:
+        fh.write(text)
 
 
 def _csv_list(raw: str, what: str) -> list[str]:
@@ -162,8 +159,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
               if (pair := getattr(args, name)) is not None}
     spec = GenSpec(n=args.n, topology=args.topology, seed=args.seed,
                    budget=args.budget, **kwargs)
-    instance = generate(spec)
     fmt = args.format if args.out is None else instance_format_for(args.out)
+    instance = generate(spec)
     _emit(write_instance(instance, fmt, name=spec.name, seed=spec.seed), args.out)
     return 0
 
@@ -185,7 +182,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         lines.append("note: solution file claimed evaluated_score "
                      f"{fmt_float(doc.evaluated_score)}")
     lines.append("feasible: " + ("yes" if feasible else "no"))
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit("\n".join(lines) + "\n", None)
     return 0 if feasible else 3
 
 
@@ -193,24 +190,34 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 #  Benchmark sweep
 # ------------------------------------------------------------------------- #
 
-def _run_one(solver: str, instance: Instance, epsilon: float) -> dict:
-    """Run one solver on one instance; returns partial row fields."""
+def _attempt(solver: str, instance: Instance,
+             epsilon: float) -> SolutionDocument | dict:
+    """Run one bench solver: its solution document, or, where it raised a
+    NapError, the row fields that record the error and the time to it."""
     t0 = perf_counter()
     try:
-        doc = _run(solver, instance, epsilon)
+        return _run(solver, instance, epsilon)
     except NapError as exc:
-        return {"wall_s": fmt_float(perf_counter() - t0), "error": str(exc)}
-    out = {
-        "wall_s": fmt_float(doc.stats["wall_s"]),
-        "reported_score": fmt_float(doc.reported_score),
-        "evaluated_score": fmt_float(doc.evaluated_score),
-    }
-    if solver == "napx":
-        out["fast_path"] = str(doc.stats["fast_combines"])
-        if "k" in doc.params:
-            out["k"] = str(doc.params["k"])
-            out["t"] = str(doc.params["t"])
-    return out
+        return {"solver": solver, "wall_s": fmt_float(perf_counter() - t0),
+                "error": str(exc)}
+
+
+def _bench_row(base: dict, result: SolutionDocument | dict,
+               oracle: float | None) -> dict:
+    """One CSV row from an :func:`_attempt` result. A column that does not
+    apply is None, which the CSV writes blank. The ratio is taken from the
+    12-digit scores the row shows."""
+    if isinstance(result, dict):
+        return {**base, **result}
+    params = result.params or {}
+    score = round12(result.evaluated_score)
+    return {**base, "solver": result.solver, "k": params.get("k"),
+            "t": params.get("t"), "fast_path": result.stats.get("fast_combines"),
+            "wall_s": fmt_float(result.stats["wall_s"]),
+            "reported_score": fmt_float(result.reported_score),
+            "evaluated_score": fmt_float(score),
+            "oracle_score": None if oracle is None else fmt_float(oracle),
+            "ratio": None if oracle is None else fmt_float(_ratio(score, oracle))}
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -231,45 +238,27 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise InputError(f"unknown solver {s!r}; choose from "
                              + ", ".join(SOLVERS))
     seeds = _parse_seeds(args.seeds)
-    for n in sizes:     # a spec checks each size before the first row
-        GenSpec(n=n, topology=TOPOLOGIES[0], seed=0)
+    # a spec checks each size, then each seed token's ends, before the header
+    checks = [(n, 0) for n in sizes] + [(1, r[i]) for r in seeds for i in (0, -1)]
+    for n, seed in checks:
+        GenSpec(n=n, topology=TOPOLOGIES[0], seed=seed)
 
-    rows: list[dict] = []
-    for topo in topologies:
-        for n in sizes:
-            for seed in chain.from_iterable(seeds):
-                spec = GenSpec(n=n, topology=topo, seed=seed)
-                instance = generate(spec)
-                base = {
-                    "schema_version": BENCH_SCHEMA_VERSION,
-                    "instance": spec.name,
-                    "topology": topo,
-                    "n": str(n),
-                    "B": str(instance.budget),
-                    "h": str(instance.tree.height),
-                    "epsilon": fmt_float(args.epsilon),
-                }
-                batch: list[dict] = []
-                oracle: float | None = None
-                for solver in solvers:
-                    row = {**base, "solver": solver,
-                           **_run_one(solver, instance, args.epsilon)}
-                    batch.append(row)
-                    if solver == "exact" and "error" not in row:
-                        oracle = float(row["evaluated_score"])
-                if oracle is not None:
-                    for row in batch:
-                        if "error" not in row:
-                            row["oracle_score"] = fmt_float(oracle)
-                            row["ratio"] = fmt_float(
-                                _ratio(float(row["evaluated_score"]), oracle))
-                rows.extend(batch)
-
-    buf = StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
+    specs = (GenSpec(n=n, topology=topo, seed=seed) for topo in topologies
+             for n in sizes for seed in chain.from_iterable(seeds))
+    with open_text(args.out) as out:
+        writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for spec in specs:
+            instance = generate(spec)
+            base = {"schema_version": BENCH_SCHEMA_VERSION, "instance": spec.name,
+                    "topology": spec.topology, "n": spec.n, "B": instance.budget,
+                    "h": instance.tree.height, "epsilon": fmt_float(args.epsilon)}
+            results = [_attempt(s, instance, args.epsilon) for s in solvers]
+            oracle = next((round12(r.evaluated_score) for r in results
+                           if isinstance(r, SolutionDocument) and r.solver == "exact"),
+                          None)
+            writer.writerows(_bench_row(base, r, oracle) for r in results)
+            out.flush()     # an interrupted run keeps every finished instance
     return 0
 
 

@@ -12,12 +12,15 @@ Instances travel in two canonical formats:
 Both writers emit the same instance identically every time: keys sorted,
 floats at 12 significant digits, children in canonical order. Solutions
 are JSON only. JSON is read as strict RFC 8259, with no NaN or Infinity.
+Every file napx writes, and its stdout, goes through :func:`open_text`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,7 +39,7 @@ __all__ = [
     "load_instance",
     "save_instance",
     "instance_format_for",
-    "write_text",
+    "open_text",
     "parse_solution",
     "write_solution",
     "load_solution",
@@ -197,10 +200,16 @@ def _read_text(path: "str | Path") -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def write_text(path: "str | Path", text: str) -> None:
-    """Write a file's text; a file that cannot be written is bad input."""
+@contextmanager
+def open_text(path: "str | Path | None"):
+    """Yield ``sys.stdout`` for ``None``, else ``path`` opened for UTF-8
+    text; a file that cannot be opened or written is bad input."""
+    if path is None:
+        yield sys.stdout
+        return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
@@ -214,8 +223,9 @@ def load_instance(path: "str | Path") -> tuple[Instance, dict]:
 def save_instance(instance: Instance, path: "str | Path", *,
                   name: str | None = None, seed: int | None = None) -> None:
     """Write an instance file, picking the format from the suffix."""
-    fmt = instance_format_for(path)
-    write_text(path, write_instance(instance, fmt, name=name, seed=seed))
+    text = write_instance(instance, instance_format_for(path), name=name, seed=seed)
+    with open_text(path) as fh:
+        fh.write(text)
 
 
 # ------------------------------------------------------------------------- #

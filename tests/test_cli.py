@@ -17,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 import napx.cli
 from napx.baselines import BRUTE_FORCE_LIMIT
-from napx.cli import BENCH_COLUMNS, main
+from napx.cli import BENCH_COLUMNS, _ratio, main
 from napx.errors import InternalError
 from napx.generators import GenSpec, generate
 from napx.io import (SolutionDocument, load_instance, parse_solution,
                      write_instance, write_solution)
 from napx.model import validate_instance
+from napx.newick import fmt_float
 
 from util import data_path
 
@@ -33,6 +34,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def no_generate(monkeypatch):
+    """Fail the test if the CLI generates an instance."""
+    def refuse(spec):
+        raise AssertionError("an instance was generated")
+
+    monkeypatch.setattr(napx.cli, "generate", refuse)
 
 
 # ------------------------------------------------------------------------- #
@@ -154,14 +164,10 @@ def test_gen_negative_seed_exits_2(capsys):
     ["bench", "--sizes", "131073"],
     ["bench", "--sizes", "4,131073", "--seeds", "0-999999"],
 ], ids=["gen", "bench", "bench-after-a-small-size"])
-def test_generation_above_the_size_limit_exits_3_at_once(argv, monkeypatch, capsys):
+def test_generation_above_the_size_limit_exits_3_at_once(argv, no_generate, capsys):
     """More leaves than GEN_LIMIT is refused work: exit 3 before any
     instance is generated, and neither a million seeds nor the leaves are
     ever held in memory."""
-    def no_generate(spec):
-        raise AssertionError("an instance was generated")
-
-    monkeypatch.setattr(napx.cli, "generate", no_generate)
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)
@@ -171,6 +177,17 @@ def test_generation_above_the_size_limit_exits_3_at_once(argv, monkeypatch, caps
     assert (code, out) == (3, "")
     assert err == "error: generating is capped at 131072 leaves, got n=131073\n"
     assert peak < 1 << 20
+
+
+def test_gen_checks_the_out_suffix_before_generating(tmp_path, no_generate, capsys):
+    """An --out without an instance suffix exits 2 before any draw, even
+    at a size that takes seconds to generate, and creates no file."""
+    target = tmp_path / "x.txt"
+    assert run(capsys, "gen", "--topology", "yule", "-n", "131072", "--seed", "1",
+               "--out", str(target)) == (
+        2, "", f"error: cannot tell the format of {str(target)!r} from its "
+               "suffix; expected .nap.json or .nap.nwk\n")
+    assert not target.exists()
 
 
 def test_bench_seed_ranges_run_in_order(monkeypatch, capsys):
@@ -338,17 +355,58 @@ def test_baselines_are_looked_up_at_call_time(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("eps", ["2", "0", "1", "-0.5", "nan"])
-def test_bench_refuses_bad_epsilon_before_generating(eps, monkeypatch, capsys):
+def test_bench_refuses_bad_epsilon_before_generating(eps, no_generate, capsys):
     """An epsilon outside (0, 1) is an invalid parameter: exit 2 with the
     message of solve, and no instance generated or row written."""
-    def no_generate(spec):
-        raise AssertionError("an instance was generated")
-
-    monkeypatch.setattr(napx.cli, "generate", no_generate)
     code, out, err = run(capsys, "bench", "--sizes", "5", "--epsilon", eps)
     assert code == 2
     assert out == ""
     assert "error: epsilon must be strictly between 0 and 1" in err
+
+
+def test_bench_writes_each_instance_before_the_next(tmp_path, monkeypatch, capsys):
+    """The header and an instance's rows are on disk, flushed, before the
+    next instance is generated."""
+    out = tmp_path / "bench.csv"
+    seen: list[list[str]] = []
+
+    def spy(spec):
+        if spec.seed == 1:
+            seen.extend(csv.reader(out.read_text().splitlines()))
+        return generate(spec)
+
+    monkeypatch.setattr(napx.cli, "generate", spy)
+    code, _, _ = run(capsys, "bench", "--sizes", "5", "--topologies", "yule",
+                     "--seeds", "0-1", "--solvers", "napx,exact,pg",
+                     "--out", str(out))
+    assert code == 0
+    assert seen[0] == BENCH_COLUMNS
+    assert [(row[1], row[9]) for row in seen[1:]] == [
+        ("yule-n5-s0", "napx"), ("yule-n5-s0", "exact"), ("yule-n5-s0", "pg")]
+    assert list(csv.reader(out.read_text().splitlines()))[:4] == seen
+
+
+def test_bench_unwritable_out_exits_2_before_generating(tmp_path, no_generate, capsys):
+    target = tmp_path / "missing" / "bench.csv"
+    code, out, err = run(capsys, "bench", "--sizes", "5", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+def test_bench_ratio_is_taken_from_the_rounded_scores(capsys):
+    """``ratio`` divides the 12-digit scores that the row shows: on
+    yule-n8-s20, yule-n12-s19 and caterpillar-n5-s17 at epsilon 0.3 the
+    full-precision quotient differs from it in the last digit."""
+    code, out, _ = run(capsys, "bench", "--sizes", "5,8,12", "--seeds", "17,19-20",
+                       "--epsilon", "0.3", "--solvers", "napx,exact")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert {"yule-n8-s20", "yule-n12-s19", "caterpillar-n5-s17"} <= {
+        row["instance"] for row in rows}
+    assert all(row["oracle_score"] for row in rows)
+    for row in rows:
+        assert row["ratio"] == fmt_float(_ratio(float(row["evaluated_score"]),
+                                                float(row["oracle_score"])))
 
 
 def test_bench_rejects_unknown_solver(capsys):
@@ -363,8 +421,13 @@ def test_bench_rejects_unknown_solver(capsys):
     (["--sizes", "5", "--seeds", "5-3"], "bad seed token '5-3'; use N or LO-HI"),
     (["--sizes", "5", "--seeds", "a"], "bad seed token 'a'; use N or LO-HI"),
     (["--sizes", "5", "--topologies", "tree"], "unknown topology 'tree'"),
-], ids=["empty-sizes", "bad-size", "reversed-seeds", "bad-seed", "bad-topology"])
-def test_bench_refuses_bad_lists(argv, line, capsys):
+    (["--sizes", "3", "--seeds", f"0-2000,{2**128}"],
+     f"seed must be in [0, 2**128), got {2**128}"),
+], ids=["empty-sizes", "bad-size", "reversed-seeds", "bad-seed", "bad-topology",
+        "seed-out-of-range"])
+def test_bench_refuses_bad_lists(argv, line, no_generate, capsys):
+    """Every list is checked, each seed token at both ends, before the
+    header and before any instance is generated, so no CSV is half written."""
     assert run(capsys, "bench", *argv) == (2, "", f"error: {line}\n")
 
 
