@@ -15,9 +15,9 @@ most the grid floor ``p_min``. Exact baselines (:func:`brute_force`,
 
 from .baselines import brute_force, pardi_goldman
 from .discretization import Discretization, derive_k, select_params
-from .errors import (DegenerateInstanceError, InputError, InternalError,
-                     NapError, ParameterError, ParseError, RestrictionError,
-                     SizeLimitError, ValidationError)
+from .errors import (InputError, InternalError, NapError, ParameterError,
+                     ParseError, RestrictionError, SizeLimitError,
+                     ValidationError)
 from .generators import GenSpec, gen_caterpillar, gen_yule, generate
 from .io import (SolutionDocument, load_instance, load_solution,
                  parse_instance, parse_solution, save_instance,
@@ -46,6 +46,5 @@ __all__ = [
     "load_solution", "parse_solution", "write_solution", "SolutionDocument",
     # errors
     "NapError", "InputError", "ParseError", "ValidationError",
-    "ParameterError", "RestrictionError", "SizeLimitError",
-    "DegenerateInstanceError", "InternalError",
+    "ParameterError", "RestrictionError", "SizeLimitError", "InternalError",
 ]

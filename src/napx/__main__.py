@@ -1,7 +1,5 @@
 """Run the napx command line: ``python -m napx ARGS``."""
 
-import sys
+from .cli import console_entry
 
-from .cli import main
-
-sys.exit(main(sys.argv[1:]))
+console_entry()

@@ -21,12 +21,12 @@ the solver call alone into ``stats["wall_s"]`` (parsing, ``--oracle`` and
 writing are outside it) and builds the solution document; a bench row
 takes its fields from that document. All output goes through ``io.open_text``.
 
-Exit codes: 0 success, 2 bad input (syntax, validation, parameters),
-3 refused work (restriction violated, instance too large for the method,
-infeasible solution in ``eval``), 4 internal error. ``eval`` validates the
-instance as the solvers do, so an invalid instance exits 2 there too. An
-instance in which no taxon can be helped solves to the empty selection
-with exit 0.
+Exit codes: 0 success, 2 bad input (syntax, validation, parameters, an
+output that cannot be written, stdout after its reader closed), 3 refused
+work (restriction violated, instance too large for the method, infeasible
+solution in ``eval``), 4 internal error. ``eval`` validates the instance as
+the solvers do, so an invalid instance exits 2 there too. An instance in
+which no taxon can be helped solves to the empty selection with exit 0.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import os
 import sys
 from itertools import chain
 from time import perf_counter
@@ -344,4 +345,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_entry() -> None:  # pragma: no cover
-    sys.exit(main(sys.argv[1:]))
+    """Run :func:`main` as a process. Output left in stdout's buffer after
+    its reader has closed goes to ``os.devnull``, so that the interpreter's
+    last flush does not print a second error."""
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -50,12 +50,5 @@ class SizeLimitError(NapError):
     """The instance is too large for the method asked for (exit code 3)."""
 
 
-class DegenerateInstanceError(NapError):
-    """No taxon can be helped (every conserved survival is zero).
-
-    :func:`napx.solve` catches it and returns the empty selection.
-    """
-
-
 class InternalError(NapError):
     """An internal invariant failed; this is a bug, not a user error (exit 4)."""

@@ -202,16 +202,18 @@ def _read_text(path: "str | Path") -> str:
 
 @contextmanager
 def open_text(path: "str | Path | None"):
-    """Yield ``sys.stdout`` for ``None``, else ``path`` opened for UTF-8
-    text; a file that cannot be opened or written is bad input."""
-    if path is None:
-        yield sys.stdout
-        return
+    """Yield ``sys.stdout`` for ``None``, flushed on the way out, else
+    ``path`` opened for UTF-8 text; an output that cannot be opened or
+    written, stdout after its reader has closed included, is bad input."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
+        if path is None:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise InputError(f"cannot write {'stdout' if path is None else path}: {exc}") from exc
 
 
 def load_instance(path: "str | Path") -> tuple[Instance, dict]:

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DegenerateInstanceError, InputError, ValidationError
+from .errors import InputError, ValidationError
 
 __all__ = [
     "Taxon",
@@ -41,7 +41,6 @@ __all__ = [
     "expected_pd",
     "make_conservation_set",
     "normalize",
-    "min_conserved_survival",
 ]
 
 
@@ -235,12 +234,6 @@ class ConservationSet:
     score: float
 
 
-def _coerce_ids(selected: "ConservationSet | Iterable[str]") -> frozenset[str]:
-    if isinstance(selected, ConservationSet):
-        return selected.selected
-    return frozenset(selected)
-
-
 def is_integer(value) -> bool:
     """True for an int or another :class:`~numbers.Integral`, but not a bool."""
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
@@ -318,33 +311,13 @@ def total_pd(instance: Instance) -> float:
     return float(sum(e.length for e in instance.tree.edges))
 
 
-def _death_products(instance: Instance, selected: frozenset[str]) -> list[float]:
-    """Per-edge probability that every leaf below the edge dies.
-
-    Computed bottom-up: a pendant's death probability is one minus its
-    leaf's survival, and an interior edge dies exactly when all its child
-    edges die, so products multiply up the tree.
-    """
-    taxa = instance.taxa
-    unknown = sorted(selected - set(taxa))
-    if unknown:
-        raise InputError("unknown taxon ids: " + ", ".join(repr(u) for u in unknown))
-    death = [0.0] * len(instance.tree.edges)
-    for e in instance.tree.edges:
-        if e.taxon is not None:
-            tx = taxa[e.taxon]
-            p = tx.b if e.taxon in selected else tx.a
-            death[e.eid] = 1.0 - p
-        else:
-            d = 1.0
-            for c in e.children:
-                d *= death[c]
-            death[e.eid] = d
-    return death
-
-
-def expected_pd(instance: Instance, selected: "ConservationSet | Iterable[str]") -> float:
+def expected_pd(instance: Instance, selected: Iterable[str]) -> float:
     """Expected phylogenetic diversity of the tree given a selection.
+
+    One postorder pass: a pendant's death probability is one minus its
+    leaf's survival, and an interior edge dies exactly when all its child
+    edges die, so products multiply up the tree; each edge adds its term
+    as soon as its product is known.
 
     Parameters
     ----------
@@ -352,7 +325,7 @@ def expected_pd(instance: Instance, selected: "ConservationSet | Iterable[str]")
         The problem instance. Feasibility of the selection is not checked
         here; this is a pure scoring function.
     selected:
-        Taxon ids to treat as conserved, or a :class:`ConservationSet`.
+        Taxon ids to treat as conserved.
 
     Returns
     -------
@@ -364,19 +337,31 @@ def expected_pd(instance: Instance, selected: "ConservationSet | Iterable[str]")
         :func:`napx.baselines.brute_force` add the same terms in the same
         order.
     """
-    sel = _coerce_ids(selected)
-    death = _death_products(instance, sel)
+    sel = frozenset(selected)
+    taxa = instance.taxa
+    unknown = sorted(sel - set(taxa))
+    if unknown:
+        raise InputError("unknown taxon ids: " + ", ".join(repr(u) for u in unknown))
+    edges = instance.tree.edges
+    death = [0.0] * len(edges)
     total = 0.0
-    for e in instance.tree.edges:
-        total += e.length * (1.0 - death[e.eid])
+    for e in edges:
+        if e.taxon is not None:
+            tx = taxa[e.taxon]
+            d = 1.0 - (tx.b if e.taxon in sel else tx.a)
+        else:
+            d = 1.0
+            for c in e.children:
+                d *= death[c]
+        death[e.eid] = d
+        total += e.length * (1.0 - d)
     return total
 
 
-def make_conservation_set(instance: Instance,
-                          selected: "ConservationSet | Iterable[str]") -> ConservationSet:
+def make_conservation_set(instance: Instance, selected: Iterable[str]) -> ConservationSet:
     """Bundle a selection with its total cost and evaluated score."""
-    sel = _coerce_ids(selected)
-    score = expected_pd(instance, sel)
+    sel = frozenset(selected)
+    score = expected_pd(instance, sel)      # refuses unknown ids first
     return ConservationSet(selected=sel,
                            total_cost=int(sum(instance.taxa[t].c for t in sel)),
                            score=score)
@@ -441,17 +426,3 @@ def normalize(instance: Instance) -> Instance:
         tree = PhyloTree.from_records(*zip(*records))
 
     return Instance(tree=tree, taxa=taxa, budget=budget)
-
-
-def min_conserved_survival(instance: Instance) -> float:
-    """Smallest positive conserved survival among the taxa.
-
-    Raises
-    ------
-    DegenerateInstanceError
-        When every taxon has b = 0, so conservation cannot help anything.
-    """
-    positive = [tx.b for tx in instance.taxa.values() if tx.b > 0]
-    if not positive:
-        raise DegenerateInstanceError("every taxon has zero conserved survival")
-    return min(positive)

@@ -83,9 +83,9 @@ import numpy as np
 
 from .discretization import (Discretization, check_epsilon, derive_k,
                              select_params)
-from .errors import DegenerateInstanceError, InternalError, SizeLimitError
+from .errors import InternalError, SizeLimitError
 from .model import (ConservationSet, Instance, make_conservation_set,
-                    min_conserved_survival, normalize, total_pd)
+                    normalize, total_pd)
 
 __all__ = [
     "CladeTable",
@@ -635,14 +635,12 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     check_epsilon(epsilon)
     norm = normalize(instance)
     n = norm.tree.n_leaves
-    try:
-        min_b = min_conserved_survival(norm)
-    except DegenerateInstanceError:
-        sel = make_conservation_set(instance, frozenset())
+    helped = [tx.b for tx in norm.taxa.values() if tx.b > 0]
+    if not helped:
+        sel = make_conservation_set(instance, ())
         return NapxSolution(selection=sel, reported_score=sel.score,
                             epsilon=epsilon, params=None, stats=_stats())
-    k = derive_k(n, min_b)
-    disc = select_params(n, norm.tree.height, epsilon, k)
+    disc = select_params(n, norm.tree.height, epsilon, derive_k(n, min(helped)))
     selection, reported, stats = solve_on_grid(instance, norm, disc)
     return NapxSolution(selection=selection, reported_score=reported,
                         epsilon=epsilon, params=disc, stats=stats)

@@ -1,7 +1,8 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes results through a different route than the
-package: scores by enumerating leaves under each edge, the rounding map
+package: scores by enumerating leaves under each edge, and in two
+passes (death products, then terms) for their bits, the rounding map
 as it stood before its fast paths, the tree builder as a frozen copy of
 its general rule (the newick reader's own pass over canonical text is
 held to it), the polytomy rule of normalization on nested test trees, table
@@ -60,6 +61,29 @@ def expected_pd_reference(instance: Instance, selected) -> float:
             p = tx.b if tid in sel else tx.a
             dead *= 1.0 - p
         total += e.length * (1.0 - dead)
+    return total
+
+
+def expected_pd_two_pass(instance: Instance, selected) -> float:
+    """Expected diversity in two passes: every edge's death probability
+    bottom-up, children multiplied in child order from 1.0, then the
+    terms added left to right in edge order. The same operations in the
+    same order as the package's one pass, so the same bits."""
+    sel = frozenset(selected)
+    edges = instance.tree.edges
+    death = [0.0] * len(edges)
+    for e in edges:
+        if e.taxon is not None:
+            tx = instance.taxa[e.taxon]
+            death[e.eid] = 1.0 - (tx.b if e.taxon in sel else tx.a)
+        else:
+            d = 1.0
+            for c in e.children:
+                d *= death[c]
+            death[e.eid] = d
+    total = 0.0
+    for e in edges:
+        total += e.length * (1.0 - death[e.eid])
     return total
 
 

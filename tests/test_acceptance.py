@@ -18,8 +18,7 @@ from napx.baselines import brute_force, pardi_goldman
 from napx.discretization import Discretization, derive_k, select_params
 from napx.generators import GenSpec, gen_caterpillar, gen_yule, generate
 from napx.io import parse_instance, write_instance
-from napx.model import (Instance, Taxon, expected_pd, min_conserved_survival,
-                        normalize)
+from napx.model import Instance, Taxon, expected_pd, normalize
 from napx.solver import build_tables, solve
 
 from oracles import (assert_frontier_of_scatter, combine_alone,
@@ -105,7 +104,8 @@ def test_acceptance_03_combine_matches_scatter(capsys):
         gen = gen_yule if i % 2 == 0 else gen_caterpillar
         inst = gen(5 + i % 4, seed=2000 + i)   # n in 5..8
         norm = normalize(inst)
-        k = derive_k(len(norm.taxa), min_conserved_survival(norm))
+        min_b = min(tx.b for tx in norm.taxa.values() if tx.b > 0)
+        k = derive_k(len(norm.taxa), min_b)
         disc = select_params(len(norm.taxa), norm.tree.height, 0.5, k)
         tables, _ = build_tables(norm, disc)
         for e in norm.tree.edges:
@@ -204,7 +204,8 @@ def test_acceptance_07_pendant_combine_identity(capsys):
     for seed in range(20):
         inst = gen_caterpillar(12, seed)
         norm = normalize(inst)
-        k = derive_k(len(norm.taxa), min_conserved_survival(norm))
+        min_b = min(tx.b for tx in norm.taxa.values() if tx.b > 0)
+        k = derive_k(len(norm.taxa), min_b)
         disc = select_params(len(norm.taxa), norm.tree.height, 0.35, k)
         tables, _ = build_tables(norm, disc)
         for e in norm.tree.edges:

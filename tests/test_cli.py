@@ -737,6 +737,24 @@ def test_python_m_napx_runs_cli():
     assert json.loads(proc.stdout)["solver"] == "napx"
 
 
+def test_closed_stdout_exits_2_with_one_error_line():
+    """A reader that closes stdout early ends the run with exit 2 and one
+    error line, not a traceback. bench keeps writing after the reader is
+    gone, so its next flush meets the closed pipe."""
+    proc = subprocess.Popen([sys.executable, "-m", "napx", "bench", "--sizes", "5",
+                             "--seeds", "0-3000", "--solvers", "napx",
+                             "--topologies", "yule"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert proc.stdout.readline().startswith("schema_version,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_usage_error_returns_argparse_code(capsys):
     assert run(capsys, "unknown-verb")[0] == 2
     assert run(capsys)[0] == 2

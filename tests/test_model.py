@@ -2,19 +2,20 @@
 
 import copy
 import math
+import random
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from napx.errors import DegenerateInstanceError, InputError, ValidationError
+from napx.errors import InputError, ValidationError
 from napx.generators import GenSpec, gen_yule, generate
 from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd,
-                        make_conservation_set, min_conserved_survival,
-                        normalize, total_pd, validate_instance)
+                        make_conservation_set, normalize, total_pd,
+                        validate_instance)
 
-from oracles import (binarize_reference, expected_pd_reference,
+from oracles import (binarize_reference, expected_pd_reference, expected_pd_two_pass,
                      from_records_reference)
 from util import (builder_trees, cherry, fig1_instance, inner, leaf, make_instance,
                   polytomy_instance, shuffled, tree_of)
@@ -179,6 +180,40 @@ def test_expected_pd_matches_leaf_enumeration(seed, n, pick):
     sel = frozenset(pick.draw(st.sets(st.sampled_from(ids))))
     assert expected_pd(inst, sel) == pytest.approx(
         expected_pd_reference(inst, sel), rel=1e-12, abs=1e-12)
+
+
+def _wide_instance(rng: random.Random, n: int) -> Instance:
+    """An unnormalized instance of ``n`` leaves whose interior edges have 3
+    to 5 children each (all of them when fewer than 6 are left), with
+    lengths and survivals at full precision. Survivals stay below 0.2, so
+    death products stay near 1, where ``1 - d`` keeps their last bits."""
+    nodes = [leaf(f"t{i:02d}", rng.random()) for i in range(n)]
+    while len(nodes) > 1:
+        k = len(nodes) if len(nodes) <= 5 else rng.randint(3, min(5, len(nodes) - 2))
+        rng.shuffle(nodes)
+        nodes[:k] = [inner(rng.random(), *nodes[:k])]
+    rows = []
+    for i in range(n):
+        a = rng.random() / 10
+        rows.append((f"t{i:02d}", a, a + rng.random() / 10, 1))
+    return make_instance(nodes[0], rows, budget=1)
+
+
+@pytest.mark.parametrize("topology", ["yule", "caterpillar", "wide"])
+def test_expected_pd_bits_match_two_passes(topology):
+    """expected_pd keeps the bits of two passes, death products bottom-up
+    and then the terms left to right in edge order. On trees with 3 to 5
+    children per edge, the order of each product shows in the bits."""
+    rng = random.Random(topology)
+    for n in (1, 2, 3, 5, 9, 16, 33, 64):
+        for seed in range(3):
+            if topology == "wide":
+                inst = _wide_instance(rng, n)
+            else:
+                inst = generate(GenSpec(n=n, topology=topology, seed=seed))
+            for _ in range(4):
+                sel = {t for t in inst.taxa if rng.random() < 0.5}
+                assert repr(expected_pd(inst, sel)) == repr(expected_pd_two_pass(inst, sel))
 
 
 def test_make_conservation_set():
@@ -347,14 +382,3 @@ def test_normalize_idempotent_property(topo, n, seed, c_lo, c_span, scale,
             for tid, tx in base.taxa.items()}
     once = normalize(Instance(tree=base.tree, taxa=taxa, budget=budget))
     assert normalize(once) == once
-
-
-def test_min_conserved_survival():
-    assert min_conserved_survival(fig1_instance()) == pytest.approx(0.5)
-    dead = make_instance(
-        inner(0.0, leaf("x", 1.0), leaf("y", 1.0)),
-        [("x", 0.0, 0.0, 1), ("y", 0.0, 0.0, 1)],
-        budget=1,
-    )
-    with pytest.raises(DegenerateInstanceError):
-        min_conserved_survival(dead)

@@ -17,8 +17,7 @@ from napx.errors import InternalError, ParameterError, SizeLimitError
 from napx.generators import gen_caterpillar, gen_yule
 from napx.io import load_instance, save_instance
 from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd,
-                        make_conservation_set, min_conserved_survival,
-                        normalize, total_pd)
+                        make_conservation_set, normalize, total_pd)
 from napx.solver import (CellStore, CladeTable, backtrace,
                          build_pendant_tables, build_tables, combine_level,
                          combine_tables, solve)
@@ -129,7 +128,8 @@ def test_frontier_of_no_candidates_is_empty():
 
 def _tables_for(instance, epsilon=0.5):
     norm = normalize(instance)
-    k = derive_k(len(norm.taxa), min_conserved_survival(norm))
+    min_b = min(tx.b for tx in norm.taxa.values() if tx.b > 0)
+    k = derive_k(len(norm.taxa), min_b)
     disc = select_params(len(norm.taxa), norm.tree.height, epsilon, k)
     return norm, disc
 
@@ -880,6 +880,17 @@ def test_solve_degenerate_all_dead():
     assert sol.params is None
     assert sol.reported_score == pytest.approx(0.0)
     assert sol.stats == dict.fromkeys(solve(cherry(), 0.3).stats, 0)
+
+
+def test_solve_takes_k_from_the_positive_b_only():
+    """A taxon with b = 0 cannot be helped, so k comes from the smallest
+    positive b (0.3 here gives k = 2, where 0.9 gives 1)."""
+    inst = make_instance(
+        inner(0.0, leaf("x", 1.0), inner(1.0, leaf("y", 2.0), leaf("z", 1.0))),
+        [("x", 0.0, 0.0, 1), ("y", 0.1, 0.3, 1), ("z", 0.0, 0.9, 1)],
+        budget=1,
+    )
+    assert solve(inst, epsilon=0.3).params.k == derive_k(3, 0.3) == 2
 
 
 def test_solve_zero_budget():
