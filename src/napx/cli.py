@@ -22,8 +22,8 @@ writing are outside it) and builds the solution document; a bench row
 takes its fields from that document. All output goes through ``io.open_text``.
 
 Exit codes: 0 success, 2 bad input (syntax, validation, parameters, an
-output that cannot be written, stdout after its reader closed), 3 refused
-work (restriction violated, instance too large for the method, infeasible
+output that cannot be written, a closed stdout), 3 refused work (restriction
+violated, instance too large for the method, memory ran out, infeasible
 solution in ``eval``), 4 internal error. ``eval`` validates the instance as
 the solvers do, so an invalid instance exits 2 there too. An instance in
 which no taxon can be helped solves to the empty selection with exit 0.
@@ -92,13 +92,6 @@ def _parse_seeds(raw: str) -> list[range]:
     return seeds
 
 
-def _baseline(verb: str):
-    """The exact solver behind ``verb``, looked up by its module-level name
-    at each call, so a replaced ``brute_force`` or ``pardi_goldman`` (a
-    tracer's wrapper, a test's stub) is the one that runs."""
-    return {"exact": brute_force, "pg": pardi_goldman}[verb]
-
-
 def _ratio(evaluated: float, oracle: float) -> float:
     return evaluated / oracle if oracle > 0 else 1.0
 
@@ -109,8 +102,8 @@ def _run(solver: str, instance: Instance, epsilon: float | None,
     time of the solver call alone in ``stats["wall_s"]``. ``epsilon`` is
     for ``napx``; the exact solvers take none and report no params."""
     t0 = perf_counter()
-    result = (solve(instance, epsilon=epsilon) if solver == "napx"
-              else _baseline(solver)(instance))
+    result = (solve(instance, epsilon=epsilon) if solver == "napx" else
+              (brute_force if solver == "exact" else pardi_goldman)(instance))
     wall = perf_counter() - t0
     if solver == "napx":
         chosen, reported = result.selection, result.reported_score
@@ -339,6 +332,10 @@ def main(argv: list[str] | None = None) -> int:
     except (RestrictionError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:     # it carries no text of its own
+        print(f"error: out of memory while running {args.command}",
+              file=sys.stderr)
+        return 3
     except NapError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
@@ -350,7 +347,8 @@ def console_entry() -> None:  # pragma: no cover
     last flush does not print a second error."""
     code = main(sys.argv[1:])
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)

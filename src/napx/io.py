@@ -204,9 +204,11 @@ def _read_text(path: "str | Path") -> str:
 def open_text(path: "str | Path | None"):
     """Yield ``sys.stdout`` for ``None``, flushed on the way out, else
     ``path`` opened for UTF-8 text; an output that cannot be opened or
-    written, stdout after its reader has closed included, is bad input."""
+    written, stdout closed at start-up or by its reader, is bad input."""
     try:
         if path is None:
+            if sys.stdout is None:
+                raise OSError("stdout is closed")
             yield sys.stdout
             sys.stdout.flush()
         else:

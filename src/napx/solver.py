@@ -1,16 +1,16 @@
 """The budgeted-diversity dynamic program over discretized probabilities.
 
-Every edge e of the (normalized, binary) tree but a one-leaf tree's root
-gets a clade table, a list of cells ``(cost, row, score)``: a selection
+Every edge e below the root of the (normalized, binary) tree gets a
+clade table, a list of cells ``(cost, row, score)``: a selection
 within e's clade that spends exactly ``cost``, leaves the clade a survival
 probability that rounds to grid row ``row``, and collects expected
 diversity ``score`` strictly below the top of e. A table keeps only its
 Pareto frontier: a cell is dropped when another costs no more, survives
 at least as well (no larger row) and scores at least as much. Rounding,
 addition and the budget test are all monotone, so a dominated cell only
-ever leads to dominated cells higher up, and the root optimum over the
-frontier is the same float as over every cell (the Pareto-list knapsack
-of Nemhauser and Ullmann).
+ever leads to dominated cells higher up, and the best root candidate
+built from the frontiers is the same float as over every selection (the
+Pareto-list knapsack of Nemhauser and Ullmann).
 
 All tables of one build live in a single :class:`CellStore`: five
 parallel arrays of cells (cost, row, score, left, right) in which each
@@ -34,10 +34,10 @@ survival term:
 
     (c_l + c_r,  p = pi(v_j + v_k - v_j v_k),  (s_l + s_r) + v_p * length(e)).
 
-:func:`combine_tables` rounds the survival of every affordable pair
-through :meth:`napx.discretization.Discretization.pi_index`, all pairs in
-one call, and the frontier filter :func:`_frontier` keeps the
-non-dominated cells. Each interior cell stores the index of the left and
+:func:`_pairs` rounds the survival of every affordable pair through
+:meth:`napx.discretization.Discretization.pi_index`, all pairs in one
+call, and the frontier filter :func:`_frontier` keeps the non-dominated
+cells. Each interior cell stores the index of the left and
 the right child cell it was built from, which :func:`backtrace` follows
 down to the leaves, whose taxa it reads from the tree.
 
@@ -58,17 +58,20 @@ its own and one of 8 pairs 56 us. Batching pays the fixed cost once per
 batch rather than once per edge, and the store takes the per-edge Python
 out of the batch as well: no table object per edge, no concatenation of
 the children's arrays and no slicing of the output into tables. A batch
-of a single combine, as at every height of a caterpillar and at the
-root, runs :func:`combine_tables` alone, which is faster for one edge;
-it reads its children as slices of the store's arrays and puts its
-kept cells as one block too. Both give the same tables, bit for bit,
-and a refusal names a combine at the lowest height that holds one.
+of a single combine, as at every height of a caterpillar, takes a route
+faster for one edge that reads its children as slices of the store's
+arrays. Both give the same tables, bit for bit, and a refusal names a
+combine at the lowest height that holds one.
 
-Ties resolve deterministically. Among candidates for one (cost, row) the
-highest value wins, then the first pair in (left index, right index) order;
-a free taxon keeps only its conserved cell, so it is conserved. The root
-takes the highest value, then the smallest cost, then the smallest row:
-between two equally good selections the cheaper one wins. The table values
+The root gets no table: :func:`solve_on_grid` scores its candidates, a
+binary root's affordable pairs or a one-leaf tree's pendant cells with
+the root's term added, and backtraces from the best. Ties resolve
+deterministically. Among candidates for one (cost, row) the highest value
+wins, then the first pair in (left index, right index) order; a free taxon
+keeps only its conserved cell, so it is conserved. The root takes the
+candidate of highest value, then smallest cost, then smallest row, then
+the first, so the cheaper of two equally good selections wins; a frontier
+of the root's candidates would keep that one and rank it first. The values
 are lower bounds on true expected diversity (rounding only ever shrinks
 probabilities), which is what makes the final re-evaluation check in
 :func:`solve` a real invariant rather than a tolerance guess.
@@ -92,7 +95,6 @@ __all__ = [
     "CellStore",
     "NapxSolution",
     "build_pendant_tables",
-    "combine_tables",
     "combine_level",
     "build_tables",
     "backtrace",
@@ -360,24 +362,15 @@ def build_pendant_tables(instance: Instance, disc: Discretization) -> CellStore:
     return store
 
 
-def combine_tables(store: CellStore, eid: int, left: int, right: int,
-                   lam: float, budget: int, disc: Discretization) -> int:
-    """Combine the tables of edges ``left`` and ``right`` in ``store`` into
-    the frontier of their affordable pairs, stored as edge ``eid``'s table.
-
-    Right cells ascend in cost, so the cells a left cell can afford are a
-    prefix of them; the pairs are laid out left cell by left cell, each
-    followed by its prefix, which is the (left, right) index order of the
-    tie rule. Their count is checked against ``PAIR_LIMIT`` before any
-    pair array exists. Each pair's survival ``v_j + (1 - v_j) v_k`` is
-    rounded on its own, all pairs in one ``pi_index`` call. The kept cells
-    are gathered, and the pair arrays dropped, before :meth:`CellStore.put`
-    takes them, so that the pair arrays are gone when the store grows:
-    gathering in the call raised Yule n=2048's peak at epsilon 0.1 from
-    188 to 195 MB.
-
-    Returns the number of affordable pairs.
-    """
+def _pairs(store: CellStore, left: int, right: int, lam: float, budget: int,
+           disc: Discretization) -> tuple[np.ndarray, ...]:
+    """The left cell, right cell, cost, row and score of every affordable
+    pair of edge ``left``'s and edge ``right``'s cells in ``store``, under
+    edge length ``lam``, in (left, right) index order, that of the tie
+    rule. Right cells ascend in cost, so a left cell affords a prefix of
+    them; its pairs follow it. Their count is checked against
+    ``PAIR_LIMIT`` before any pair array exists, and every pair's survival
+    is rounded on its own, all in one ``pi_index`` call."""
     l0, r0 = store.start.item(left), store.start.item(right)
     ls = slice(l0, l0 + store.size.item(left))
     rs = slice(r0, r0 + store.size.item(right))
@@ -389,14 +382,9 @@ def combine_tables(store: CellStore, eid: int, left: int, right: int,
     start -= m
     ri = np.arange(pairs)
     ri -= start.repeat(m)
-    costs, rows, scores = _candidates(
+    return (li, ri, *_candidates(
         li, (store.costs[ls], store.rows[ls], store.scores[ls]),
-        ri, (store.costs[rs], store.rows[rs], store.scores[rs]), lam, disc)
-    keep = _frontier(costs, rows, scores)
-    costs, rows, scores = costs.take(keep), rows.take(keep), scores.take(keep)
-    li, ri = li.take(keep), ri.take(keep)
-    store.put(eid, keep.size, costs, rows, scores, li, ri)
-    return pairs
+        ri, (store.costs[rs], store.rows[rs], store.scores[rs]), lam, disc))
 
 
 def _candidates(li: np.ndarray, left: tuple, ri: np.ndarray, right: tuple,
@@ -430,20 +418,29 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
 
     ``combines`` lists (edge id, left child id, right child id, edge
     length) tuples whose children's tables are in ``store``; each edge's
-    table goes into the store, equal field for field to what
-    :func:`combine_tables` gives for it alone. Every combine's pair count
-    is checked against ``PAIR_LIMIT`` first, in list order. The combines
-    are then cut, in order, into batches of at most ``BATCH_PAIRS`` pairs,
-    and never more than ``PAIR_LIMIT``, and each batch runs
+    table, the frontier of its children's :func:`_pairs`, goes into the
+    store, field for field as if it were combined alone. A list of one
+    gathers its kept cells and drops its pair arrays before
+    :meth:`CellStore.put`, so that they are gone when the store grows
+    (gathering in the call raised Yule n=2048's peak at epsilon 0.1 from
+    188 to 195 MB). A longer list checks every combine's pair count
+    against ``PAIR_LIMIT`` first, in list order, and cuts the combines, in
+    order, into batches of at most ``BATCH_PAIRS`` pairs, never more than
+    ``PAIR_LIMIT``; a batch of one runs as a list of one, a longer one
     :func:`_combine_batch`, which checks the dominance matrices in list
-    order too. A batch of one combine, such as the only combine at a
-    height of a caterpillar, runs :func:`combine_tables` instead, which is
-    the faster of the two on one edge.
+    order too.
 
     Returns the number of affordable pairs over all the combines.
     """
     if len(combines) == 1:
-        return combine_tables(store, *combines[0], budget, disc)
+        eid, l, r, lam = combines[0]
+        li, ri, costs, rows, scores = _pairs(store, l, r, lam, budget, disc)
+        pairs = li.size
+        keep = _frontier(costs, rows, scores)
+        costs, rows, scores = costs.take(keep), rows.take(keep), scores.take(keep)
+        li, ri = li.take(keep), ri.take(keep)
+        store.put(eid, keep.size, costs, rows, scores, li, ri)
+        return pairs
     _, lefts, rights, _ = zip(*combines)
     lefts, rights = np.array(lefts), np.array(rights)
     costs, start, size = store.costs, store.start, store.size
@@ -475,7 +472,7 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
             total += counts[b]
             b += 1
         if b - a == 1:
-            combine_tables(store, *combines[a], budget, disc)
+            combine_level(store, combines[a:b], budget, disc)
         else:
             cut = slice(lo[a], lo[b] if b < len(combines) else None)
             _combine_batch(store, combines[a:b], left_cells[cut],
@@ -494,7 +491,7 @@ def _combine_batch(store: CellStore,
     ``left_cells[j]`` affords, and ``counts[i]`` the pairs of combine i.
 
     The pairs are laid out edge by edge, each edge's in the (left, right)
-    order of :func:`combine_tables`, and read their cells from the store by
+    order of :func:`_pairs`, and read their cells from the store by
     index; one segmented :func:`_frontier` filters them all, and the kept
     cells go into the store as one block, with child indices made local to
     each child's table.
@@ -525,7 +522,7 @@ def _combine_batch(store: CellStore,
 
 def build_tables(instance: Instance,
                  disc: Discretization) -> tuple[CellStore, dict]:
-    """Build every edge's table, one tree height at a time, into one store.
+    """Build every table below the root, a tree height at a time, in a store.
 
     Each child sits at a lower height than its parent, so the combines at
     one height are independent, and :func:`combine_level` runs them, in
@@ -539,14 +536,12 @@ def build_tables(instance: Instance,
     The instance must be normalized (binary tree, costs within budget),
     and so validated: its total length keeps every sum here finite; a tree
     that :meth:`PhyloTree.is_binary` refuses raises :class:`InternalError`.
-    Only binary edges get a combined table, so the one-leaf tree's root
-    edge gets none. Returns the :class:`CellStore` of all tables and work
-    counters: ``fast_combines`` counts the binary combines
-    (``general_combines`` stays 0; both keys are kept for readers of
-    solution ``stats`` and the bench CSV), ``candidate_pairs`` the
-    affordable (left cell, right cell) pairs they enumerate and
-    ``table_cells`` the frontier cells stored over all tables, the
-    store's size.
+    Returns the :class:`CellStore` of all tables and work counters:
+    ``fast_combines`` counts the binary combines (``general_combines``
+    stays 0; both keys are kept for readers of solution ``stats`` and the
+    bench CSV), ``candidate_pairs`` the affordable (left cell, right cell)
+    pairs they enumerate and ``table_cells`` the cells stored, the store's
+    size.
     """
     tree = instance.tree
     budget = int(instance.budget)
@@ -554,7 +549,7 @@ def build_tables(instance: Instance,
         raise InternalError("tables need a normalized binary tree")
     levels: dict[int, list] = {}
     for e in tree.edges:
-        if len(e.children) == 2:
+        if len(e.children) == 2 and e.eid != tree.root:
             levels.setdefault(e.height, []).append((e.eid, *e.children,
                                                     e.length))
     store = build_pendant_tables(instance, disc)
@@ -569,16 +564,17 @@ def _stats(combines: int = 0, pairs: int = 0, cells: int = 0) -> dict:
             "candidate_pairs": pairs, "table_cells": cells}
 
 
-def backtrace(instance: Instance, store: CellStore, eid: int,
-              cell: int) -> frozenset[str]:
-    """Recover the selection behind cell ``cell`` of edge ``eid``'s table
-    by following the stored child-cell indices down to the pendant
-    tables; a pendant cell that spends its taxon's cost conserves it."""
+def backtrace(instance: Instance, store: CellStore,
+              cells: list[tuple[int, int]]) -> frozenset[str]:
+    """Recover the selection behind the (edge id, cell) pairs ``cells``,
+    one per clade, by following the stored child-cell indices down to the
+    pendant tables; a pendant cell that spends its taxon's cost conserves
+    it."""
     edges, taxa = instance.tree.edges, instance.taxa
     start = store.start.tolist()
     costs, left, right = store.costs, store.left, store.right
     selected: list[str] = []
-    stack: list[tuple[int, int]] = [(eid, int(cell))]
+    stack = list(cells)
     while stack:
         eid, n = stack.pop()
         edge = edges[eid]
@@ -597,11 +593,11 @@ def backtrace(instance: Instance, store: CellStore, eid: int,
 class NapxSolution:
     """Result of :func:`solve`.
 
-    ``reported_score`` is the root table's optimum, a provable lower
-    bound; ``selection.score`` re-evaluates the chosen taxa exactly on the
-    original instance and is never smaller (up to float slack). ``params``
-    is None when the instance is degenerate (no taxon can be helped) and
-    the empty selection is returned without building tables.
+    ``reported_score`` is the best root candidate's score, a provable
+    lower bound; ``selection.score`` re-evaluates the chosen taxa exactly
+    on the original instance and is never smaller (up to float slack).
+    ``params`` is None when the instance is degenerate (no taxon can be
+    helped) and the empty selection is returned without building tables.
     """
 
     selection: ConservationSet
@@ -623,9 +619,9 @@ def solve(instance: Instance, epsilon: float = 0.1) -> NapxSolution:
     allocated, and so is a normalized budget beyond int64, the type of
     every stored cost.
 
-    The root cell with the highest score wins, the cheapest one on ties
-    (then the one with the smallest row), so of two equally good
-    selections the cheaper is returned.
+    The root candidate with the highest score wins, then the cheapest,
+    then the one with the smallest row, then the first, so of two equally
+    good selections the cheaper is returned.
 
     The instance is normalized internally; the returned selection refers
     to the original taxa, is always affordable, and taxa whose cost
@@ -651,11 +647,11 @@ def solve_on_grid(instance: Instance, norm: Instance,
     """The table program of :func:`solve` on the grid ``disc``.
 
     ``norm`` is ``normalize(instance)``. Returns the selection, scored
-    exactly on ``instance``, the root optimum it was chosen by, and the
-    :func:`build_tables` stats. Tie rule, size guards and checks are those
-    of :func:`solve`. The one-leaf tree's root edge has no table: each
-    pendant cell scores ``s + length(root) * grid[row]``, and the first
-    best one wins."""
+    exactly on ``instance``, the root score it was chosen by, and the
+    :func:`build_tables` stats with the root's combine counted. Tie rule,
+    size guards and checks are those of :func:`solve`. The root's
+    candidates are a binary root's :func:`_pairs`, or a one-leaf tree's
+    pendant cells, each scoring ``s + length(root) * grid[row]``."""
     if norm.budget > np.iinfo(np.int64).max:
         raise SizeLimitError(
             f"normalized budget {norm.budget} does not fit the 64-bit cost "
@@ -663,15 +659,19 @@ def solve_on_grid(instance: Instance, norm: Instance,
     store, stats = build_tables(norm, disc)
     root = norm.tree.edges[norm.tree.root]
     if len(root.children) == 1:
-        (eid,) = root.children
-        tab = store[eid]
+        tab = store[root.children[0]]
+        cells, costs, rows = [np.arange(tab.scores.size)], tab.costs, tab.rows
         scores = tab.scores + root.length * disc.grid[tab.rows]
     else:
-        eid = root.eid
-        scores = store[eid].scores
-    m = scores.argmax().item()
+        *cells, costs, rows, scores = _pairs(store, *root.children, root.length,
+                                             int(norm.budget), disc)
+        stats["fast_combines"] += 1
+        stats["candidate_pairs"] += scores.size
+    best = np.flatnonzero(scores == scores.max())
+    m = best[np.lexsort((rows[best], costs[best]))[0]]
     reported = scores.item(m)
-    ids = backtrace(norm, store, eid, m)
+    ids = backtrace(norm, store, [(eid, cell.item(m))
+                                  for eid, cell in zip(root.children, cells)])
     kept = frozenset(t for t in ids if instance.taxa[t].c <= instance.budget)
     selection = make_conservation_set(instance, kept)
     if selection.total_cost > instance.budget:

@@ -10,9 +10,10 @@ combines by a literal scatter over every (row, row, split) triple of
 dense tables, whose non-dominated cells a combine must reproduce, the
 frontier filter by a pairwise dominance check, all tables by one combine
 per edge in postorder into a store, the backtrace over such tables, the
-refusal of a table build by one combine at a time in height
-order, and exhaustive search by scoring every subset one at a time. Slow
-and obviously correct is the point.
+root's choice as the first best cell of a root table, the refusal of a
+table build by one combine at a time in height order, and exhaustive
+search by scoring every subset one at a time. Slow and obviously correct
+is the point.
 """
 
 from __future__ import annotations
@@ -340,18 +341,19 @@ def from_dense(scores: np.ndarray) -> CladeTable:
 
 def build_tables_postorder(instance: Instance,
                            disc) -> tuple[CellStore, dict]:
-    """Every table of a normalized instance, built one edge at a time in
-    postorder into a store with :func:`napx.solver.combine_tables`, and the
-    stats of :func:`napx.solver.build_tables`. A refused combine raises
-    the first refusal in postorder."""
+    """Every table below the root of a normalized instance, built one edge
+    at a time in postorder into a store, each by
+    :func:`napx.solver.combine_level` on a list of that one combine, and
+    the stats of :func:`napx.solver.build_tables`. A refused combine
+    raises the first refusal in postorder."""
     budget = int(instance.budget)
     store = solver.build_pendant_tables(instance, disc)
     stats = {"fast_combines": 0, "general_combines": 0,
              "candidate_pairs": 0, "table_cells": 0}
     for e in instance.tree.edges:
-        if len(e.children) == 2:
-            stats["candidate_pairs"] += solver.combine_tables(
-                store, e.eid, *e.children, e.length, budget, disc)
+        if len(e.children) == 2 and e.eid != instance.tree.root:
+            stats["candidate_pairs"] += solver.combine_level(
+                store, [(e.eid, *e.children, e.length)], budget, disc)
             stats["fast_combines"] += 1
     stats["table_cells"] = sum(int(t.scores.size) for t in store.values())
     return store, stats
@@ -383,9 +385,10 @@ def refuse_by_height(instance: Instance, disc) -> None:
     any: at the lowest height that holds a refused combine, the first
     binary combine in edge-id order whose affordable pairs, counted over
     every (left cell, right cell) pair, are above ``PAIR_LIMIT``, or
-    failing that the first one that :func:`napx.solver.combine_tables`
-    refuses on its own. Heights are visited from the leaves up, edges by
-    id within a height, each combine built alone."""
+    failing that the first one that :func:`napx.solver.combine_level`
+    refuses on a list of it alone. Heights are visited from the leaves up,
+    edges by id within a height, each combine built alone. The root gets
+    no table, so it is refused for its pairs only."""
     budget = int(instance.budget)
     store = solver.build_pendant_tables(instance, disc)
     edges = [e for e in instance.tree.edges if len(e.children) == 2]  # id order
@@ -396,8 +399,9 @@ def refuse_by_height(instance: Instance, disc) -> None:
             solver._check_size("candidate pairs", int(
                 (left[:, None] + right[None, :] <= budget).sum()))
         for e in level:
-            solver.combine_tables(store, e.eid, *e.children, e.length,
-                                  budget, disc)
+            if e.eid != instance.tree.root:
+                solver.combine_level(store, [(e.eid, *e.children, e.length)],
+                                     budget, disc)
 
 
 def store_table(store: CellStore, eid: int, tab: CladeTable) -> None:
@@ -408,13 +412,37 @@ def store_table(store: CellStore, eid: int, tab: CladeTable) -> None:
 
 def combine_alone(left: CladeTable, right: CladeTable, lam: float,
                   budget: int, disc) -> CladeTable:
-    """:func:`napx.solver.combine_tables` of two drawn tables: they go into
-    a three-edge store as edges 0 and 1, and edge 2's table comes back."""
+    """:func:`napx.solver.combine_level` of two drawn tables alone: they go
+    into a three-edge store as edges 0 and 1, and edge 2's table comes
+    back."""
     store = CellStore(3)
     store_table(store, 0, left)
     store_table(store, 1, right)
-    solver.combine_tables(store, 2, 0, 1, lam, budget, disc)
+    solver.combine_level(store, [(2, 0, 1, lam)], budget, disc)
     return store[2]
+
+
+def root_by_table(instance: Instance, store: CellStore,
+                  disc) -> tuple[list[tuple[int, int]], float]:
+    """The root's choice as a root table makes it: a binary root's table is
+    combined into ``store`` as any other edge's, and its first best cell
+    in (cost, row) order wins; a one-leaf tree's first best pendant cell,
+    with the root's term added, does. Returns the (child edge, child cell)
+    pairs to backtrace from and the chosen score."""
+    root = instance.tree.edges[instance.tree.root]
+    if len(root.children) == 1:
+        (child,) = root.children
+        tab = store[child]
+        scores = tab.scores + root.length * disc.grid[tab.rows]
+        m = int(np.argmax(scores))
+        return [(child, m)], scores.item(m)
+    solver.combine_level(store, [(root.eid, *root.children, root.length)],
+                         int(instance.budget), disc)
+    tab = store[root.eid]
+    m = int(np.argmax(tab.scores))
+    left, right = root.children
+    return ([(left, tab.left.item(m)), (right, tab.right.item(m))],
+            tab.scores.item(m))
 
 
 def assert_same_table(got: CladeTable, want: CladeTable) -> None:

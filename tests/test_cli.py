@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -753,6 +754,39 @@ def test_closed_stdout_exits_2_with_one_error_line():
     assert len(err.splitlines()) == 1
     assert err.startswith("error: cannot write stdout: ")
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_stdout_closed_at_start_exits_2_with_one_error_line():
+    """With fd 1 closed before it starts, Python gives the process no
+    ``sys.stdout`` at all; writing the solution there is an output that
+    cannot be written, exit 2 with one error line and no traceback."""
+    proc = subprocess.run([sys.executable, "-m", "napx", "solve",
+                           data_path("hand.nap.json")],
+                          stderr=subprocess.PIPE, text=True, timeout=60,
+                          preexec_fn=lambda: os.close(1),
+                          env={**os.environ, "PYTHONPATH": SRC_DIR})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: cannot write stdout: stdout is closed\n"
+
+
+def test_out_of_memory_exits_3_with_one_error_line(tmp_path):
+    """A solve that runs out of memory, here a 2048-leaf Yule tree at
+    epsilon 0.1 under a 150 MB address-space cap on its own process, exits
+    3 with one error line in napx's words, since a ``MemoryError`` carries
+    no text, and no traceback. One thread for OpenBLAS lets numpy import
+    under the cap on a machine with many cores."""
+    path = tmp_path / "yule-2048.nap.json"
+    assert main(["gen", "--topology", "yule", "-n", "2048", "--seed", "1",
+                 "--out", str(path)]) == 0
+    cap = 150 << 20
+    proc = subprocess.run(
+        [sys.executable, "-m", "napx", "solve", str(path), "--epsilon", "0.1"],
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        env={**os.environ, "PYTHONPATH": SRC_DIR, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: out of memory while running solve\n"
+    assert proc.stdout == ""
 
 
 def test_usage_error_returns_argparse_code(capsys):

@@ -1,12 +1,13 @@
 """Tests for the table-building dynamic program and the full solver."""
 
 import dataclasses
+import itertools
 import weakref
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from napx import baselines, solver
@@ -20,12 +21,13 @@ from napx.model import (Edge, Instance, PhyloTree, Taxon, expected_pd,
                         make_conservation_set, normalize, total_pd)
 from napx.solver import (CellStore, CladeTable, backtrace,
                          build_pendant_tables, build_tables, combine_level,
-                         combine_tables, solve)
+                         solve)
 
 from oracles import (assert_frontier_of_scatter, assert_same_table,
                      backtrace_tables, build_tables_postorder, cells,
                      combine_alone, exhaustive_best, from_dense,
-                     frontier_indices, refuse_by_height, store_table)
+                     frontier_indices, refuse_by_height, root_by_table,
+                     store_table)
 from util import (cherry, data_path, fig1_instance, inner, leaf, make_instance,
                   polytomy_instance, tie_cherry)
 
@@ -356,9 +358,9 @@ _ONE = CladeTable(costs=np.array([0]), rows=np.array([1]),
 @example((_DISCS[0], 3, [(_EMPTY, _ONE, 1.0), (_ONE, _EMPTY, 1.0),
                          (_ONE, _ONE, 0.0), (_EMPTY, _EMPTY, 1.0)],
           [7, 0, 5, 2, 3, 4, 1, 6]))
-def test_combine_level_equals_combine_tables(case):
+def test_combine_level_equals_each_combine_alone(case):
     """Each table a batched level puts into the store equals, field for
-    field, the one ``combine_tables`` builds for its edge alone, wherever
+    field, the one ``combine_level`` builds for its edge alone, wherever
     its children sit in the store; the level returns the number of
     affordable pairs and leaves the children's tables as they were."""
     disc, budget, combines, order = case
@@ -385,10 +387,10 @@ def _fields(tab: CladeTable) -> tuple:
 
 
 @pytest.mark.parametrize("reserve", [solver.RESERVE_PER_EDGE, 0])
-def test_combine_tables_appends_one_block(monkeypatch, reserve):
+def test_every_writer_appends_one_block(monkeypatch, reserve):
     """Every writer appends through ``CellStore.put``, one block a call:
-    the pendant block, each lone ``combine_tables`` call, each batched
-    level and ``store_table``. Each put appends its edges' tables one
+    the pendant block, each lone combine, each batched level and
+    ``store_table``. Each put appends its edges' tables one
     after another at the store's end, in call order, and grows the store
     by their sizes; a block has both backpointer arrays or neither, and
     its edges' tables read back as paired when it has them; every earlier
@@ -425,8 +427,8 @@ def test_combine_tables_appends_one_block(monkeypatch, reserve):
     store = build_pendant_tables(norm, disc)
     for e in norm.tree.edges:
         if len(e.children) == 2:
-            combine_tables(store, e.eid, *e.children, e.length, norm.budget,
-                           disc)
+            combine_level(store, [(e.eid, *e.children, e.length)],
+                          norm.budget, disc)
             tab = store[e.eid]
             l, r = (store[c] for c in e.children)
             assert np.array_equal(l.costs[tab.left] + r.costs[tab.right],
@@ -446,8 +448,9 @@ def test_combine_tables_appends_one_block(monkeypatch, reserve):
 def test_lone_combine_frees_its_pair_arrays_before_put(monkeypatch):
     """A lone combine gathers its kept cells and drops its candidate
     arrays before ``CellStore.put``, so that they are not held while the
-    store grows: each combine of a 40-leaf caterpillar, all of them lone,
-    puts after every candidate array its ``_frontier`` saw is freed."""
+    store grows: each of the 39 combines below the root of a 40-leaf
+    caterpillar, all of them lone, puts after every candidate array its
+    ``_frontier`` saw is freed."""
     frontier, put = solver._frontier, CellStore.put
     refs, checked = [], []
 
@@ -464,7 +467,7 @@ def test_lone_combine_frees_its_pair_arrays_before_put(monkeypatch):
     monkeypatch.setattr(solver, "_frontier", spy_frontier)
     monkeypatch.setattr(CellStore, "put", spy_put)
     build_tables(*_tables_for(gen_caterpillar(40, 1), 0.1))
-    assert checked == list(range(0, 3 * 40, 3))
+    assert checked == list(range(0, 3 * 39, 3))
 
 
 def _random_polytomy(seed: int):
@@ -496,13 +499,15 @@ def _random_polytomy(seed: int):
 @pytest.mark.parametrize("batch_pairs", [solver.BATCH_PAIRS, 8])
 def test_build_tables_equals_a_postorder_loop(monkeypatch, instance, epsilon,
                                               batch_pairs):
-    """Tables built one height at a time equal those of one
-    ``combine_tables`` call per edge in postorder, and so do the stats,
-    also when small batches cut most heights into several passes."""
+    """Tables built one height at a time equal those of one lone combine
+    per edge below the root in postorder, and so do the stats, also when
+    small batches cut most heights into several passes. The root gets no
+    table."""
     monkeypatch.setattr(solver, "BATCH_PAIRS", batch_pairs)
     norm, disc = _tables_for(instance, epsilon)
     store, stats = build_tables(norm, disc)
     want, want_stats = build_tables_postorder(norm, disc)
+    assert norm.tree.root not in store
     assert set(store) == set(want)
     for eid in want:
         assert_same_table(store[eid], want[eid])
@@ -538,14 +543,16 @@ def test_build_tables_refuses_a_tree_that_is_not_binary(edges):
 @pytest.mark.parametrize("reserve", [0, 1])
 def test_build_tables_grows_its_store(monkeypatch, instance, reserve):
     """A store that starts with room for at most one cell an edge grows
-    after its pendant block, while the combines fill it, and every table
-    still equals the postorder loop's; its size is the stats'
-    ``table_cells``."""
+    after its pendant block exactly when the combines' cells do not fit in
+    the room that block left, and every table still equals the postorder
+    loop's; its size is the stats' ``table_cells``. The polytomy's one
+    combine below the root fits at one cell an edge."""
     monkeypatch.setattr(solver, "RESERVE_PER_EDGE", reserve)
     norm, disc = _tables_for(instance, 0.1)
     store, stats = build_tables(norm, disc)
     want, want_stats = build_tables_postorder(norm, disc)
-    assert build_pendant_tables(norm, disc).scores.size < store.cells
+    room = build_pendant_tables(norm, disc).scores.size
+    assert (room < store.scores.size) == (room < store.cells)
     assert store.cells == stats["table_cells"] <= store.scores.size
     assert set(store) == set(want)
     for eid in want:
@@ -560,18 +567,18 @@ def test_build_tables_grows_its_store(monkeypatch, instance, reserve):
     make_instance(inner(2.0, leaf("x", 1.0)), [("x", 0.2, 0.9, 1)], budget=2),
 ], ids=lambda inst: f"n{len(inst.taxa)}h{inst.tree.height}")
 def test_backtrace_equals_the_per_edge_backtrace(instance):
-    """From every cell of the root's table, or of the pendant's for the
-    one-leaf tree, whose root edge has no table, the store's backtrace
-    selects the taxa that the backtrace over the postorder loop's dict of
-    tables does."""
+    """From every pair of cells of the root's two children, or every cell
+    of the one-leaf tree's pendant, the store's backtrace selects the taxa
+    that the backtraces over the postorder loop's dict of tables do."""
     norm, disc = _tables_for(instance, 0.1)
     store, _ = build_tables(norm, disc)
     want, _ = build_tables_postorder(norm, disc)
-    root = norm.tree.edges[norm.tree.root]
-    eid = root.children[0] if len(root.children) == 1 else root.eid
-    for cell in range(store[eid].scores.size):
-        assert backtrace(norm, store, eid, cell) == backtrace_tables(
-            norm, want, eid, cell)
+    children = norm.tree.edges[norm.tree.root].children
+    for cells in itertools.product(*(range(store[c].scores.size)
+                                     for c in children)):
+        assert backtrace(norm, store, list(zip(children, cells))) == \
+            frozenset().union(*(backtrace_tables(norm, want, c, n)
+                                for c, n in zip(children, cells)))
 
 
 def _sizes_of_combines(monkeypatch, norm, disc) -> list[int]:
@@ -806,6 +813,79 @@ def test_root_tie_prefers_the_cheaper_cell():
     assert sol.selection.score == expected_pd(inst, {"p", "q"}) == 0.5
 
 
+_TIE = CladeTable(costs=np.array([0, 1]), rows=np.array([1, 1]),
+                  scores=np.array([0.0, 0.5]))
+# _LOW over _HIGH at budget 1 and length 0: their two pairs of cost 1 tie
+# in score, and the later one survives better, rounding to row 1, not 2
+_LOW = CladeTable(costs=np.array([0, 1]), rows=np.array([2, 1]),
+                  scores=np.array([0.0, 0.5]))
+_HIGH = CladeTable(costs=np.array([0, 1]), rows=np.array([1, 2]),
+                   scores=np.array([0.0, 0.5]))
+
+
+@st.composite
+def _root_case(draw):
+    """A root edge over one or two drawn child tables, a budget that
+    affords the pair of their first cells, and the root's length. The
+    tables have few distinct costs, rows and scores, so that the root's
+    candidates tie in score across costs and rows and within one (cost,
+    row)."""
+    disc = draw(st.sampled_from(_DISCS))
+    tables = draw(st.lists(_child_table(disc).filter(lambda t: t.costs.size),
+                           min_size=1, max_size=2))
+    budget = draw(st.sampled_from([0, 1, 3, 6, (1 << 63) - 1]))
+    assume(sum(t.costs.item(0) for t in tables) <= budget)
+    lam = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0))
+    return disc, budget, lam, tables
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_root_case())
+@example((_DISCS[0], 1, 0.0, [_TIE, _TIE]))
+@example((_DISCS[0], 1, 2.0, [_TIE, _TIE]))
+@example((_DISCS[0], 1, 1.0, [_TIE]))
+@example((_DISCS[0], 1, 0.0, [_LOW, _HIGH]))
+def test_root_rule_equals_the_first_best_cell_of_a_root_table(case):
+    """The root's candidate of highest score, then smallest cost, then
+    smallest row, then the first, is the first best cell of the root's
+    table, which the reference combines as any other edge's: the same
+    child cells go to the backtrace, so the selection is the same, and
+    the reported score has the same bits. In the examples, the best pairs
+    tie within one (cost, row), or at one cost across rows."""
+    disc, budget, lam, tables = case
+    n = len(tables)
+    edges = tuple(Edge(i, 1.0, (), f"t{i}", 1) for i in range(n))
+    tree = PhyloTree(edges=edges + (Edge(n, lam, tuple(range(n)), None, 2),),
+                     root=n)
+    norm = Instance(tree=tree, budget=budget,
+                    taxa={e.taxon: Taxon(e.taxon, 0.2, 0.9, 1) for e in edges})
+
+    def drawn_store():
+        store = CellStore(n + 1)
+        for eid, tab in enumerate(tables):
+            store_table(store, eid, tab)
+        return store
+
+    chosen = []
+
+    def spy_backtrace(_instance, _store, cells):
+        chosen.append(cells)
+        return frozenset()
+
+    # drawn scores are no selection's, so the exact re-evaluation that
+    # checks the reported bound gets a score that passes it
+    unscored = mock.Mock(total_cost=0, score=np.inf)
+    with (mock.patch.object(solver, "build_tables",
+                            lambda *_: (drawn_store(), solver._stats())),
+          mock.patch.object(solver, "backtrace", spy_backtrace),
+          mock.patch.object(solver, "make_conservation_set",
+                            lambda *_: unscored)):
+        _, reported, _ = solver.solve_on_grid(norm, norm, disc)
+    want_cells, want_score = root_by_table(norm, drawn_store(), disc)
+    assert chosen == [want_cells]
+    assert repr(reported) == repr(want_score)
+
+
 def test_pair_limit_refuses_large_combines(monkeypatch, capsys):
     """A combine with more candidate pairs than ``PAIR_LIMIT`` is refused
     with SizeLimitError before its pairs are built; the CLI exits 3."""
@@ -818,8 +898,8 @@ def test_pair_limit_refuses_large_combines(monkeypatch, capsys):
     pairs = sum(int(i + beta <= norm.budget) for i in l.costs for beta in r.costs)
     monkeypatch.setattr(solver, "PAIR_LIMIT", pairs - 1)
     with pytest.raises(SizeLimitError, match=f"{pairs} candidate pairs"):
-        combine_tables(tables, root.eid, *root.children, root.length,
-                       norm.budget, disc)
+        combine_level(tables, [(root.eid, *root.children, root.length)],
+                      norm.budget, disc)
     assert main(["solve", data_path("hand.nap.json"), "--epsilon", "0.3"]) == 3
     assert capsys.readouterr().err.startswith("error:")
 
