@@ -426,9 +426,11 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
     188 to 195 MB). A longer list checks every combine's pair count
     against ``PAIR_LIMIT`` first, in list order, and cuts the combines, in
     order, into batches of at most ``BATCH_PAIRS`` pairs, never more than
-    ``PAIR_LIMIT``; a batch of one runs as a list of one, a longer one
-    :func:`_combine_batch`, which checks the dominance matrices in list
-    order too.
+    ``PAIR_LIMIT``. A batch of one runs as a list of one; a longer one is
+    one pass over slices of the level's arrays, its pairs laid out edge by
+    edge in the order of :func:`_pairs` as store indices, filtered by one
+    segmented :func:`_frontier`, which checks the dominance matrices in
+    list order too, and put as one block with child indices made local.
 
     Returns the number of affordable pairs over all the combines.
     """
@@ -441,22 +443,20 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
         li, ri = li.take(keep), ri.take(keep)
         store.put(eid, keep.size, costs, rows, scores, li, ri)
         return pairs
-    _, lefts, rights, _ = zip(*combines)
-    lefts, rights = np.array(lefts), np.array(rights)
-    costs, start, size = store.costs, store.start, store.size
-    n_left = size.take(lefts)
+    eids, lefts, rights, lams = (np.array(x) for x in zip(*combines))
+    l_start, r_start = store.start.take(lefts), store.start.take(rights)
+    n_left = store.size.take(lefts)
     hi = n_left.cumsum()
     lo = hi - n_left
     # the store index of every left cell, combine after combine
     left_cells = np.arange(hi[-1])
-    left_cells += (start.take(lefts) - lo).repeat(n_left)
-    limits = budget - costs.take(left_cells)
-    r_lo = start.take(rights)
-    r_hi = r_lo + size.take(rights)
+    left_cells += (l_start - lo).repeat(n_left)
+    limits = budget - store.costs.take(left_cells)
+    r_hi = r_start + store.size.take(rights)
     # prefix[j]: how many right cells left cell j affords
     prefix = np.concatenate([
-        costs[r0:r1].searchsorted(limits[l0:l1], side="right")
-        for l0, l1, r0, r1 in zip(lo.tolist(), hi.tolist(), r_lo.tolist(),
+        store.costs[r0:r1].searchsorted(limits[l0:l1], side="right")
+        for l0, l1, r0, r1 in zip(lo.tolist(), hi.tolist(), r_start.tolist(),
                                   r_hi.tolist())])
     summed = np.zeros(prefix.size + 1, dtype=np.intp)
     prefix.cumsum(out=summed[1:])
@@ -474,50 +474,31 @@ def combine_level(store: CellStore, combines: list[tuple[int, int, int, float]],
         if b - a == 1:
             combine_level(store, combines[a:b], budget, disc)
         else:
+            # pair p of left cell j takes right cell p - (first pair of j)
+            # of its combine's right table, as a store index
             cut = slice(lo[a], lo[b] if b < len(combines) else None)
-            _combine_batch(store, combines[a:b], left_cells[cut],
-                           prefix[cut], counts[a:b], disc)
+            li = left_cells[cut].repeat(prefix[cut])
+            first = prefix[cut].cumsum()
+            first -= prefix[cut]
+            first -= r_start[a:b].repeat(n_left[a:b])
+            ri = np.arange(li.size)
+            ri -= first.repeat(prefix[cut])
+            seg = np.arange(b - a).repeat(counts[a:b])
+            # read after each put, which may have replaced the store's arrays
+            cells = (store.costs, store.rows, store.scores)
+            costs, rows, scores = _candidates(li, cells, ri, cells,
+                                              lams[a:b].take(seg), disc)
+            keep = _frontier(costs, rows, scores, seg)
+            edge = seg.take(keep)
+            left = li.take(keep)
+            left -= l_start[a:b].take(edge)
+            right = ri.take(keep)
+            right -= r_start[a:b].take(edge)
+            store.put(eids[a:b], np.bincount(edge, minlength=b - a),
+                      costs.take(keep), rows.take(keep), scores.take(keep),
+                      left, right)
         a = b
     return sum(counts)
-
-
-def _combine_batch(store: CellStore,
-                   combines: list[tuple[int, int, int, float]],
-                   left_cells: np.ndarray, prefix: np.ndarray,
-                   counts: list[int], disc: Discretization) -> None:
-    """The pass of :func:`combine_level` over one batch. ``left_cells``
-    holds the store index of every left cell of the batch, combine after
-    combine, ``prefix[j]`` how many right cells left cell
-    ``left_cells[j]`` affords, and ``counts[i]`` the pairs of combine i.
-
-    The pairs are laid out edge by edge, each edge's in the (left, right)
-    order of :func:`_pairs`, and read their cells from the store by
-    index; one segmented :func:`_frontier` filters them all, and the kept
-    cells go into the store as one block, with child indices made local to
-    each child's table.
-    """
-    eids, lefts, rights, lams = (np.array(x) for x in zip(*combines))
-    l_start, r_start = store.start.take(lefts), store.start.take(rights)
-    # pair p of left cell j takes right cell p - (first pair of j) of its
-    # combine's right table, as a store index
-    li = left_cells.repeat(prefix)
-    start = prefix.cumsum()
-    start -= prefix
-    start -= r_start.repeat(store.size.take(lefts))
-    ri = np.arange(li.size)
-    ri -= start.repeat(prefix)
-    seg = np.arange(eids.size).repeat(counts)
-    table = (store.costs, store.rows, store.scores)
-    costs, rows, scores = _candidates(li, table, ri, table, lams.take(seg),
-                                      disc)
-    keep = _frontier(costs, rows, scores, seg)
-    edge = seg.take(keep)
-    left = li.take(keep)
-    left -= l_start.take(edge)
-    right = ri.take(keep)
-    right -= r_start.take(edge)
-    store.put(eids, np.bincount(edge, minlength=eids.size), costs.take(keep),
-              rows.take(keep), scores.take(keep), left, right)
 
 
 def build_tables(instance: Instance,

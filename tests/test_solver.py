@@ -351,18 +351,27 @@ _EMPTY = CladeTable(costs=np.empty(0, dtype=np.int64),
                     rows=np.empty(0, dtype=np.int64), scores=np.empty(0))
 _ONE = CladeTable(costs=np.array([0]), rows=np.array([1]),
                   scores=np.array([0.5]))
+_THREE = CladeTable(costs=np.array([0, 1, 2]), rows=np.array([3, 2, 1]),
+                    scores=np.array([0.25, 0.5, 1.0]))
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)
-@given(_level())
+@given(_level(), st.sampled_from([solver.BATCH_PAIRS, 1, 8]))
 @example((_DISCS[0], 3, [(_EMPTY, _ONE, 1.0), (_ONE, _EMPTY, 1.0),
                          (_ONE, _ONE, 0.0), (_EMPTY, _EMPTY, 1.0)],
-          [7, 0, 5, 2, 3, 4, 1, 6]))
-def test_combine_level_equals_each_combine_alone(case):
+          [7, 0, 5, 2, 3, 4, 1, 6]), solver.BATCH_PAIRS)
+@example((_DISCS[0], 3, [(_ONE, _ONE, 1.0), (_ONE, _ONE, 2.0),
+                         (_EMPTY, _ONE, 3.0)], [5, 4, 3, 2, 1, 0]), 1)
+@example((_DISCS[0], 6, [(_THREE, _THREE, 1.0), (_ONE, _THREE, 2.0),
+                         (_THREE, _ONE, 0.5)], [5, 4, 3, 2, 1, 0]), 8)
+def test_combine_level_equals_each_combine_alone(case, batch_pairs):
     """Each table a batched level puts into the store equals, field for
     field, the one ``combine_level`` builds for its edge alone, wherever
-    its children sit in the store; the level returns the number of
-    affordable pairs and leaves the children's tables as they were."""
+    its children sit in the store and wherever ``BATCH_PAIRS`` cuts the
+    level into batches; the level returns the number of affordable pairs
+    and leaves the children's tables as they were. The last two examples
+    put a batch of two combines after a lone first one (9 pairs against a
+    cut at 8, 1 pair against a cut at 1)."""
     disc, budget, combines, order = case
     children = [tab for left, right, _ in combines for tab in (left, right)]
     store = CellStore(3 * len(combines))
@@ -370,7 +379,8 @@ def test_combine_level_equals_each_combine_alone(case):
         store_table(store, eid, children[eid])
     level = [(2 * len(combines) + i, 2 * i, 2 * i + 1, lam)
              for i, (_, _, lam) in enumerate(combines)]
-    pairs = combine_level(store, level, budget, disc)
+    with mock.patch.object(solver, "BATCH_PAIRS", batch_pairs):
+        pairs = combine_level(store, level, budget, disc)
     assert len(store) == 3 * len(combines)
     for (eid, *_), (left, right, lam) in zip(level, combines):
         assert_same_table(store[eid], combine_alone(left, right, lam, budget,
@@ -610,28 +620,26 @@ def test_batches_refuse_nothing_the_edge_loop_solves(monkeypatch):
                 right.costs, norm.budget - left.costs, side="right").sum())
     assert largest < max(pairs.values()) <= solver.BATCH_PAIRS
     before = solve(inst, 0.3)
-    calls = {"_combine_batch": [], "_frontier": []}
-    depth = [0]
+    calls, depth = [], [0]
+    frontier = solver._frontier
 
-    def recorded(name, f):
-        def wrapper(*args):
-            calls[name].append((depth[0], args))
-            depth[0] += 1
-            try:
-                return f(*args)
-            finally:
-                depth[0] -= 1
-        return wrapper
+    def recorded(*args):
+        calls.append((depth[0], args))
+        depth[0] += 1
+        try:
+            return frontier(*args)
+        finally:
+            depth[0] -= 1
 
-    for name in calls:
-        monkeypatch.setattr(solver, name, recorded(name, getattr(solver, name)))
+    monkeypatch.setattr(solver, "_frontier", recorded)
     monkeypatch.setattr(solver, "PAIR_LIMIT", largest)
     after = solve(inst, 0.3)
-    batch_pairs = [sum(args[4]) for _, args in calls["_combine_batch"]]
+    # a batch is the one segmented filter its level calls, over all its pairs
+    batch_pairs = [args[0].size for d, args in calls if d == 0 and len(args) == 4]
     assert batch_pairs and max(batch_pairs) <= largest
     # a segmented filter whose stacked matrices did not fit filtered its
     # edges one at a time, each through an unsegmented filter of its own
-    nested = [args for d, args in calls["_frontier"] if d == 2]
+    nested = [args for d, args in calls if d == 1]
     assert nested and all(len(args) == 3 for args in nested)
     assert after.selection == before.selection
     assert repr(after.reported_score) == repr(before.reported_score)
