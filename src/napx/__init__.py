@@ -13,38 +13,35 @@ most the grid floor ``p_min``. Exact baselines (:func:`brute_force`,
 :mod:`napx.generators` produces seeded random test instances.
 """
 
-from .baselines import brute_force, pardi_goldman
-from .discretization import Discretization, derive_k, select_params
-from .errors import (InputError, InternalError, NapError, ParameterError,
-                     ParseError, RestrictionError, SizeLimitError,
-                     ValidationError)
-from .generators import GenSpec, gen_caterpillar, gen_yule, generate
-from .io import (SolutionDocument, load_instance, load_solution,
-                 parse_instance, parse_solution, save_instance,
-                 write_instance, write_solution)
-from .model import (ConservationSet, Instance, PhyloTree, Taxon, expected_pd,
-                    make_conservation_set, normalize, total_pd,
-                    validate_instance)
-from .solver import NapxSolution, solve
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # solving
-    "solve", "NapxSolution", "brute_force", "pardi_goldman",
-    # model
-    "Instance", "Taxon", "PhyloTree", "ConservationSet",
-    "expected_pd", "total_pd", "make_conservation_set",
-    "normalize", "validate_instance",
-    # parameters
-    "Discretization", "derive_k", "select_params",
-    # generators
-    "GenSpec", "generate", "gen_yule", "gen_caterpillar",
-    # files
-    "load_instance", "save_instance", "parse_instance", "write_instance",
-    "load_solution", "parse_solution", "write_solution", "SolutionDocument",
-    # errors
-    "NapError", "InputError", "ParseError", "ValidationError",
-    "ParameterError", "RestrictionError", "SizeLimitError", "InternalError",
-]
+# every public name by its defining module, each imported on first use, so
+# that ``python -m napx`` reaches the guard in ``__main__`` before numpy loads
+_EXPORTS = {
+    "solver": ("solve", "NapxSolution"),
+    "baselines": ("brute_force", "pardi_goldman"),
+    "model": ("Instance", "Taxon", "PhyloTree", "ConservationSet", "expected_pd",
+              "total_pd", "make_conservation_set", "normalize", "validate_instance"),
+    "discretization": ("Discretization", "derive_k", "select_params"),
+    "generators": ("GenSpec", "generate", "gen_yule", "gen_caterpillar"),
+    "io": ("load_instance", "save_instance", "parse_instance", "write_instance",
+           "load_solution", "parse_solution", "write_solution", "SolutionDocument"),
+    "errors": ("NapError", "InputError", "ParseError", "ValidationError",
+               "ParameterError", "RestrictionError", "SizeLimitError", "InternalError"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

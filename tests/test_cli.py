@@ -789,6 +789,38 @@ def test_out_of_memory_exits_3_with_one_error_line(tmp_path):
     assert proc.stdout == ""
 
 
+# a sitecustomize module that makes importing napx.solver run out of memory
+NO_MEMORY_FOR_SOLVER = '''import sys
+
+
+class NoMemory:
+    def find_spec(self, name, path=None, target=None):
+        if name == "napx.solver":
+            raise MemoryError
+        return None
+
+
+sys.meta_path.insert(0, NoMemory())
+'''
+
+
+def test_out_of_memory_while_loading_exits_3_with_one_error_line(tmp_path):
+    """Running out of memory while ``python -m napx`` imports the solver,
+    before ``main`` can catch anything, exits 3 with one error line and no
+    traceback. A ``sitecustomize`` hook on the child's path raises the
+    ``MemoryError``, as an address-space cap just above what numpy's
+    import needs can."""
+    (tmp_path / "sitecustomize.py").write_text(NO_MEMORY_FOR_SOLVER)
+    proc = subprocess.run([sys.executable, "-m", "napx", "solve",
+                           data_path("hand.nap.json")],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ,
+                               "PYTHONPATH": os.pathsep.join([str(tmp_path), SRC_DIR])})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == "error: out of memory while loading napx\n"
+    assert proc.stdout == ""
+
+
 def test_usage_error_returns_argparse_code(capsys):
     assert run(capsys, "unknown-verb")[0] == 2
     assert run(capsys)[0] == 2

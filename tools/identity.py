@@ -27,7 +27,9 @@ the first differing field, and exits 1; when none differs it prints a
 summary and exits 0. It exits 2 when a dump fails. Compare against a
 revision on the same machine rather than a pinned hash: the grid and the
 rounding go through ``np.power`` and ``np.log``, whose last bits may
-differ between CPUs.
+differ between CPUs. Both sides run this working tree's ``dump`` code,
+only against different ``src``, so ``dump`` may read only the napx names
+that every compared revision has.
 
 Corpora:
 
@@ -46,6 +48,9 @@ Corpora:
     ``BATCH_PAIRS`` patched low: small batches that cut most tree
     heights into several passes, and a low pair limit that refuses large
     combines and filters most batches edge by edge.
+``stress``
+    Yule trees of 1024 and 2048 leaves and a caterpillar of 2048 leaves,
+    seed 1, epsilon 0.1: combines of millions of pairs.
 
 Uses the standard library and numpy only.
 """
@@ -186,6 +191,9 @@ def corpus(name: str) -> list[dict]:
     """The cases of the named corpus."""
     if name == "quick":
         return _quick()
+    if name == "stress":
+        return [gen_case("yule", 1024, 1, 0.1), gen_case("yule", 2048, 1, 0.1),
+                gen_case("caterpillar", 2048, 1, 0.1)]
     cases = _contract()
     if name == "contract":
         return cases
@@ -195,7 +203,7 @@ def corpus(name: str) -> list[dict]:
     raise ValueError(f"unknown corpus {name!r}")
 
 
-CORPORA = ("quick", "contract", "limits")
+CORPORA = ("quick", "contract", "limits", "stress")
 
 
 # ------------------------------------------------------------------------- #
